@@ -1,9 +1,9 @@
 """How the solver holds up as the player count grows.
 
 The constraint count is n * 2^(n-1), so every added player roughly
-triples the work.  Above a small threshold the solver stops building
-the full constraint set and generates only the violated rows, which
-keeps the functional family tractable well past n=12.  Wall times
+triples the work.  From the first solve on, at every size, the solver
+never builds the full constraint set: it generates only the violated
+rows, which keeps the functional family tractable well past n=12.  Wall times
 below are machine-dependent; the shape of the curve is the point.
 """
 

@@ -17,7 +17,7 @@ import logging
 import os
 import sys
 import time
-from typing import Optional
+from typing import Iterable, Optional
 
 from .dilemmas import (AnalyticLevel, BaseGame, BaseGameParams,
                        FunctionalParams, GraphKind, analytic_level,
@@ -27,8 +27,12 @@ from .game import ActionProfile, DilemmaKind, classify_dilemma, coplayer_string
 from .levels import (NotADilemmaError, NotResolvableError, SolveMode,
                      general_level, general_level_symmetric_fastpath,
                      symmetrical_level)
-from .serialize import (FormatError, dumps_game, dumps_matrix, dumps_result,
-                        extract_matrix, parse_game)
+# solve streams result_lines and never calls dumps_result; the name stays
+# importable here because perfbench/spans.py re-binds cli.dumps_result by
+# name when it traces a run
+from .serialize import (FormatError, dumps_game, dumps_matrix,  # noqa: F401
+                        dumps_result, extract_matrix, parse_game,
+                        result_lines)
 from .transfer import apply_transfers, verify_resolution
 
 EXIT_OK = 0
@@ -60,12 +64,12 @@ def _read_game(path: str):
     return parse_game(_read_text(path))
 
 
-def _write_output(text: str, path: Optional[str]) -> None:
+def _write_output(chunks: Iterable[str], path: Optional[str]) -> None:
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
 
 
 def _parse_target(game, text: Optional[str]):
@@ -113,7 +117,7 @@ def cmd_solve(args) -> int:
         result = general_level(game, target, allow_excess=args.allow_excess,
                                force=args.force,
                                refine_diagonal=args.refine_diagonal)
-    _write_output(dumps_result(result), args.output)
+    _write_output(result_lines(result), args.output)
     return EXIT_OK
 
 
@@ -129,14 +133,14 @@ def cmd_generate(args) -> int:
         base = _BASES[args.base or "pd"]
         params = BaseGameParams(base, args.c, 1.0 if args.d is None else args.d)
         game = build_graphical(_GRAPHS[kind], params, args.n)
-    _write_output(dumps_game(game), args.output)
+    _write_output([dumps_game(game)], args.output)
     return EXIT_OK
 
 
 def cmd_transform(args) -> int:
     game = _read_game(args.game)
     matrix, _ = extract_matrix(_read_text(args.matrix))
-    _write_output(dumps_game(apply_transfers(game, matrix)), args.output)
+    _write_output([dumps_game(apply_transfers(game, matrix))], args.output)
     return EXIT_OK
 
 
@@ -202,7 +206,7 @@ def cmd_bench(args) -> int:
     if args.csv:
         lines = ["n,seconds,g_star"]
         lines += [f"{n},{t:.6f},{g:.17g}" for n, t, g in rows]
-        _write_output("\n".join(lines) + "\n", args.csv)
+        _write_output(["\n".join(lines) + "\n"], args.csv)
     return EXIT_OK
 
 

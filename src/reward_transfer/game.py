@@ -146,11 +146,44 @@ def deviation_indices(n: int, player: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if not 0 <= player < n:
         raise ValueError(f"no player {player} in a {n}-player game")
-    masks = np.arange(1 << (n - 1), dtype=np.int64)
-    low = masks & ((1 << player) - 1)
-    high = (masks >> player) << (player + 1)
-    cooperate = high | low
-    return cooperate, cooperate | (1 << player)
+    cooperate, defect = deviation_pairs(np.arange(1 << n, dtype=np.int64),
+                                        ActionProfile.all_cooperate(n), player)
+    return cooperate.ravel(), defect.ravel()
+
+
+def deviation_pairs(table, target: ActionProfile,
+                    player: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(keep, leave)``: views of ``table``'s rows (its first axis runs
+    over the 2**n profiles) where ``player`` plays their target action
+    and where they switch away.
+
+    Profile ``(high << (player + 1)) | (action << player) | low`` pairs
+    with co-profile mask ``m = (high << player) | low``, so splitting the
+    rows as [high, action, low] lines both views up as [high, low]:
+    co-profile m sits at ``[m >> player, m & ((1 << player) - 1)]``, and
+    flattening the two leading axes orders the rows by m.
+    """
+    split = table.reshape((-1, 2, 1 << player) + table.shape[1:])
+    action = target.action(player)
+    return split[:, action], split[:, 1 - action]
+
+
+def deviation_gains(table, target: ActionProfile) -> np.ndarray:
+    """What each player gains by leaving the target, against each
+    co-profile.
+
+    ``table`` is any (2**n, n) reward table over profiles: a game's
+    payoffs, or ``payoffs @ T`` for the rewards after a transfer matrix
+    T.  Entry [i, m] of the (n, 2**(n-1)) result is
+    ``table[leave, i] - table[keep, i]`` for player i's pair of rows at
+    co-profile mask m.  The target is weakly dominant exactly when no
+    entry is positive.
+    """
+    gains = np.empty((target.n, 1 << (target.n - 1)))
+    for i in range(target.n):
+        keep, leave = deviation_pairs(table[:, i], target, i)
+        gains[i] = (leave - keep).ravel()
+    return gains
 
 
 class NormalFormGame:
@@ -285,21 +318,16 @@ def classify_dilemma(game: NormalFormGame,
     sw = _profile_welfare(game, welfare)
     witnesses: list[ConditionWitness] = []
 
-    tempted_everywhere = True
-    tempted_somewhere = [False] * n
+    everyone_cooperates = ActionProfile.all_cooperate(n)
     for i in range(n):
-        rows_c, rows_d = deviation_indices(n, i)
-        own_gain = table[rows_d, i] - table[rows_c, i]
-        welfare_gain = sw[rows_c] - sw[rows_d]
+        cooperate, defect = deviation_pairs(sw, everyone_cooperates, i)
+        welfare_gain = (cooperate - defect).ravel()
         for mask in np.flatnonzero(welfare_gain <= tolerance):
             witnesses.append(ConditionWitness(WELFARE_CONDITION, i, int(mask)))
-        if not (own_gain > tolerance).all():
-            tempted_everywhere = False
-        tempted_somewhere[i] = bool((own_gain > tolerance).any())
 
-    for i in range(n):
-        if not tempted_somewhere[i]:
-            witnesses.append(ConditionWitness(TEMPTATION_CONDITION, i))
+    tempted = deviation_gains(table, everyone_cooperates) > tolerance
+    for i in np.flatnonzero(~tempted.any(axis=1)):
+        witnesses.append(ConditionWitness(TEMPTATION_CONDITION, int(i)))
 
     mutual_gain = table[0] - table[-1]
     for i in np.flatnonzero(mutual_gain <= tolerance):
@@ -307,7 +335,7 @@ def classify_dilemma(game: NormalFormGame,
 
     if witnesses:
         return DilemmaClassification(DilemmaKind.NOT_DILEMMA, tuple(witnesses))
-    if tempted_everywhere:
+    if tempted.all():
         return DilemmaClassification(DilemmaKind.STRICT)
     return DilemmaClassification(DilemmaKind.PARTIAL)
 
@@ -339,25 +367,15 @@ def check_dominance(game: NormalFormGame,
     """
     if target.n != game.n:
         raise ValueError("target profile size does not match the game")
-    table = game.payoffs
-    violations = []
-    strict = True
-    for i in range(game.n):
-        rows_c, rows_d = deviation_indices(game.n, i)
-        if target.action(i) == COOPERATE:
-            rows_tgt, rows_dev = rows_c, rows_d
-        else:
-            rows_tgt, rows_dev = rows_d, rows_c
-        gap = table[rows_dev, i] - table[rows_tgt, i]
-        for mask in np.flatnonzero(gap > tolerance):
-            violations.append((i, int(mask), float(gap[mask])))
-        if not (gap < -tolerance).all():
-            strict = False
+    gains = deviation_gains(game.payoffs, target)
+    players, masks = np.nonzero(gains > tolerance)
+    violations = tuple(zip(players.tolist(), masks.tolist(),
+                           gains[players, masks].tolist()))
     return DominanceReport(
         target=target,
-        strictly_dominant=strict,
+        strictly_dominant=bool((gains < -tolerance).all()),
         weakly_dominant=not violations,
-        violations=tuple(violations),
+        violations=violations,
     )
 
 

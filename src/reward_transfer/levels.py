@@ -14,15 +14,17 @@ which the target becomes weakly dominant.  Two searches are offered:
   reward with ``allow_excess``), and no player profits by deviating from
   the target against any co-profile.
 
-Deviation constraints number n * 2**(n-1), so for larger games they are
-generated lazily: solve on a working set, scan the full set for
-violations, add the worst offenders, repeat.  The relaxation optimum
-only ever over-estimates, so a violation-free solution is exact.
+Deviation constraints number n * 2**(n-1), so they are generated
+lazily from the first solve on, whatever the game's size: solve on a
+working set that starts from the two extreme co-profiles, scan the full
+set for violations, add the worst offenders, repeat.  The relaxation
+optimum only ever over-estimates, so a violation-free solution is exact.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import logging
 import warnings
 from dataclasses import dataclass
@@ -30,17 +32,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .game import (ActionProfile, COOPERATE, DilemmaClassification,
-                   DilemmaKind, NormalFormGame, classify_dilemma,
-                   deviation_indices, social_optima)
+from .game import (ActionProfile, DilemmaClassification, DilemmaKind,
+                   NormalFormGame, classify_dilemma, deviation_gains,
+                   deviation_pairs, social_optima)
 from .lp import LinearProgram, LpStatus, solve_lp
 from .transfer import (ExcessReport, TransferMatrix, exchange_matrix,
                        excess_report)
 
 log = logging.getLogger(__name__)
 
-# below this many deviation rows we just build them all
-_LAZY_THRESHOLD = 256
 _ROWS_PER_ROUND = 8
 
 
@@ -90,12 +90,23 @@ def deviation_deltas(game: NormalFormGame,
     """
     if target.n != game.n:
         raise ValueError("target profile size does not match the game")
-    rows_c, rows_d = deviation_indices(game.n, player)
-    if target.action(player) == COOPERATE:
-        rows_tgt, rows_dev = rows_c, rows_d
-    else:
-        rows_tgt, rows_dev = rows_d, rows_c
-    return game.payoffs[rows_dev] - game.payoffs[rows_tgt]
+    keep, leave = deviation_pairs(game.payoffs, target, player)
+    return (leave - keep).reshape(-1, game.n)
+
+
+def _scale(game, target) -> float:
+    """1 + the largest reward change any deviation causes, one player's
+    deltas at a time."""
+    return 1.0 + max(float(np.abs(deviation_deltas(game, target, i)).max())
+                     for i in range(game.n))
+
+
+def _player_masks(flags) -> tuple[tuple[int, int], ...]:
+    """(player, mask) for every set entry of an (n, 2**(n-1)) array."""
+    pairs = []
+    for i, row in enumerate(flags):
+        pairs.extend(zip(itertools.repeat(i), np.flatnonzero(row).tolist()))
+    return tuple(pairs)
 
 
 def _gate_dilemma(game, force, tolerance=1e-9) -> Optional[DilemmaClassification]:
@@ -139,26 +150,28 @@ def symmetrical_level(game: NormalFormGame,
     _gate_dilemma(game, force)
     _warn_if_suboptimal(game, target)
     n = game.n
-    deltas = [deviation_deltas(game, target, i) for i in range(n)]
-    scale = 1.0 + max(float(np.abs(d).max()) for d in deltas)
+    own = deviation_gains(game.payoffs, target)
+    others = np.empty_like(own)
+    reach = 0.0
+    for i in range(n):
+        deltas = deviation_deltas(game, target, i)
+        others[i] = deltas.sum(axis=1) - own[i]
+        reach = max(reach, float(np.abs(deltas).max()))
+    scale = 1.0 + reach
     tiny = 1e-12 * scale
 
-    lo, hi = 0.0, 1.0
-    for i in range(n):
-        own = deltas[i][:, i]
-        others = deltas[i].sum(axis=1) - own
-        # s * own + (1 - s)/(n - 1) * others <= 0, rearranged in s
-        coef = own - others / (n - 1)
-        base = -others / (n - 1)
-        for m in range(coef.size):
-            if coef[m] > tiny:
-                hi = min(hi, base[m] / coef[m])
-            elif coef[m] < -tiny:
-                lo = max(lo, base[m] / coef[m])
-            elif base[m] < -tiny:
-                raise NotResolvableError(
-                    "deviation gains are immune to symmetrical transfers "
-                    f"(player {i + 1}); no exchange share resolves {target}")
+    # s * own + (1 - s)/(n - 1) * others <= 0, rearranged in s
+    coef = own - others / (n - 1)
+    base = -others / (n - 1)
+    immune = (np.abs(coef) <= tiny) & (base < -tiny)
+    if immune.any():
+        player = int(np.flatnonzero(immune.any(axis=1))[0])
+        raise NotResolvableError(
+            "deviation gains are immune to symmetrical transfers "
+            f"(player {player + 1}); no exchange share resolves {target}")
+    above, below = coef > tiny, coef < -tiny
+    hi = float(np.min(base[above] / coef[above], initial=1.0))
+    lo = float(np.max(base[below] / coef[below], initial=0.0))
     if lo > hi + tiny:
         raise NotResolvableError(
             f"no exchange share makes {target} weakly dominant "
@@ -166,110 +179,106 @@ def symmetrical_level(game: NormalFormGame,
 
     level = hi
     matrix = exchange_matrix(n, level)
-    binding = []
-    for i in range(n):
-        own = deltas[i][:, i]
-        others = deltas[i].sum(axis=1) - own
-        resid = level * own + (1.0 - level) / (n - 1) * others
-        for m in np.flatnonzero(np.abs(resid) <= tolerance * scale):
-            binding.append((i, int(m)))
+    resid = level * own + (1.0 - level) / (n - 1) * others
     return SelfInterestResult(
-        level=float(level),
+        level=level,
         matrix=matrix,
         target=target,
-        binding=tuple(binding),
+        binding=_player_masks(np.abs(resid) <= tolerance * scale),
         excess=excess_report(matrix),
         mode=SolveMode.SYMMETRIC,
     )
 
 
-def _deviation_row(n, deltas_i, player, mask):
-    row = np.zeros(n * n + 1)
-    row[player:n * n:n] = deltas_i[mask]
-    return row
+def _deviation_block(table, target, working, var, width) -> np.ndarray:
+    """LP rows of the working deviation constraints, player by player
+    and masks ascending.  Player i's row for mask m reads
+    sum_j delta[m, j] * T[j, i] <= 0, with T[j, i] held by LP variable
+    var[j, i]; delta is sliced straight from the payoff rows."""
+    blocks = []
+    for i in range(target.n):
+        keep, leave = deviation_pairs(table, target, i)
+        masks = np.array(sorted(working[i]))
+        at = (masks >> i, masks & ((1 << i) - 1))
+        block = np.zeros((masks.size, width))
+        block[:, var[:, i]] = leave[at] - keep[at]
+        blocks.append(block)
+    return np.vstack(blocks)
 
 
-def _build_lp(n, deltas, working, allow_excess, objective, level_floor=None):
-    nv = n * n + 1
-    z = n * n
-    rows = []
-    for i in range(n):
-        aux = np.zeros(nv)
-        aux[z] = 1.0
-        aux[i * n + i] = -1.0
-        rows.append(aux)
-    for i in range(n):
-        for mask in sorted(working[i]):
-            rows.append(_deviation_row(n, deltas[i], i, mask))
-    b_ub = [0.0] * len(rows)
-
-    row_sums = np.zeros((n, nv))
-    for i in range(n):
-        row_sums[i, i * n:(i + 1) * n] = 1.0
-    if allow_excess:
-        a_ub = np.vstack([rows, row_sums])
-        b_ub = np.array(b_ub + [1.0] * n)
-        a_eq = b_eq = None
-    else:
-        a_ub = np.array(rows)
-        b_ub = np.array(b_ub)
-        a_eq, b_eq = row_sums, np.ones(n)
-
-    c = np.zeros(nv)
-    if objective == "level":
-        c[z] = 1.0
-    elif objective == "min-total":
-        c[:n * n] = -1.0
-    elif objective == "max-diag":
-        c[::n + 1][:n] = 1.0
-    else:
-        raise ValueError(f"unknown objective {objective!r}")
-
-    lower = np.zeros(nv)
-    if level_floor is not None:
-        lower[z] = level_floor
-    return LinearProgram(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq,
-                         lower=lower)
-
-
-def _scan_violations(deltas, matrix_cols, working, atol):
-    """Most-violated missing deviation constraints, per player."""
-    additions = []
-    for i in range(len(deltas)):
-        resid = deltas[i] @ matrix_cols[:, i]
-        bad = np.flatnonzero(resid > atol)
-        if bad.size == 0:
-            continue
-        fresh = np.array([m for m in bad if m not in working[i]], dtype=np.int64)
-        if fresh.size == 0:
-            continue
-        order = np.lexsort((fresh, -resid[fresh]))
-        additions.append((i, fresh[order[:_ROWS_PER_ROUND]]))
-    return additions
-
-
-def _solve_stage(n, deltas, working, allow_excess, objective, level_floor,
-                 feas_tol, opt_tol, atol, max_rounds):
-    """Solve one LP objective under lazy constraint generation."""
+def _lazy_solve(build_lp, var, table, target, working, atol,
+                feas_tol, opt_tol, max_rounds):
+    """Solve on the working set, scan every deviation of the resulting
+    matrix T (entry [j, i] is LP variable var[j, i]) and add each
+    player's worst missing violations; repeat until none is left.
+    ``working`` (one mask set per player) grows in place."""
     for _ in range(max_rounds):
-        lp = _build_lp(n, deltas, working, allow_excess, objective, level_floor)
-        sol = solve_lp(lp, feas_tol=feas_tol, opt_tol=opt_tol)
+        sol = solve_lp(build_lp(working), feas_tol=feas_tol, opt_tol=opt_tol)
         if sol.status is LpStatus.INFEASIBLE:
             return sol
         if sol.status is LpStatus.UNBOUNDED:
             raise RuntimeError("level search reported unbounded; the level "
                                "is capped by construction, so this is a bug")
-        t = sol.x[:n * n].reshape(n, n)
-        additions = _scan_violations(deltas, t, working, atol)
-        if not additions:
+        grown = False
+        gains = deviation_gains(table @ sol.x[var], target)
+        for i, resid in enumerate(gains):
+            fresh = [m for m in np.flatnonzero(resid > atol).tolist()
+                     if m not in working[i]]
+            if fresh:
+                fresh = np.array(fresh)
+                order = np.lexsort((fresh, -resid[fresh]))
+                working[i].update(fresh[order[:_ROWS_PER_ROUND]].tolist())
+                grown = True
+        if not grown:
             return sol
-        for i, masks in additions:
-            working[i].update(int(m) for m in masks)
     raise RuntimeError("constraint generation did not converge")
 
 
-def _matrix_from_solution(x, n, conserving) -> TransferMatrix:
-    t = x[:n * n].reshape(n, n).copy()
+def _extremes(n) -> list[set]:
+    """Every player's starting working set: all co-players cooperate,
+    all defect."""
+    return [{0, (1 << (n - 1)) - 1} for _ in range(n)]
+
+
+def _general_lp(table, target, var, allow_excess, objective, level_floor):
+    """LP builder over T's n*n entries (variable j*n + i is T[j, i]) and
+    the level z (variable n*n)."""
+    n = target.n
+    nv = n * n + 1
+    level_rows = np.zeros((n, nv))
+    level_rows[:, n * n] = 1.0
+    level_rows[range(n), np.diag(var)] = -1.0
+    row_sums = np.zeros((n, nv))
+    row_sums[np.arange(n)[:, None], var] = 1.0
+
+    c = np.zeros(nv)
+    if objective == "level":
+        c[n * n] = 1.0
+    elif objective == "min-total":
+        c[:n * n] = -1.0
+    elif objective == "max-diag":
+        c[np.diag(var)] = 1.0
+    else:
+        raise ValueError(f"unknown objective {objective!r}")
+    lower = np.zeros(nv)
+    if level_floor is not None:
+        lower[n * n] = level_floor
+
+    def build(working):
+        rows = np.vstack([level_rows,
+                          _deviation_block(table, target, working, var, nv)])
+        b_ub = np.zeros(len(rows))
+        if allow_excess:
+            return LinearProgram(c, a_ub=np.vstack([rows, row_sums]),
+                                 b_ub=np.concatenate([b_ub, np.ones(n)]),
+                                 lower=lower)
+        return LinearProgram(c, a_ub=rows, b_ub=b_ub, a_eq=row_sums,
+                             b_eq=np.ones(n), lower=lower)
+
+    return build
+
+
+def _matrix_from_solution(t, conserving) -> TransferMatrix:
     t[np.abs(t) < 1e-12] = 0.0
     np.clip(t, 0.0, 1.0, out=t)
     sums = t.sum(axis=1)
@@ -282,14 +291,9 @@ def _matrix_from_solution(x, n, conserving) -> TransferMatrix:
     return TransferMatrix(t)
 
 
-def _binding_pairs(deltas, matrix, tolerance):
-    pairs = []
-    cols = matrix.entries
-    for i in range(len(deltas)):
-        resid = deltas[i] @ cols[:, i]
-        for m in np.flatnonzero(np.abs(resid) <= tolerance):
-            pairs.append((i, int(m)))
-    return pairs
+def _binding(game, target, matrix, tolerance):
+    gains = deviation_gains(game.payoffs @ matrix.entries, target)
+    return _player_masks(np.abs(gains) <= tolerance)
 
 
 def general_level(game: NormalFormGame,
@@ -317,18 +321,18 @@ def general_level(game: NormalFormGame,
     _gate_dilemma(game, force)
     _warn_if_suboptimal(game, target)
     n = game.n
-    deltas = [deviation_deltas(game, target, i) for i in range(n)]
-    scale = 1.0 + max(float(np.abs(d).max()) for d in deltas)
-    atol = feas_tol * scale
+    table = game.payoffs
+    var = np.arange(n * n).reshape(n, n)
+    atol = feas_tol * _scale(game, target)
+    working = _extremes(n)
 
-    n_co = 1 << (n - 1)
-    if n * n_co <= _LAZY_THRESHOLD:
-        working = [set(range(n_co)) for _ in range(n)]
-    else:
-        working = [{0, n_co - 1} for _ in range(n)]
+    def stage(objective, level_floor):
+        build = _general_lp(table, target, var, allow_excess, objective,
+                            level_floor)
+        return _lazy_solve(build, var, table, target, working, atol,
+                           feas_tol, opt_tol, max_rounds)
 
-    sol = _solve_stage(n, deltas, working, allow_excess, "level", None,
-                       feas_tol, opt_tol, atol, max_rounds)
+    sol = stage("level", None)
     if sol.status is LpStatus.INFEASIBLE:
         raise NotResolvableError(
             f"no transfer contract makes {target} weakly dominant")
@@ -336,19 +340,16 @@ def general_level(game: NormalFormGame,
     log.debug("level %.12g after stage 1 (%d iterations)", level, sol.iterations)
 
     if allow_excess or refine_diagonal:
-        objective = "min-total" if allow_excess else "max-diag"
-        refined = _solve_stage(n, deltas, working, allow_excess, objective,
-                               level, feas_tol, opt_tol, atol, max_rounds)
+        refined = stage("min-total" if allow_excess else "max-diag", level)
         if refined.status is LpStatus.OPTIMAL:
             sol = refined
 
-    matrix = _matrix_from_solution(sol.x, n, conserving=not allow_excess)
-    binding = _binding_pairs(deltas, matrix, binding_tol)
+    matrix = _matrix_from_solution(sol.x[var], conserving=not allow_excess)
     return SelfInterestResult(
         level=level,
         matrix=matrix,
         target=target,
-        binding=tuple(binding),
+        binding=_binding(game, target, matrix, binding_tol),
         excess=excess_report(matrix),
         mode=SolveMode.GENERAL_WITH_EXCESS if allow_excess else SolveMode.GENERAL,
     )
@@ -413,61 +414,34 @@ def general_level_symmetric_fastpath(game: NormalFormGame,
     _gate_dilemma(game, force)
     target = ActionProfile.all_cooperate(n)
     _warn_if_suboptimal(game, target)
+    table = game.payoffs
 
-    # step[p] = k with sigma^k(0) = p; var j of row p sits at column sigma^k(j)
-    step = np.zeros(n, dtype=int)
-    for k in range(n):
-        step[int(powers[k][0])] = k
-    inverse = [np.argsort(p) for p in powers]
-
-    deltas = [deviation_deltas(game, target, i) for i in range(n)]
-    scale = 1.0 + max(float(np.abs(d).max()) for d in deltas)
-    atol = feas_tol * scale
-
-    def tile(v):
-        t = np.zeros((n, n))
-        for k in range(n):
-            t[int(powers[k][0]), powers[k]] = v
-        return t
-
-    def constraint_row(i, mask):
-        row = np.zeros(n)
-        for j in range(n):
-            row[int(inverse[step[j]][i])] += deltas[i][mask, j]
-        return row
-
-    n_co = 1 << (n - 1)
-    working = [{0, n_co - 1} for _ in range(n)]
+    # row sigma^k(0) of T is the shared row pushed k steps round the
+    # cycle: T[sigma^k(0), sigma^k(j)] = v[j], so T[j, i] is v[var[j, i]]
+    var = np.zeros((n, n), dtype=int)
+    for perm in powers:
+        var[perm[0], perm] = np.arange(n)
     c = np.zeros(n)
     c[0] = 1.0
-    a_eq = np.ones((1, n))
-    sol = None
-    for _ in range(max_rounds):
-        rows = [constraint_row(i, m) for i in range(n) for m in sorted(working[i])]
-        lp = LinearProgram(c, a_ub=np.array(rows), b_ub=np.zeros(len(rows)),
-                           a_eq=a_eq, b_eq=np.ones(1))
-        sol = solve_lp(lp, feas_tol=feas_tol, opt_tol=opt_tol)
-        if sol.status is LpStatus.INFEASIBLE:
-            raise NotResolvableError(
-                f"no transfer contract makes {target} weakly dominant")
-        if sol.status is LpStatus.UNBOUNDED:
-            raise RuntimeError("fastpath level search reported unbounded")
-        t = tile(sol.x)
-        additions = _scan_violations(deltas, t, working, atol)
-        if not additions:
-            break
-        for i, masks in additions:
-            working[i].update(int(m) for m in masks)
-    else:
-        raise RuntimeError("constraint generation did not converge")
 
-    matrix = _matrix_from_solution(tile(sol.x).ravel(), n, conserving=True)
-    binding = _binding_pairs(deltas, matrix, binding_tol)
+    def build(working):
+        rows = _deviation_block(table, target, working, var, n)
+        return LinearProgram(c, a_ub=rows, b_ub=np.zeros(len(rows)),
+                             a_eq=np.ones((1, n)), b_eq=np.ones(1))
+
+    sol = _lazy_solve(build, var, table, target, _extremes(n),
+                      feas_tol * _scale(game, target), feas_tol, opt_tol,
+                      max_rounds)
+    if sol.status is LpStatus.INFEASIBLE:
+        raise NotResolvableError(
+            f"no transfer contract makes {target} weakly dominant")
+
+    matrix = _matrix_from_solution(sol.x[var], conserving=True)
     return SelfInterestResult(
         level=float(sol.objective_value),
         matrix=matrix,
         target=target,
-        binding=tuple(binding),
+        binding=_binding(game, target, matrix, binding_tol),
         excess=excess_report(matrix),
         mode=SolveMode.GENERAL,
     )
@@ -477,5 +451,4 @@ def binding_constraints(game: NormalFormGame,
                         result: SelfInterestResult,
                         tolerance: float = 1e-7) -> list[tuple[int, int]]:
     """Recompute which deviation constraints are tight for a result."""
-    deltas = [deviation_deltas(game, result.target, i) for i in range(game.n)]
-    return _binding_pairs(deltas, result.matrix, tolerance)
+    return list(_binding(game, result.target, result.matrix, tolerance))

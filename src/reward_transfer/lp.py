@@ -210,8 +210,7 @@ def _standardize(lp: LinearProgram):
 def solve_lp(lp: LinearProgram,
              feas_tol: float = 1e-9,
              opt_tol: float = 1e-9,
-             max_iterations: Optional[int] = None,
-             debug: bool = False) -> LpSolution:
+             max_iterations: Optional[int] = None) -> LpSolution:
     """Solve the program.  Returns a status rather than raising:
     INFEASIBLE and UNBOUNDED are ordinary outcomes (``x`` is NaN for
     both).  Identical inputs produce bit-identical solutions."""
@@ -265,9 +264,8 @@ def solve_lp(lp: LinearProgram,
     rows0 = tableau[:m, :first_art].copy()
     rhs0 = tableau[:m, -1].copy()
 
-    if debug:
-        log.debug("standardized LP: %d structural, %d slack, %d artificial, "
-                  "%d rows", n_std, m_ub, n_art, m)
+    log.debug("standardized LP: %d structural, %d slack, %d artificial, "
+              "%d rows", n_std, m_ub, n_art, m)
 
     cap = max_iterations or (200 + 25 * (m + n_total))
     iterations = 0
@@ -284,8 +282,7 @@ def solve_lp(lp: LinearProgram,
             raise RuntimeError("phase 1 reported unbounded; cannot happen")
         residual = sum(tableau[r, -1] for r in range(m) if basis[r] >= first_art)
         if residual > feas_tol * scale:
-            if debug:
-                log.debug("phase 1 residual %.3e, infeasible", residual)
+            log.debug("phase 1 residual %.3e, infeasible", residual)
             bad = np.full(lp.n_variables, np.nan)
             return LpSolution(LpStatus.INFEASIBLE, bad, float("nan"), iterations)
         # drive leftover (zero-valued) artificials out of the basis
@@ -350,9 +347,8 @@ def solve_lp(lp: LinearProgram,
     y[basis[:m]] = basic_values
     x = var_map @ y[:n_std] + offsets
     value = float(lp.objective @ x)
-    if debug:
-        log.debug("optimal after %d iterations, objective %.12g",
-                  iterations, value)
+    log.debug("optimal after %d iterations, objective %.12g",
+              iterations, value)
     return LpSolution(LpStatus.OPTIMAL, x, value, iterations)
 
 

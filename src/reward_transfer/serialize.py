@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -156,28 +156,34 @@ def extract_matrix(text: str) -> tuple[TransferMatrix, Optional[str]]:
         "expected a matrix array or a result object with a 'matrix' key")
 
 
-def dumps_result(result: SelfInterestResult) -> str:
+def result_lines(result: SelfInterestResult) -> Iterator[str]:
+    """The canonical result document, one newline-terminated line at a
+    time, so a large binding list can be written without holding the
+    whole text."""
     n = result.target.n
-    lines = ["{"]
+    yield "{\n"
     if result.binding:
-        lines.append('  "binding": [')
+        yield '  "binding": [\n'
+        last = len(result.binding) - 1
         for pos, (player, mask) in enumerate(result.binding):
-            comma = "," if pos < len(result.binding) - 1 else ""
+            comma = "," if pos < last else ""
             coplayers = coplayer_string(mask, n, player)
-            lines.append(
-                f'    {{"coplayers": "{coplayers}", "player": {player + 1}}}{comma}')
-        lines.append("  ],")
+            yield f'    {{"coplayers": "{coplayers}", "player": {player + 1}}}{comma}\n'
+        yield "  ],\n"
     else:
-        lines.append('  "binding": [],')
-    lines.append(f'  "excess": {_row(result.excess.slack)},')
-    lines.append(f'  "level": {_num(result.level)},')
-    lines.append('  "matrix": [')
+        yield '  "binding": [],\n'
+    yield f'  "excess": {_row(result.excess.slack)},\n'
+    yield f'  "level": {_num(result.level)},\n'
+    yield '  "matrix": [\n'
     for i in range(result.matrix.n):
         comma = "," if i < result.matrix.n - 1 else ""
-        lines.append(f"    {_row(result.matrix.entries[i])}{comma}")
-    lines.append("  ],")
-    lines.append(f'  "mode": "{result.mode.value}",')
-    lines.append('  "status": "optimal",')
-    lines.append(f'  "target": "{result.target}"')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield f"    {_row(result.matrix.entries[i])}{comma}\n"
+    yield "  ],\n"
+    yield f'  "mode": "{result.mode.value}",\n'
+    yield '  "status": "optimal",\n'
+    yield f'  "target": "{result.target}"\n'
+    yield "}\n"
+
+
+def dumps_result(result: SelfInterestResult) -> str:
+    return "".join(result_lines(result))

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reward_transfer import (ActionProfile, DilemmaKind, NormalFormGame,
                              NotADilemmaError, NotResolvableError, SolveMode,
@@ -9,6 +11,7 @@ from reward_transfer import (ActionProfile, DilemmaKind, NormalFormGame,
                              deviation_deltas, exchange_matrix, general_level,
                              general_level_symmetric_fastpath,
                              symmetrical_level, verify_resolution)
+from reward_transfer.game import deviation_gains
 from reward_transfer.levels import binding_constraints
 
 # regression anchors, frozen from solver output that was cross-checked
@@ -34,6 +37,25 @@ class TestDeviationDeltas:
     def test_size_mismatch(self, pd_game):
         with pytest.raises(ValueError, match="size"):
             deviation_deltas(pd_game, ActionProfile.all_cooperate(3), 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=2, max_value=6), st.data())
+    def test_gains_after_transfers_match_deltas(self, n, data):
+        # a deviation's gain under the transferred rewards P @ T equals
+        # the untransferred reward changes weighted by T's column
+        seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
+        rng = np.random.default_rng(seed)
+        game = NormalFormGame(rng.uniform(-10.0, 10.0, size=(1 << n, n)))
+        target = ActionProfile(
+            data.draw(st.integers(min_value=0, max_value=(1 << n) - 1)), n)
+        t = rng.uniform(0.0, 1.0, size=(n, n))
+        t /= t.sum(axis=1, keepdims=True)
+        gains = deviation_gains(game.payoffs @ t, target)
+        assert gains.shape == (n, 1 << (n - 1))
+        scale = 1.0 + float(np.abs(game.payoffs).max())
+        for i in range(n):
+            expected = deviation_deltas(game, target, i) @ t[:, i]
+            assert np.abs(gains[i] - expected).max() <= 1e-12 * scale
 
 
 class TestTwoPlayerAnchors:
@@ -63,6 +85,18 @@ class TestTwoPlayerAnchors:
         # four temptation constraints bind at once
         assert set(result.binding) == {(0, 0), (0, 1), (1, 0), (1, 1)}
         assert binding_constraints(pd_game, result) == sorted(result.binding)
+
+    @pytest.mark.parametrize("search", [general_level,
+                                        general_level_symmetric_fastpath])
+    def test_seven_player_binding_set(self, search):
+        from reward_transfer import (BaseGame, BaseGameParams, GraphKind,
+                                     build_graphical)
+        game = build_graphical(
+            GraphKind.CIRCULAR,
+            BaseGameParams(BaseGame.PRISONERS_DILEMMA, 3.0, 1.0), 7)
+        result = search(game)
+        assert result.binding
+        assert binding_constraints(game, result) == sorted(result.binding)
 
     def test_pd_general_refined_matrix(self, pd_game):
         result = general_level(pd_game, refine_diagonal=True)
