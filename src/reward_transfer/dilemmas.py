@@ -2,15 +2,21 @@
 
 Graphical families place a two-player base game (Prisoner's Dilemma,
 Chicken, or Stag Hunt, parameterized by a cooperation stake c and a
-defection stake d) on an interaction pattern:
+defection stake d) on an interaction graph, given as a weight matrix W:
+player i earns the sum over j of W[i, j] times their base payoff
+against j.
 
-* Cyclical: player i earns the base payoff against the next player
-  around the circle (one-directional).
-* Symmetrical: the mean base payoff against every co-player.
-* Circular: base payoffs against every co-player, weighted by
-  (1/2)**distance around the circle.
-* Tycoon: player 1 plays everyone and earns the sum; everyone else only
-  earns from their game against player 1.
+* Cyclical: W[i, i+1 mod n] = 1, one game against the next player.
+* Symmetrical: W = 1/(n-1) off the diagonal, the mean over co-players.
+* Circular: W[i, j] = (1/2)**(ring distance), zero diagonal.
+* Tycoon: ones in player 1's row and column; player 1 plays everyone,
+  everyone else only player 1.
+
+Each base payoff is bilinear in the two actions (0 C, 1 D), so for the
+2^n-by-n action table A, deg = W.sum(1) and facing = A @ W.T the whole
+table is one formula: c*(deg - facing) plus d*A*deg (Prisoner's
+Dilemma), d*mismatch (Chicken) or d*(deg - mismatch) (Stag Hunt), with
+mismatch = A*deg + facing - 2*A*facing.
 
 The functional family replaces per-edge payoffs with a shared welfare
 pot, -(c/n)*k**2 + 2*c*k for k cooperators, split in proportion to
@@ -89,19 +95,26 @@ def base_payoff(params: BaseGameParams, own: int, opponent: int) -> float:
     return facing + d * (1 - abs(own - opponent))
 
 
-def _edge_payoffs(params: BaseGameParams, own: np.ndarray, opp: np.ndarray):
-    c, d = params.c, params.d
-    facing = c * (1.0 - opp)
-    if params.kind is BaseGame.PRISONERS_DILEMMA:
-        return facing + d * own
-    if params.kind is BaseGame.CHICKEN:
-        return facing + d * np.abs(own - opp)
-    return facing + d * (1.0 - np.abs(own - opp))
-
-
 def _action_table(n: int) -> np.ndarray:
-    bits = np.arange(1 << n, dtype=np.int64)[:, None]
-    return ((bits >> np.arange(n)) & 1).astype(float)
+    bits = np.arange(1 << n, dtype=np.int64)[:, None] >> np.arange(n)
+    bits &= 1
+    return bits.astype(float)
+
+
+def _graph_weights(graph: GraphKind, n: int) -> np.ndarray:
+    """W[i, j]: how much player i's base game against j counts."""
+    if graph is GraphKind.CYCLICAL:
+        return np.roll(np.eye(n), 1, axis=1)
+    if graph is GraphKind.SYMMETRICAL:
+        return (1.0 - np.eye(n)) / (n - 1)
+    if graph is GraphKind.CIRCULAR:
+        gap = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+        return 0.5 ** np.minimum(gap, n - gap) - np.eye(n)
+    if graph is GraphKind.TYCOON:
+        w = np.zeros((n, n))
+        w[0, 1:] = w[1:, 0] = 1.0
+        return w
+    raise ValueError(f"unknown graph kind {graph!r}")
 
 
 def build_graphical(graph: GraphKind,
@@ -114,37 +127,20 @@ def build_graphical(graph: GraphKind,
     if graph is GraphKind.TYCOON and n == 2:
         warnings.warn("a two-player tycoon game degenerates to the base game",
                       UserWarning, stacklevel=2)
+    w = _graph_weights(graph, n)
     actions = _action_table(n)
-    table = np.zeros((1 << n, n))
-    if graph is GraphKind.CYCLICAL:
-        for i in range(n):
-            table[:, i] = _edge_payoffs(params, actions[:, i],
-                                        actions[:, (i + 1) % n])
-    elif graph is GraphKind.SYMMETRICAL:
-        for i in range(n):
-            acc = np.zeros(1 << n)
-            for j in range(n):
-                if j != i:
-                    acc += _edge_payoffs(params, actions[:, i], actions[:, j])
-            table[:, i] = acc / (n - 1)
-    elif graph is GraphKind.CIRCULAR:
-        for i in range(n):
-            acc = np.zeros(1 << n)
-            for j in range(n):
-                if j == i:
-                    continue
-                dist = min(abs(i - j), n - abs(i - j))
-                acc += 0.5 ** dist * _edge_payoffs(params, actions[:, i],
-                                                   actions[:, j])
-            table[:, i] = acc
-    elif graph is GraphKind.TYCOON:
-        acc = np.zeros(1 << n)
-        for j in range(1, n):
-            acc += _edge_payoffs(params, actions[:, 0], actions[:, j])
-            table[:, j] = _edge_payoffs(params, actions[:, j], actions[:, 0])
-        table[:, 0] = acc
-    else:
-        raise ValueError(f"unknown graph kind {graph!r}")
+    deg = w.sum(axis=1)
+    facing = actions @ w.T
+    # the d term, accumulated in place to bound the build's peak memory:
+    # A*deg (PD), mismatch = A*deg + facing - 2*A*facing (Chicken), or
+    # deg - mismatch (Stag Hunt)
+    table = actions * deg
+    if params.kind is not BaseGame.PRISONERS_DILEMMA:
+        table += facing * (1.0 - 2.0 * actions)
+        if params.kind is BaseGame.STAG_HUNT:
+            np.subtract(deg, table, out=table)
+    table *= params.d
+    table += params.c * (deg - facing)
     return NormalFormGame(table, labels=labels)
 
 
@@ -229,13 +225,6 @@ def analytic_matrix(graph: GraphKind,
     """
     if n < 2:
         raise ValueError("need at least two players")
-    if graph is GraphKind.CYCLICAL:
-        level = analytic_level(graph, params, n).value
-        m = np.zeros((n, n))
-        for i in range(n):
-            m[i, i] = level
-            m[i, (i + 1) % n] = 1.0 - level
-        return TransferMatrix(m)
     if graph in (GraphKind.SYMMETRICAL, GraphKind.TYCOON):
         return exchange_matrix(
             n, analytic_level(graph, params, n, SolveMode.SYMMETRIC).value)
@@ -246,15 +235,12 @@ def analytic_matrix(graph: GraphKind,
                 "pass allow_limit=True for the large-n limiting matrix")
         if n < 3:
             raise ValueError("the limiting circular matrix needs n >= 3")
-        level = analytic_level(graph, params, n).value
-        side = (1.0 - level) / 2.0
-        m = np.zeros((n, n))
-        for i in range(n):
-            m[i, i] = level
-            m[i, (i + 1) % n] = side
-            m[i, (i - 1) % n] = side
-        return TransferMatrix(m)
-    raise ValueError(f"unknown graph kind {graph!r}")
+    level = analytic_level(graph, params, n).value
+    nxt = _graph_weights(GraphKind.CYCLICAL, n)
+    if graph is GraphKind.CYCLICAL:
+        return TransferMatrix(level * np.eye(n) + (1.0 - level) * nxt)
+    side = (1.0 - level) / 2.0
+    return TransferMatrix(level * np.eye(n) + side * (nxt + nxt.T))
 
 
 def scaled_prisoners_dilemma(epsilon: float = 1e-6) -> NormalFormGame:

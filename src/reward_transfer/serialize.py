@@ -17,6 +17,7 @@ Formats:
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from typing import Iterator, Optional
@@ -42,13 +43,23 @@ def _row(values) -> str:
     return "[" + ", ".join(_num(v) for v in values) + "]"
 
 
+_KEY_DIGITS = str.maketrans("CD", "01")
+
+
+def _key_bits(key: str) -> int:
+    """Profile bits of a C/D key; the first character is player 0, the
+    lowest bit."""
+    return int(key[::-1].translate(_KEY_DIGITS), 2)
+
+
 def dumps_game(game: NormalFormGame) -> str:
     lines = ["{", '  "payoffs": {']
-    keys = sorted(str(p) for p in game.profiles())
-    for pos, key in enumerate(keys):
-        bits = ActionProfile.from_string(key).bits
-        comma = "," if pos < len(keys) - 1 else ""
-        lines.append(f'    "{key}": {_row(game.payoffs[bits])}{comma}')
+    last = (1 << game.n) - 1
+    # product over "CD" yields the keys already in sorted order
+    for pos, chars in enumerate(itertools.product("CD", repeat=game.n)):
+        key = "".join(chars)
+        comma = "," if pos < last else ""
+        lines.append(f'    "{key}": {_row(game.payoffs[_key_bits(key)])}{comma}')
     lines.append("  },")
     lines.append(f'  "players": {game.n}')
     lines.append("}")
@@ -99,7 +110,7 @@ def parse_game(text: str) -> NormalFormGame:
         if not isinstance(row, list) or len(row) != players:
             raise FormatError(
                 f"payoffs for {key!r} must be a list of {players} numbers")
-        bits = ActionProfile.from_string(key).bits
+        bits = _key_bits(key)
         table[bits] = [_check_number(v, f"payoff {key!r}[{k}]")
                        for k, v in enumerate(row)]
         seen.add(bits)

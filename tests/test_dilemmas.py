@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -57,7 +59,41 @@ class TestBasePayoff:
         assert vals == [5.0, 4.0, 0.0, 1.0]
 
 
+def reference_weight(graph: GraphKind, n: int, i: int, j: int) -> float:
+    """How much player i's base game against j counts."""
+    if i == j:
+        return 0.0
+    if graph is GraphKind.CYCLICAL:
+        return 1.0 if j == (i + 1) % n else 0.0
+    if graph is GraphKind.SYMMETRICAL:
+        return 1.0 / (n - 1)
+    if graph is GraphKind.CIRCULAR:
+        return 0.5 ** min(abs(i - j), n - abs(i - j))
+    assert graph is GraphKind.TYCOON
+    return 1.0 if 0 in (i, j) else 0.0
+
+
 class TestGraphicalTables:
+    @pytest.mark.parametrize("graph", list(GraphKind))
+    @pytest.mark.parametrize("kind", list(BaseGame))
+    def test_matches_brute_force(self, graph, kind):
+        # every entry is a weighted sum of scalar base payoffs, edge by
+        # edge; non-integer stakes keep rounding in play
+        params = BaseGameParams(kind, 3.04, 0.97)
+        for n in range(2, 7):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # tycoon at n = 2
+                game = build_graphical(graph, params, n)
+            expected = np.zeros((1 << n, n))
+            for bits in range(1 << n):
+                a = ActionProfile(bits, n).actions()
+                for i in range(n):
+                    expected[bits, i] = sum(
+                        reference_weight(graph, n, i, j)
+                        * base_payoff(params, a[i], a[j]) for j in range(n))
+            tol = 1e-12 * (1.0 + np.abs(expected).max())
+            assert np.abs(game.payoffs - expected).max() <= tol, n
+
     def test_cyclical_three(self):
         # each player faces the next around the circle
         game = build_graphical(GraphKind.CYCLICAL, PD, 3)
