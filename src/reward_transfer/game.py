@@ -136,21 +136,6 @@ def coplayer_string(mask: int, n: int, player: int) -> str:
     return "".join("D" if (mask >> k) & 1 else "C" for k in range(n - 1))
 
 
-def deviation_indices(n: int, player: int) -> tuple[np.ndarray, np.ndarray]:
-    """Profile indices paired by ``player``'s unilateral deviation.
-
-    Returns ``(cooperate_rows, defect_rows)``, each of length 2**(n-1)
-    and indexed by the co-profile mask of the other players; entry m of
-    the first array is the full-profile index where the co-players play
-    m and ``player`` cooperates, the second where the player defects.
-    """
-    if not 0 <= player < n:
-        raise ValueError(f"no player {player} in a {n}-player game")
-    cooperate, defect = deviation_pairs(np.arange(1 << n, dtype=np.int64),
-                                        ActionProfile.all_cooperate(n), player)
-    return cooperate.ravel(), defect.ravel()
-
-
 def deviation_pairs(table, target: ActionProfile,
                     player: int) -> tuple[np.ndarray, np.ndarray]:
     """``(keep, leave)``: views of ``table``'s rows (its first axis runs

@@ -24,7 +24,7 @@ optimum only ever over-estimates, so a violation-free solution is exact.
 from __future__ import annotations
 
 import enum
-import itertools
+import functools
 import logging
 import warnings
 from dataclasses import dataclass
@@ -62,21 +62,41 @@ class NotResolvableError(RuntimeError):
     """No admissible contract makes the target weakly dominant."""
 
 
+def _mask_pairs(mask) -> list[tuple[int, int]]:
+    """(player, co-profile mask) for every set entry of an (n, 2**(n-1))
+    boolean array, player by player and masks ascending."""
+    players, masks = np.nonzero(mask)
+    return list(zip(players.tolist(), masks.tolist()))
+
+
 @dataclass(frozen=True)
 class SelfInterestResult:
     """Outcome of a level search.
 
-    ``binding`` lists the (player, co-profile mask) deviation
-    constraints that hold with equality at the optimum; these are the
-    temptations the contract only just neutralizes.
+    The deviation constraints that hold with equality at the optimum are
+    the temptations the contract only just neutralizes.  They are stored
+    as ``binding_mask``, a read-only (n, 2**(n-1)) boolean array whose
+    entry [i, m] says player i's constraint against co-profile mask m
+    binds.  ``binding`` lists the same constraints as (player, mask)
+    pairs, player by player and masks ascending; it is built from the
+    mask when first read.
     """
 
     level: float
     matrix: TransferMatrix
     target: ActionProfile
-    binding: tuple[tuple[int, int], ...]
+    binding_mask: np.ndarray
     excess: ExcessReport
     mode: SolveMode
+
+    def __post_init__(self):
+        mask = np.array(self.binding_mask, dtype=bool)
+        mask.setflags(write=False)
+        object.__setattr__(self, "binding_mask", mask)
+
+    @functools.cached_property
+    def binding(self) -> tuple[tuple[int, int], ...]:
+        return tuple(_mask_pairs(self.binding_mask))
 
 
 def deviation_deltas(game: NormalFormGame,
@@ -99,14 +119,6 @@ def _scale(game, target) -> float:
     deltas at a time."""
     return 1.0 + max(float(np.abs(deviation_deltas(game, target, i)).max())
                      for i in range(game.n))
-
-
-def _player_masks(flags) -> tuple[tuple[int, int], ...]:
-    """(player, mask) for every set entry of an (n, 2**(n-1)) array."""
-    pairs = []
-    for i, row in enumerate(flags):
-        pairs.extend(zip(itertools.repeat(i), np.flatnonzero(row).tolist()))
-    return tuple(pairs)
 
 
 def _gate_dilemma(game, force, tolerance=1e-9) -> Optional[DilemmaClassification]:
@@ -184,7 +196,7 @@ def symmetrical_level(game: NormalFormGame,
         level=level,
         matrix=matrix,
         target=target,
-        binding=_player_masks(np.abs(resid) <= tolerance * scale),
+        binding_mask=np.abs(resid) <= tolerance * scale,
         excess=excess_report(matrix),
         mode=SolveMode.SYMMETRIC,
     )
@@ -291,9 +303,9 @@ def _matrix_from_solution(t, conserving) -> TransferMatrix:
     return TransferMatrix(t)
 
 
-def _binding(game, target, matrix, tolerance):
+def _binding(game, target, matrix, tolerance) -> np.ndarray:
     gains = deviation_gains(game.payoffs @ matrix.entries, target)
-    return _player_masks(np.abs(gains) <= tolerance)
+    return np.abs(gains) <= tolerance
 
 
 def general_level(game: NormalFormGame,
@@ -349,7 +361,7 @@ def general_level(game: NormalFormGame,
         level=level,
         matrix=matrix,
         target=target,
-        binding=_binding(game, target, matrix, binding_tol),
+        binding_mask=_binding(game, target, matrix, binding_tol),
         excess=excess_report(matrix),
         mode=SolveMode.GENERAL_WITH_EXCESS if allow_excess else SolveMode.GENERAL,
     )
@@ -441,7 +453,7 @@ def general_level_symmetric_fastpath(game: NormalFormGame,
         level=float(sol.objective_value),
         matrix=matrix,
         target=target,
-        binding=_binding(game, target, matrix, binding_tol),
+        binding_mask=_binding(game, target, matrix, binding_tol),
         excess=excess_report(matrix),
         mode=SolveMode.GENERAL,
     )
@@ -451,4 +463,4 @@ def binding_constraints(game: NormalFormGame,
                         result: SelfInterestResult,
                         tolerance: float = 1e-7) -> list[tuple[int, int]]:
     """Recompute which deviation constraints are tight for a result."""
-    return list(_binding(game, result.target, result.matrix, tolerance))
+    return _mask_pairs(_binding(game, result.target, result.matrix, tolerance))

@@ -24,7 +24,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .game import ActionProfile, NormalFormGame, coplayer_string
+from .game import ActionProfile, NormalFormGame
 from .levels import SelfInterestResult
 from .transfer import TransferMatrix
 
@@ -76,9 +76,67 @@ def _load(text: str):
 def _check_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise FormatError(f"{where} must be a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:
+        raise FormatError(
+            f"{where} is an integer beyond the float range") from None
+    if not math.isfinite(number):
         raise FormatError(f"{where} must be finite, got {value!r}")
-    return float(value)
+    return number
+
+
+def _table_at_once(payoffs: dict, n: int) -> Optional[np.ndarray]:
+    """The payoff table, with every key and number checked by array
+    operations; None when any check fails, so that the per-item reading
+    can word the error."""
+    if len(payoffs) != 1 << n or set(map(len, payoffs)) != {n}:
+        return None
+    # "replace" keeps one byte per character; "?" then fails the C/D test
+    chars = np.frombuffer("".join(payoffs).encode("ascii", "replace"),
+                          dtype=np.uint8).reshape(-1, n)
+    defect = chars == ord("D")
+    if not (defect | (chars == ord("C"))).all():
+        return None
+    rows = list(payoffs.values())
+    if set(map(type, rows)) != {list} or set(map(len, rows)) != {n}:
+        return None
+    # exact types: bool is an int subclass and must stay refused
+    if not set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}:
+        return None
+    try:
+        values = np.array(rows, dtype=float)
+    except OverflowError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    # 2**n distinct keys of n C/D characters name every profile once
+    table = np.empty_like(values)
+    table[defect @ (1 << np.arange(n))] = values
+    return table
+
+
+def _table_by_item(payoffs: dict, n: int) -> np.ndarray:
+    """The payoff table, one key and one number at a time, raising
+    FormatError at the first one that is wrong."""
+    table = np.zeros((1 << n, n))
+    seen = set()
+    for key, row in payoffs.items():
+        if len(key) != n or any(ch not in "CD" for ch in key):
+            raise FormatError(
+                f"profile key {key!r} is not a {n}-character C/D string")
+        if not isinstance(row, list) or len(row) != n:
+            raise FormatError(
+                f"payoffs for {key!r} must be a list of {n} numbers")
+        bits = _key_bits(key)
+        table[bits] = [_check_number(v, f"payoff {key!r}[{k}]")
+                       for k, v in enumerate(row)]
+        seen.add(bits)
+    if len(seen) != 1 << n:
+        missing = next(
+            str(ActionProfile(b, n)) for b in range(1 << n) if b not in seen)
+        raise FormatError(f"missing profile {missing!r} in payoffs")
+    return table
 
 
 def parse_game(text: str) -> NormalFormGame:
@@ -100,25 +158,9 @@ def parse_game(text: str) -> NormalFormGame:
     payoffs = data["payoffs"]
     if not isinstance(payoffs, dict):
         raise FormatError("'payoffs' must be an object keyed by profiles")
-
-    table = np.zeros((1 << players, players))
-    seen = set()
-    for key, row in payoffs.items():
-        if len(key) != players or any(ch not in "CD" for ch in key):
-            raise FormatError(
-                f"profile key {key!r} is not a {players}-character C/D string")
-        if not isinstance(row, list) or len(row) != players:
-            raise FormatError(
-                f"payoffs for {key!r} must be a list of {players} numbers")
-        bits = _key_bits(key)
-        table[bits] = [_check_number(v, f"payoff {key!r}[{k}]")
-                       for k, v in enumerate(row)]
-        seen.add(bits)
-    if len(seen) != 1 << players:
-        missing = next(
-            str(ActionProfile(b, players))
-            for b in range(1 << players) if b not in seen)
-        raise FormatError(f"missing profile {missing!r} in payoffs")
+    table = _table_at_once(payoffs, players)
+    if table is None:
+        table = _table_by_item(payoffs, players)
     return NormalFormGame(table)
 
 
@@ -167,19 +209,45 @@ def extract_matrix(text: str) -> tuple[TransferMatrix, Optional[str]]:
         "expected a matrix array or a result object with a 'matrix' key")
 
 
+def _coplayer_table(n: int) -> np.ndarray:
+    """Row m holds the C/D characters of co-profile mask m over n - 1
+    co-players, as ASCII codes."""
+    masks = np.arange(1 << (n - 1))
+    table = np.empty((masks.size, n - 1), dtype=np.uint8)
+    for k in range(n - 1):
+        table[:, k] = ord("C") + ((masks >> k) & 1)   # "D" is "C" + 1
+    return table
+
+
+def _binding_chunks(mask: np.ndarray) -> Iterator[str]:
+    """The binding rows of a result document, one string per player who
+    has any, each row a fixed-width block of bytes; the last row carries
+    no comma."""
+    n = mask.shape[0]
+    table = _coplayer_table(n)
+    head = np.frombuffer(b'    {"coplayers": "', dtype=np.uint8)
+    players = np.flatnonzero(mask.any(axis=1)).tolist()
+    for player in players:
+        masks = np.flatnonzero(mask[player])
+        tail = np.frombuffer(f'", "player": {player + 1}}},\n'.encode(),
+                             dtype=np.uint8)
+        block = np.empty((masks.size, head.size + n - 1 + tail.size),
+                         dtype=np.uint8)
+        block[:, :head.size] = head
+        block[:, head.size:head.size + n - 1] = table[masks]
+        block[:, head.size + n - 1:] = tail
+        text = block.tobytes().decode("ascii")
+        yield text if player != players[-1] else text[:-2] + "\n"
+
+
 def result_lines(result: SelfInterestResult) -> Iterator[str]:
-    """The canonical result document, one newline-terminated line at a
-    time, so a large binding list can be written without holding the
-    whole text."""
-    n = result.target.n
+    """The canonical result document in newline-terminated pieces, the
+    binding rows one player at a time, so a large binding list can be
+    written without holding the whole text."""
     yield "{\n"
-    if result.binding:
+    if result.binding_mask.any():
         yield '  "binding": [\n'
-        last = len(result.binding) - 1
-        for pos, (player, mask) in enumerate(result.binding):
-            comma = "," if pos < last else ""
-            coplayers = coplayer_string(mask, n, player)
-            yield f'    {{"coplayers": "{coplayers}", "player": {player + 1}}}{comma}\n'
+        yield from _binding_chunks(result.binding_mask)
         yield "  ],\n"
     else:
         yield '  "binding": [],\n'

@@ -1,8 +1,23 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from reward_transfer import (DilemmaKind, NormalFormGame, classify_dilemma,
                              too_many_cooks)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def package_env() -> dict:
+    """This environment with src/ first on PYTHONPATH, for child
+    processes that import the package."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
 
 # Two-player tables, profile order CC, DC, CD, DD (bit 0 = player 1).
 PD_TABLE = [[3.0, 3.0], [4.0, 0.0], [0.0, 4.0], [1.0, 1.0]]

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import ARBITRARY_MATRIX_3DP, ARBITRARY_TABLE
+from conftest import ARBITRARY_MATRIX_3DP, ARBITRARY_TABLE, package_env
 from reward_transfer import NormalFormGame
 from reward_transfer.cli import main
 from reward_transfer.serialize import dumps_game, parse_game
@@ -322,15 +322,28 @@ class TestTopLevel:
     def test_missing_game_file(self, tmp_path):
         assert main(["classify", str(tmp_path / "ghost.json")]) == 3
 
+    def test_integer_beyond_float_range_is_an_input_error(self, pd_path,
+                                                           tmp_path, capsys):
+        huge = "1" + "0" * 400
+        game = tmp_path / "huge.json"
+        game.write_text(open(pd_path).read().replace("[1, 1]", f"[1, {huge}]"))
+        matrix = tmp_path / "huge-matrix.json"
+        matrix.write_text(f"[[1, 0], [{huge}, 0]]")
+        for argv in (["classify", str(game)], ["solve", str(game)],
+                     ["verify", str(game), str(matrix)],
+                     ["verify", pd_path, str(matrix)]):
+            assert main(argv) == 3
+            assert "beyond the float range" in capsys.readouterr().err
+
     def test_module_entry_point(self, tmp_path):
         game = tmp_path / "game.json"
         run = subprocess.run(
             [sys.executable, "-m", "reward_transfer", "generate",
              "cyclical", "-o", str(game)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=package_env())
         assert run.returncode == 0
         run = subprocess.run(
             [sys.executable, "-m", "reward_transfer", "classify", str(game)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=package_env())
         assert run.returncode == 0
         assert "strict dilemma" in run.stdout

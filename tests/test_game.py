@@ -7,7 +7,7 @@ from reward_transfer.game import (MUTUAL_CONDITION, TEMPTATION_CONDITION,
                                   WELFARE_CONDITION, ActionProfile,
                                   DilemmaKind, NormalFormGame,
                                   check_dominance, classify_dilemma,
-                                  coplayer_string, deviation_indices,
+                                  coplayer_string, deviation_pairs,
                                   drop_bit, insert_bit, pure_nash_equilibria,
                                   social_optima, utilitarian_welfare)
 from reward_transfer import scaled_prisoners_dilemma
@@ -85,7 +85,8 @@ def test_coplayer_string():
 def test_deviation_indices_structure():
     for n in range(2, 6):
         for player in range(n):
-            rows_c, rows_d = deviation_indices(n, player)
+            rows_c, rows_d = (rows.ravel() for rows in deviation_pairs(
+                np.arange(1 << n), ActionProfile.all_cooperate(n), player))
             assert rows_c.shape == rows_d.shape == (1 << (n - 1),)
             for mask in range(1 << (n - 1)):
                 assert rows_d[mask] == rows_c[mask] | (1 << player)
