@@ -160,12 +160,17 @@ def build_functional(params: FunctionalParams) -> NormalFormGame:
     """Assemble a functional dilemma: quadratic welfare pot split by
     defection-doubled weights."""
     n, c = params.n, params.c
-    defect = _action_table(n)
-    cooperators = n - defect.sum(axis=1)
+    table = _action_table(n)  # 1 where the player defects
+    cooperators = n - table.sum(axis=1)
     pot = -(c / n) * cooperators ** 2 + 2.0 * c * cooperators
-    weights = np.arange(1, n + 1) * (1.0 + defect)
-    shares = weights / weights.sum(axis=1)[:, None]
-    return NormalFormGame(pot[:, None] * shares)
+    # the weights (1 + defect) * (i + 1), then their row shares of the
+    # pot, formed in place in the action table to bound the build's peak
+    # memory
+    table += 1.0
+    table *= np.arange(1, n + 1)
+    table /= table.sum(axis=1)[:, None]
+    table *= pot[:, None]
+    return NormalFormGame(table)
 
 
 @dataclass(frozen=True)

@@ -202,47 +202,58 @@ def symmetrical_level(game: NormalFormGame,
     )
 
 
-def _deviation_block(table, target, working, var, width) -> np.ndarray:
-    """LP rows of the working deviation constraints, player by player
-    and masks ascending.  Player i's row for mask m reads
-    sum_j delta[m, j] * T[j, i] <= 0, with T[j, i] held by LP variable
-    var[j, i]; delta is sliced straight from the payoff rows."""
+def _deviation_block(table, target, masks, var, width) -> np.ndarray:
+    """LP rows of the given deviation constraints (one mask collection
+    per player), player by player and masks ascending.  Player i's row
+    for mask m reads sum_j delta[m, j] * T[j, i] <= 0, with T[j, i] held
+    by LP variable var[j, i]; delta is sliced straight from the payoff
+    rows."""
     blocks = []
     for i in range(target.n):
         keep, leave = deviation_pairs(table, target, i)
-        masks = np.array(sorted(working[i]))
-        at = (masks >> i, masks & ((1 << i) - 1))
-        block = np.zeros((masks.size, width))
+        picked = np.array(sorted(masks[i]), dtype=np.int64)
+        at = (picked >> i, picked & ((1 << i) - 1))
+        block = np.zeros((picked.size, width))
         block[:, var[:, i]] = leave[at] - keep[at]
         blocks.append(block)
     return np.vstack(blocks)
 
 
-def _lazy_solve(build_lp, var, table, target, working, atol,
+def _lazy_solve(lp, var, table, target, working, atol,
                 feas_tol, opt_tol, max_rounds):
-    """Solve on the working set, scan every deviation of the resulting
-    matrix T (entry [j, i] is LP variable var[j, i]) and add each
-    player's worst missing violations; repeat until none is left.
-    ``working`` (one mask set per player) grows in place."""
+    """Solve ``lp``, whose deviation rows are the ``working`` sets (one
+    mask set per player, grown in place), scan every deviation of the
+    resulting matrix T (entry [j, i] is LP variable var[j, i]) and
+    append each player's worst missing violations as new rows; repeat
+    until none is left.  Each round after the first re-optimizes the
+    tableau of the round before.  Returns the last program and its
+    solution."""
+    sol = None
     for _ in range(max_rounds):
-        sol = solve_lp(build_lp(working), feas_tol=feas_tol, opt_tol=opt_tol)
+        sol = solve_lp(lp, feas_tol=feas_tol, opt_tol=opt_tol, start=sol)
         if sol.status is LpStatus.INFEASIBLE:
-            return sol
+            return lp, sol
         if sol.status is LpStatus.UNBOUNDED:
             raise RuntimeError("level search reported unbounded; the level "
                                "is capped by construction, so this is a bug")
-        grown = False
         gains = deviation_gains(table @ sol.x[var], target)
+        added = []
         for i, resid in enumerate(gains):
             fresh = [m for m in np.flatnonzero(resid > atol).tolist()
                      if m not in working[i]]
             if fresh:
                 fresh = np.array(fresh)
                 order = np.lexsort((fresh, -resid[fresh]))
-                working[i].update(fresh[order[:_ROWS_PER_ROUND]].tolist())
-                grown = True
-        if not grown:
-            return sol
+                fresh = fresh[order[:_ROWS_PER_ROUND]].tolist()
+                working[i].update(fresh)
+            added.append(fresh)
+        if not any(added):
+            return lp, sol
+        rows = _deviation_block(table, target, added, var, lp.n_variables)
+        lp = LinearProgram(lp.objective, a_ub=np.vstack([lp.a_ub, rows]),
+                           b_ub=np.concatenate([lp.b_ub, np.zeros(len(rows))]),
+                           a_eq=lp.a_eq, b_eq=lp.b_eq,
+                           lower=lp.lower, upper=lp.upper)
     raise RuntimeError("constraint generation did not converge")
 
 
@@ -252,9 +263,9 @@ def _extremes(n) -> list[set]:
     return [{0, (1 << (n - 1)) - 1} for _ in range(n)]
 
 
-def _general_lp(table, target, var, allow_excess, objective, level_floor):
-    """LP builder over T's n*n entries (variable j*n + i is T[j, i]) and
-    the level z (variable n*n)."""
+def _general_lp(table, target, var, working, allow_excess) -> LinearProgram:
+    """The level LP over T's n*n entries (variable j*n + i is T[j, i])
+    and the level z (variable n*n), with the working deviation rows."""
     n = target.n
     nv = n * n + 1
     level_rows = np.zeros((n, nv))
@@ -262,32 +273,17 @@ def _general_lp(table, target, var, allow_excess, objective, level_floor):
     level_rows[range(n), np.diag(var)] = -1.0
     row_sums = np.zeros((n, nv))
     row_sums[np.arange(n)[:, None], var] = 1.0
-
     c = np.zeros(nv)
-    if objective == "level":
-        c[n * n] = 1.0
-    elif objective == "min-total":
-        c[:n * n] = -1.0
-    elif objective == "max-diag":
-        c[np.diag(var)] = 1.0
-    else:
-        raise ValueError(f"unknown objective {objective!r}")
-    lower = np.zeros(nv)
-    if level_floor is not None:
-        lower[n * n] = level_floor
+    c[n * n] = 1.0
 
-    def build(working):
-        rows = np.vstack([level_rows,
-                          _deviation_block(table, target, working, var, nv)])
-        b_ub = np.zeros(len(rows))
-        if allow_excess:
-            return LinearProgram(c, a_ub=np.vstack([rows, row_sums]),
-                                 b_ub=np.concatenate([b_ub, np.ones(n)]),
-                                 lower=lower)
-        return LinearProgram(c, a_ub=rows, b_ub=b_ub, a_eq=row_sums,
-                             b_eq=np.ones(n), lower=lower)
-
-    return build
+    rows = np.vstack([level_rows,
+                      _deviation_block(table, target, working, var, nv)])
+    b_ub = np.zeros(len(rows))
+    if allow_excess:
+        return LinearProgram(c, a_ub=np.vstack([rows, row_sums]),
+                             b_ub=np.concatenate([b_ub, np.ones(n)]))
+    return LinearProgram(c, a_ub=rows, b_ub=b_ub, a_eq=row_sums,
+                         b_eq=np.ones(n))
 
 
 def _matrix_from_solution(t, conserving) -> TransferMatrix:
@@ -338,13 +334,10 @@ def general_level(game: NormalFormGame,
     atol = feas_tol * _scale(game, target)
     working = _extremes(n)
 
-    def stage(objective, level_floor):
-        build = _general_lp(table, target, var, allow_excess, objective,
-                            level_floor)
-        return _lazy_solve(build, var, table, target, working, atol,
-                           feas_tol, opt_tol, max_rounds)
-
-    sol = stage("level", None)
+    lp, sol = _lazy_solve(_general_lp(table, target, var, working,
+                                      allow_excess),
+                          var, table, target, working, atol,
+                          feas_tol, opt_tol, max_rounds)
     if sol.status is LpStatus.INFEASIBLE:
         raise NotResolvableError(
             f"no transfer contract makes {target} weakly dominant")
@@ -352,7 +345,19 @@ def general_level(game: NormalFormGame,
     log.debug("level %.12g after stage 1 (%d iterations)", level, sol.iterations)
 
     if allow_excess or refine_diagonal:
-        refined = stage("min-total" if allow_excess else "max-diag", level)
+        # stage 2 holds the level at its optimum and minimizes the total
+        # paid out, or maximizes the diagonal sum
+        c = np.zeros(n * n + 1)
+        if allow_excess:
+            c[:n * n] = -1.0
+        else:
+            c[np.diag(var)] = 1.0
+        floor = np.zeros(n * n + 1)
+        floor[n * n] = level
+        second = LinearProgram(c, a_ub=lp.a_ub, b_ub=lp.b_ub, a_eq=lp.a_eq,
+                               b_eq=lp.b_eq, lower=floor)
+        _, refined = _lazy_solve(second, var, table, target, working, atol,
+                                 feas_tol, opt_tol, max_rounds)
         if refined.status is LpStatus.OPTIMAL:
             sol = refined
 
@@ -436,14 +441,13 @@ def general_level_symmetric_fastpath(game: NormalFormGame,
     c = np.zeros(n)
     c[0] = 1.0
 
-    def build(working):
-        rows = _deviation_block(table, target, working, var, n)
-        return LinearProgram(c, a_ub=rows, b_ub=np.zeros(len(rows)),
-                             a_eq=np.ones((1, n)), b_eq=np.ones(1))
-
-    sol = _lazy_solve(build, var, table, target, _extremes(n),
-                      feas_tol * _scale(game, target), feas_tol, opt_tol,
-                      max_rounds)
+    working = _extremes(n)
+    rows = _deviation_block(table, target, working, var, n)
+    lp = LinearProgram(c, a_ub=rows, b_ub=np.zeros(len(rows)),
+                       a_eq=np.ones((1, n)), b_eq=np.ones(1))
+    _, sol = _lazy_solve(lp, var, table, target, working,
+                         feas_tol * _scale(game, target), feas_tol, opt_tol,
+                         max_rounds)
     if sol.status is LpStatus.INFEASIBLE:
         raise NotResolvableError(
             f"no transfer contract makes {target} weakly dominant")

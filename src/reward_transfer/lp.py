@@ -1,29 +1,62 @@
 """A small, deterministic linear program solver.
 
-Dense two-phase simplex with Bland's rule.  This is deliberately not a
-high-performance LP code: problems in this package have at most a few
-hundred active rows, and what matters is that repeated solves of the
-same program give bit-identical answers (fixed pivoting order, no
-randomization, no degeneracy perturbation).
+Dense tableau simplex.  This is deliberately not a high-performance LP
+code: problems in this package have at most a few hundred active rows,
+and what matters is that repeated solves of the same program give
+bit-identical answers (fixed pivoting order, no randomization, no
+degeneracy perturbation).
 
 Conventions: ``maximize c @ x`` subject to ``a_ub @ x <= b_ub``,
 ``a_eq @ x == b_eq`` and ``lower <= x <= upper``.  Default bounds are
 ``0 <= x`` with no upper limit.  Infinities in the bounds are handled by
 shifting, mirroring, or splitting variables before the tableau is built.
+
+Pivoting.  A cold solve runs phase 1 on artificial variables, then
+phase 2.  The entering column has the most negative reduced cost.  The
+leaving row comes from Harris's two-pass ratio test: pass 1 finds the
+longest step that keeps every basic value above ``-feas_tol``, pass 2
+takes the largest pivot among the rows whose own step fits in it, then
+the lowest basis index.  No pivot smaller than ``_PIVOT_TOL`` times the
+largest positive entry of its column (or of its row in the dual), or
+than ``_PIVOT_TOL`` itself when that entry is below 1, is taken; the
+tolerance only narrows the choice, so a column is called unbounded (a
+dual row infeasible) only when none of its entries exceeds it.  A
+pivot whose step is below the tolerance is degenerate; after
+``_STALL_LIMIT`` of them in a row Bland's smallest-index rule takes
+over until a step moves the vertex, so degenerate stretches cannot
+cycle.
+
+Warm starts.  ``solve_lp(lp, start=previous)`` re-optimizes the optimal
+tableau of ``previous`` when ``lp`` is its program with inequality rows
+appended.  The new rows are written in the current basis, each with its
+own basic slack.  Adding rows leaves the basis dual feasible, so the
+dual simplex (same ratio test, on the row) restores primal feasibility
+and a primal pass cleans up; no phase 1 is run again.  This is the
+re-optimization step of cutting-plane methods (Kelley 1960).
+
+Every solve ends by re-solving the final basis against the untouched
+standardized rows, appended ones included, and keeps that vertex when
+it fits the rows better than the pivoted tableau does.
 """
 
 from __future__ import annotations
 
 import enum
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 log = logging.getLogger(__name__)
 
-_PIVOT_TOL = 1e-10
+# smallest ratio-test pivot, relative to the largest positive entry of
+# its column (or row), or absolute when that entry is below 1
+_PIVOT_TOL = 1e-9
+# smallest entry that drives a leftover artificial out after phase 1
+_DRIVE_TOL = 1e-10
+# degenerate pivots in a row before Bland's rule takes over
+_STALL_LIMIT = 50
 
 
 class LpStatus(enum.Enum):
@@ -89,11 +122,27 @@ class LinearProgram:
 
 
 @dataclass(frozen=True)
+class _Tableau:
+    """An optimal tableau with what a warm start needs to extend it."""
+
+    lp: LinearProgram      # the program it is optimal for
+    table: np.ndarray      # constraint rows, then reduced costs; rhs last
+    basis: np.ndarray
+    rows0: np.ndarray      # the standardized rows [A | slack] before pivoting
+    rhs0: np.ndarray
+    var_map: np.ndarray    # x = var_map @ y + offsets
+    offsets: np.ndarray
+
+
+@dataclass(frozen=True)
 class LpSolution:
     status: LpStatus
     x: np.ndarray
     objective_value: float
     iterations: int
+    # the final tableau of an OPTIMAL solve, for ``solve_lp(start=...)``
+    tableau: Optional[_Tableau] = field(default=None, repr=False,
+                                        compare=False)
 
 
 def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
@@ -106,20 +155,38 @@ def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
     tableau[row, col] = 1.0
 
 
-def _run_simplex(tableau, basis, n_cols, opt_tol, cap):
-    """Iterate until the bottom row prices out.
+def _pivotable(entries: np.ndarray) -> np.ndarray:
+    """Positions of the entries large enough to pivot on: above
+    _PIVOT_TOL times the largest entry, or times 1 when that is
+    smaller.  Negative entries do not raise the bar, so the set is
+    empty only when no entry is above _PIVOT_TOL."""
+    top = max(entries.max(), 1.0) if entries.size else 1.0
+    return (entries > _PIVOT_TOL * top).nonzero()[0]
 
-    The entering variable is the most negative reduced cost (first such
-    column on ties), which converges quickly but can cycle on degenerate
-    vertices; after a stretch of pivots with no objective movement the
-    rule switches to Bland's smallest index, which cannot cycle.  Ratio
-    ties go to the lowest-index basic variable either way."""
+
+def _harris(values, pivots, rank, tol, bland) -> int:
+    """Two-pass ratio test over candidates with positive ``pivots``.
+    Pass 1 bounds the step by the smallest (value + tol) / pivot; pass 2
+    takes, among candidates whose own step value / pivot is within that
+    bound, the largest pivot (any of them under Bland's rule), then the
+    lowest ``rank``.  Returns a position in the candidate arrays."""
+    near = (values / pivots <= ((values + tol) / pivots).min()).nonzero()[0]
+    if near.size > 1 and not bland:
+        size = pivots[near]
+        near = near[size == size.max()]
+    if near.size > 1:
+        return int(near[rank[near].argmin()])
+    return int(near[0])
+
+
+def _run_simplex(tableau, basis, n_cols, feas_tol, opt_tol, cap):
+    """Primal simplex: iterate until the bottom row prices out."""
     m = tableau.shape[0] - 1
     iterations = 0
     stalled = 0
-    bland = False
     while True:
         reduced = tableau[-1, :n_cols]
+        bland = stalled >= _STALL_LIMIT
         if bland:
             improving = np.flatnonzero(reduced < -opt_tol)
             if improving.size == 0:
@@ -130,24 +197,62 @@ def _run_simplex(tableau, basis, n_cols, opt_tol, cap):
             if reduced[enter] >= -opt_tol:
                 return "optimal", iterations
         column = tableau[:m, enter]
-        eligible = np.flatnonzero(column > _PIVOT_TOL)
-        if eligible.size == 0:
+        rows = _pivotable(column)
+        if rows.size == 0:
             return "unbounded", iterations
-        ratios = tableau[eligible, -1] / column[eligible]
-        best = ratios.min()
-        tied = eligible[ratios <= best + 1e-10 * (1.0 + abs(best))]
-        leave = int(tied[np.argmin(basis[tied])])
-        before = tableau[-1, -1]
+        leave = int(rows[_harris(tableau[rows, -1], column[rows], basis[rows],
+                                 feas_tol, bland)])
+        # a basic value Harris let dip below zero leaves at zero, so no
+        # step goes backwards
+        tableau[leave, -1] = max(tableau[leave, -1], 0.0)
+        step = tableau[leave, -1] / column[leave]
+        stalled = stalled + 1 if step <= feas_tol else 0
         _pivot(tableau, leave, enter)
         basis[leave] = enter
         iterations += 1
-        if not bland:
-            if abs(tableau[-1, -1] - before) <= 1e-14 * (1.0 + abs(before)):
-                stalled += 1
-                if stalled > 50:
-                    bland = True
-            else:
-                stalled = 0
+        if iterations >= cap:
+            raise RuntimeError(
+                f"simplex exceeded {cap} iterations; the instance is likely "
+                "degenerate beyond what this solver is meant for")
+
+
+def _run_dual_simplex(tableau, basis, n_cols, feas_tol, opt_tol, cap, scale):
+    """Dual simplex from a dual-feasible tableau: iterate until every
+    basic value is above -feas_tol, or a row proves the program
+    infeasible by more than feas_tol * scale, the residual a cold
+    phase 1 accepts."""
+    m = tableau.shape[0] - 1
+    if m == 0:
+        return "feasible", 0
+    iterations = 0
+    stalled = 0
+    while True:
+        values = tableau[:m, -1]
+        bland = stalled >= _STALL_LIMIT
+        if bland:
+            short = (values < -feas_tol).nonzero()[0]
+            if short.size == 0:
+                return "feasible", iterations
+            leave = int(short[basis[short].argmin()])
+        else:
+            leave = int(values.argmin())
+            if values[leave] >= -feas_tol:
+                return "feasible", iterations
+        row = -tableau[leave, :n_cols]
+        cols = _pivotable(row)
+        if cols.size == 0:
+            if values[leave] < -feas_tol * scale:
+                return "infeasible", iterations
+            tableau[leave, -1] = 0.0  # no pivot lifts it; close enough
+            continue
+        enter = int(cols[_harris(tableau[-1, cols], row[cols], cols,
+                                 opt_tol, bland)])
+        tableau[-1, enter] = max(tableau[-1, enter], 0.0)
+        step = tableau[-1, enter] / row[enter]
+        stalled = stalled + 1 if step <= opt_tol else 0
+        _pivot(tableau, leave, enter)
+        basis[leave] = enter
+        iterations += 1
         if iterations >= cap:
             raise RuntimeError(
                 f"simplex exceeded {cap} iterations; the instance is likely "
@@ -210,10 +315,19 @@ def _standardize(lp: LinearProgram):
 def solve_lp(lp: LinearProgram,
              feas_tol: float = 1e-9,
              opt_tol: float = 1e-9,
-             max_iterations: Optional[int] = None) -> LpSolution:
+             max_iterations: Optional[int] = None,
+             start: Optional[LpSolution] = None) -> LpSolution:
     """Solve the program.  Returns a status rather than raising:
     INFEASIBLE and UNBOUNDED are ordinary outcomes (``x`` is NaN for
-    both).  Identical inputs produce bit-identical solutions."""
+    both).  Identical inputs produce bit-identical solutions.
+
+    ``start`` is an OPTIMAL solution of a program that ``lp`` extends:
+    the same objective, bounds and equalities, with ``start``'s
+    inequality rows first and unchanged, then new ones.  Its tableau is
+    re-optimized over the new rows instead of solving from scratch;
+    ``iterations`` then counts only the pivots of this solve."""
+    if start is not None:
+        return _resolve(lp, start, feas_tol, opt_tol, max_iterations)
     var_map, offsets, a_ub, b_ub, a_eq, b_eq, c_std = _standardize(lp)
     n_std = var_map.shape[1]
     m_ub, m_eq = a_ub.shape[0], a_eq.shape[0]
@@ -276,7 +390,8 @@ def solve_lp(lp: LinearProgram,
         tableau[-1, first_art:n_total] = 1.0
         for r in art_rows:
             tableau[-1] -= tableau[r]
-        outcome, used = _run_simplex(tableau, basis, n_total, opt_tol, cap)
+        outcome, used = _run_simplex(tableau, basis, n_total, feas_tol,
+                                     opt_tol, cap)
         iterations += used
         if outcome == "unbounded":
             raise RuntimeError("phase 1 reported unbounded; cannot happen")
@@ -290,7 +405,7 @@ def solve_lp(lp: LinearProgram,
         for r in range(m):
             if basis[r] < first_art:
                 continue
-            candidates = np.flatnonzero(np.abs(tableau[r, :first_art]) > _PIVOT_TOL)
+            candidates = np.flatnonzero(np.abs(tableau[r, :first_art]) > _DRIVE_TOL)
             if candidates.size:
                 _pivot(tableau, r, int(candidates[0]))
                 basis[r] = int(candidates[0])
@@ -316,14 +431,82 @@ def solve_lp(lp: LinearProgram,
         cb = c_ext[basis[r]]
         if cb != 0.0:
             tableau[-1] += cb * tableau[r]
-    outcome, used = _run_simplex(tableau, basis, n_cols, opt_tol, cap)
+    outcome, used = _run_simplex(tableau, basis, n_cols, feas_tol, opt_tol,
+                                 cap)
     iterations += used
     if outcome == "unbounded":
         bad = np.full(lp.n_variables, np.nan)
         return LpSolution(LpStatus.UNBOUNDED, bad, float("inf"), iterations)
+    return _finish(_Tableau(lp, tableau, basis, rows0, rhs0, var_map, offsets),
+                   iterations, feas_tol)
 
-    y = np.zeros(n_cols)
-    basic_values = np.maximum(tableau[:m, -1], 0.0)
+
+def _resolve(lp, start, feas_tol, opt_tol, max_iterations) -> LpSolution:
+    """Warm solve: append ``lp``'s new inequality rows to ``start``'s
+    optimal tableau, then run the dual simplex and a primal pass."""
+    prev = start.tableau
+    if prev is None:
+        raise ValueError("a warm start needs an OPTIMAL solution of solve_lp")
+    old = prev.lp
+    k = old.a_ub.shape[0]
+    pairs = ((lp.a_ub[:k], old.a_ub), (lp.b_ub[:k], old.b_ub),
+             (lp.a_eq, old.a_eq), (lp.b_eq, old.b_eq),
+             (lp.objective, old.objective), (lp.lower, old.lower),
+             (lp.upper, old.upper))
+    if lp.a_ub.shape[0] < k or not all(np.array_equal(p, q) for p, q in pairs):
+        raise ValueError("a warm start needs the start's program with "
+                         "inequality rows appended")
+
+    m, width = prev.basis.size, prev.table.shape[1] - 1
+    new = lp.a_ub[k:]
+    add = new.shape[0]
+    n_cols = width + add
+    a_std = new @ prev.var_map
+    n_std = a_std.shape[1]
+    table = np.zeros((m + add + 1, n_cols + 1))
+    table[:m, :width] = prev.table[:m, :width]
+    table[:m, -1] = prev.table[:m, -1]
+    table[-1, :width] = prev.table[-1, :width]
+    # row a @ y + s = b, less the multiples of the rows its basic
+    # columns are basic in; each new slack starts basic
+    fresh = table[m:m + add]
+    fresh[:, :n_std] = a_std
+    fresh[:, width:n_cols] = np.eye(add)
+    fresh[:, -1] = lp.b_ub[k:] - new @ prev.offsets
+    rows0 = np.zeros((m + add, n_cols))
+    rows0[:m, :width] = prev.rows0
+    rows0[m:] = fresh[:, :-1]
+    rhs0 = np.concatenate([prev.rhs0, fresh[:, -1]])
+    structural = np.flatnonzero(prev.basis < n_std)
+    fresh -= a_std[:, prev.basis[structural]] @ table[structural]
+    fresh[:, prev.basis] = 0.0
+    basis = np.concatenate([prev.basis, width + np.arange(add)])
+    log.debug("warm start: %d rows appended to %d", add, m)
+
+    cap = max_iterations or (200 + 25 * (m + add + n_cols))
+    scale = 1.0 + (float(np.abs(rhs0).max()) if rhs0.size else 0.0)
+    outcome, iterations = _run_dual_simplex(
+        table, basis, n_cols, feas_tol, opt_tol, cap, scale)
+    if outcome == "infeasible":
+        bad = np.full(lp.n_variables, np.nan)
+        return LpSolution(LpStatus.INFEASIBLE, bad, float("nan"), iterations)
+    outcome, used = _run_simplex(table, basis, n_cols, feas_tol, opt_tol,
+                                 cap - iterations)
+    iterations += used
+    if outcome == "unbounded":
+        bad = np.full(lp.n_variables, np.nan)
+        return LpSolution(LpStatus.UNBOUNDED, bad, float("inf"), iterations)
+    return _finish(_Tableau(lp, table, basis, rows0, rhs0, prev.var_map,
+                            prev.offsets), iterations, feas_tol)
+
+
+def _finish(tab: _Tableau, iterations: int, feas_tol: float) -> LpSolution:
+    """Read the vertex off an optimal tableau, refined against the
+    untouched rows, and store it back as the tableau's basic values."""
+    table, basis, rows0, rhs0 = tab.table, tab.basis, tab.rows0, tab.rhs0
+    m = basis.size
+    n_cols = table.shape[1] - 1
+    basic_values = np.maximum(table[:m, -1], 0.0)
     if m:
         # long pivot runs smear roundoff across the tableau; re-solving
         # the final basis against the untouched rows usually fits them
@@ -331,25 +514,28 @@ def solve_lp(lp: LinearProgram,
         # has the smaller residual
         def residual(values):
             full = np.zeros(n_cols)
-            full[basis[:m]] = values
+            full[basis] = values
             return float(np.abs(rows0 @ full - rhs0).max())
 
         refined = None
         try:
-            refined = np.linalg.solve(rows0[:, basis[:m]], rhs0)
+            refined = np.linalg.solve(rows0[:, basis], rhs0)
         except np.linalg.LinAlgError:
             pass
+        scale = 1.0 + float(np.abs(rhs0).max())
         if refined is not None and np.isfinite(refined).all() \
                 and refined.min() > -feas_tol * scale:
             candidate = np.maximum(refined, 0.0)
             if residual(candidate) < residual(basic_values):
                 basic_values = candidate
-    y[basis[:m]] = basic_values
-    x = var_map @ y[:n_std] + offsets
-    value = float(lp.objective @ x)
+    table[:m, -1] = basic_values
+    y = np.zeros(n_cols)
+    y[basis] = basic_values
+    x = tab.var_map @ y[:tab.var_map.shape[1]] + tab.offsets
+    value = float(tab.lp.objective @ x)
     log.debug("optimal after %d iterations, objective %.12g",
               iterations, value)
-    return LpSolution(LpStatus.OPTIMAL, x, value, iterations)
+    return LpSolution(LpStatus.OPTIMAL, x, value, iterations, tab)
 
 
 def check_feasible(lp: LinearProgram, x, feas_tol: float = 1e-9) -> list:

@@ -66,9 +66,22 @@ def dumps_game(game: NormalFormGame) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict, refusing a key that appears twice
+    (``json`` would silently keep the last value)."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise FormatError(f"duplicate key {key!r} in a JSON object")
+            seen.add(key)
+    return obj
+
+
 def _load(text: str):
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise FormatError(f"not valid JSON: {exc}") from None
 

@@ -96,6 +96,35 @@ def make_strict_dilemma(rng: np.random.Generator, n: int) -> NormalFormGame:
     raise AssertionError("could not draw a strict dilemma")
 
 
+def pool_dilemma(n: int, k: int = 0) -> NormalFormGame:
+    """The benchmark's random strict dilemma "pool<k>" at size n, drawn
+    from the same stream with a copy of its generator: player i earns
+    u_i for defecting and b_ij for each cooperating co-player j, plus
+    noise; a draw the noise spoils is resampled."""
+    rng = np.random.default_rng([20231019, n, k])
+    defect = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(float)
+    profiles = np.arange(1 << n)
+    for _ in range(50):
+        b = rng.uniform(0.2, 1.2, size=(n, n))
+        np.fill_diagonal(b, 0.0)
+        headroom = np.minimum(b.sum(axis=0), b.sum(axis=1))
+        u = rng.uniform(0.1, 0.9) * headroom * rng.uniform(0.3, 1.0, size=n)
+        table = defect * u + (1.0 - defect) @ b
+        table += rng.uniform(-1e-3, 1e-3, size=table.shape)
+        # strict: defecting always pays, always costs the group, and
+        # all-defect is worse for everyone than all-cooperate
+        welfare = table.sum(axis=1)
+        strict = (table[0] - table[-1] > 1e-9).all()
+        for i in range(n):
+            keep = profiles[(profiles >> i) & 1 == 0]
+            leave = keep | (1 << i)
+            strict &= (table[leave, i] - table[keep, i] > 1e-9).all()
+            strict &= (welfare[keep] - welfare[leave] > 1e-9).all()
+        if strict:
+            return NormalFormGame(table)
+    raise AssertionError(f"no strict dilemma drawn for n={n}")
+
+
 @pytest.fixture
 def strict_dilemma_factory():
     return make_strict_dilemma

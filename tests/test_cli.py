@@ -335,6 +335,14 @@ class TestTopLevel:
             assert main(argv) == 3
             assert "beyond the float range" in capsys.readouterr().err
 
+    def test_repeated_key_is_an_input_error(self, pd_path, tmp_path, capsys):
+        game = tmp_path / "twice.json"
+        game.write_text(open(pd_path).read().replace(
+            '"DD"', '"CC": [9, 9],\n    "DD"'))
+        for argv in (["classify", str(game)], ["solve", str(game)]):
+            assert main(argv) == 3
+            assert "duplicate key 'CC'" in capsys.readouterr().err
+
     def test_module_entry_point(self, tmp_path):
         game = tmp_path / "game.json"
         run = subprocess.run(

@@ -188,6 +188,20 @@ class TestFunctional:
         assert utilitarian_welfare(
             game.rewards(ActionProfile.all_cooperate(5))) == pytest.approx(15.0)
 
+    def test_every_profile_against_the_formula(self):
+        # pot c * (2k - k^2 / n) over k cooperators, split by the weights
+        # (i + 1) * (1 + defect_i)
+        for n, c in ((3, 3.0), (6, 1.7), (9, 0.4)):
+            game = build_functional(FunctionalParams(n, c))
+            for p in range(1 << n):
+                defect = [(p >> i) & 1 for i in range(n)]
+                k = n - sum(defect)
+                pot = -(c / n) * k ** 2 + 2.0 * c * k
+                weights = [(i + 1) * (1.0 + d) for i, d in enumerate(defect)]
+                expected = [pot * (w / sum(weights)) for w in weights]
+                assert np.allclose(game.payoffs[p], expected,
+                                   rtol=1e-14, atol=1e-14)
+
     def test_partial_dilemma_at_three_plus(self):
         assert classify_dilemma(
             build_functional(FunctionalParams(3, 3.0))).kind \

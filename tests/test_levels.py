@@ -14,6 +14,8 @@ from reward_transfer import (ActionProfile, DilemmaKind, NormalFormGame,
 from reward_transfer.game import deviation_gains
 from reward_transfer.levels import binding_constraints
 
+from conftest import pool_dilemma
+
 # regression anchors, frozen from solver output that was cross-checked
 # against an independent implementation before being pinned
 ARBITRARY_GENERAL_LEVEL = 0.4869565217391304
@@ -338,3 +340,24 @@ class TestRandomStrictDilemmas:
             sym_base = symmetrical_level(game)
             sym_moved = symmetrical_level(scaled)
             assert sym_moved.level == pytest.approx(sym_base.level, abs=1e-6)
+
+
+class TestSimplexBreakdownInstances:
+    """Random dilemmas on which the simplex used to break down: tiny
+    pivots grew the tableau until it hit its iteration cap and raised
+    RuntimeError (n = 13 with excess, n = 14 in both modes).  The
+    levels are HiGHS's, on the whole LP."""
+
+    @pytest.mark.parametrize("n, allow_excess, expected", [
+        (13, False, 0.2561338276829215),
+        (13, True, 0.2561338276829215),
+        (14, False, 0.6299580935382478),
+        (14, True, 0.6299580935382479),
+    ])
+    def test_level_and_contract(self, n, allow_excess, expected):
+        game = pool_dilemma(n)
+        assert classify_dilemma(game).kind is DilemmaKind.STRICT
+        result = general_level(game, allow_excess=allow_excess)
+        assert abs(result.level - expected) <= 1e-9
+        assert verify_resolution(game, result.matrix,
+                                 result.target).weakly_dominant

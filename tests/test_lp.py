@@ -103,6 +103,14 @@ class TestStatuses:
         lp = LinearProgram([-1.0], lower=[-np.inf], upper=[np.inf])
         assert solve_lp(lp).status is LpStatus.UNBOUNDED
 
+    def test_column_of_mixed_magnitudes_is_not_unbounded(self):
+        # max x st x <= 1, -1e10 x <= 5: the pivot 1 is tiny next to
+        # the column's |-1e10| but is the only one, and x = 1 is optimal
+        lp = LinearProgram([1.0], a_ub=[[1.0], [-1e10]], b_ub=[1.0, 5.0])
+        sol = solve_lp(lp)
+        assert sol.status is LpStatus.OPTIMAL
+        assert sol.x[0] == pytest.approx(1.0, abs=1e-12)
+
 
 class TestBounds:
     def test_upper_bounds(self):
@@ -194,6 +202,201 @@ class TestDeterminism:
             assert again.x.tobytes() == first.x.tobytes()
             assert again.objective_value == first.objective_value
             assert again.iterations == first.iterations
+
+
+class TestCyclingExamples:
+    """Textbook programs on which the largest-coefficient rule with
+    lowest-index ties cycles forever."""
+
+    def test_beale(self):
+        # Beale (1955)
+        lp = LinearProgram([0.75, -150.0, 0.02, -6.0],
+                           a_ub=[[0.25, -60.0, -0.04, 9.0],
+                                 [0.5, -90.0, -0.02, 3.0],
+                                 [0.0, 0.0, 1.0, 0.0]],
+                           b_ub=[0.0, 0.0, 1.0])
+        sol = solve_lp(lp)
+        assert sol.status is LpStatus.OPTIMAL
+        assert sol.objective_value == pytest.approx(0.05, abs=1e-12)
+        assert np.allclose(sol.x, [0.04, 0.0, 1.0, 0.0], atol=1e-12)
+        assert sol.iterations <= 55
+
+    def test_chvatal(self):
+        # Chvatal (1983), "Linear Programming", ch. 3
+        lp = LinearProgram([10.0, -57.0, -9.0, -24.0],
+                           a_ub=[[0.5, -5.5, -2.5, 9.0],
+                                 [0.5, -1.5, -0.5, 1.0],
+                                 [1.0, 0.0, 0.0, 0.0]],
+                           b_ub=[0.0, 0.0, 1.0])
+        sol = solve_lp(lp)
+        assert sol.status is LpStatus.OPTIMAL
+        assert sol.objective_value == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(sol.x, [1.0, 0.0, 1.0, 0.0], atol=1e-12)
+        assert sol.iterations <= 55
+
+
+def random_program(rng, n, m, m_eq=0):
+    """A box-bounded random program whose origin is feasible when it
+    has no equalities."""
+    a = rng.normal(size=(m, n))
+    b = rng.uniform(0.5, 2.0, size=m)
+    c = rng.normal(size=n)
+    if m_eq:
+        eq = rng.normal(size=(m_eq, n))
+        return c, a, b, eq, eq @ rng.uniform(0.05, 0.3, size=n)
+    return c, a, b, None, None
+
+
+class TestWarmStart:
+    """A warm solve appends rows to the previous optimal tableau; it
+    must agree with a cold solve of the whole program."""
+
+    @staticmethod
+    def grown(c, a, b, eq, eq_rhs, upper, k):
+        return LinearProgram(c, a_ub=a[:k], b_ub=b[:k], a_eq=eq, b_eq=eq_rhs,
+                             upper=upper)
+
+    def test_matches_cold_solve(self):
+        rng = np.random.default_rng(808)
+        checked = infeasible = 0
+        for trial in range(80):
+            n = int(rng.integers(2, 7))
+            m = int(rng.integers(3, 12))
+            c, a, b, eq, eq_rhs = random_program(rng, n, m,
+                                                 m_eq=int(rng.integers(0, 2)))
+            # cuts through the region: some rows pass below the optimum
+            b[m // 2:] = rng.uniform(-0.5, 1.0, size=m - m // 2)
+            upper = rng.uniform(1.0, 3.0, size=n)
+            first = solve_lp(self.grown(c, a, b, eq, eq_rhs, upper, 2))
+            if first.status is not LpStatus.OPTIMAL:
+                continue
+            warm, k = first, 2
+            while k < m:
+                k = min(m, k + int(rng.integers(1, 4)))
+                lp = self.grown(c, a, b, eq, eq_rhs, upper, k)
+                warm = solve_lp(lp, start=warm)
+                cold = solve_lp(lp)
+                assert warm.status is cold.status, f"trial {trial}, rows {k}"
+                if cold.status is not LpStatus.OPTIMAL:
+                    infeasible += 1
+                    break
+                scale = 1.0 + float(np.abs(b[:k]).max())
+                assert abs(warm.objective_value - cold.objective_value) \
+                    <= 1e-9 * scale, f"trial {trial}, rows {k}"
+                assert not check_feasible(lp, warm.x, feas_tol=1e-9 * scale)
+                checked += 1
+        assert checked > 100 and infeasible > 10
+
+    def test_infeasible_after_cut(self):
+        base = LinearProgram([1.0, 1.0], a_ub=[[1.0, 0.0], [0.0, 1.0]],
+                             b_ub=[1.0, 1.0])
+        start = solve_lp(base)
+        # x + y >= 3 cannot hold inside the unit box
+        cut = LinearProgram([1.0, 1.0], a_ub=[[1.0, 0.0], [0.0, 1.0],
+                                              [-1.0, -1.0]],
+                            b_ub=[1.0, 1.0, -3.0])
+        warm = solve_lp(cut, start=start)
+        assert warm.status is LpStatus.INFEASIBLE
+        assert solve_lp(cut).status is LpStatus.INFEASIBLE
+        assert np.isnan(warm.x).all()
+
+    def test_status_at_the_feasibility_tolerance(self):
+        # x <= 1 and x >= 1 + gap: a cold phase 1 accepts a residual up
+        # to feas_tol * (1 + max |rhs|), and so must the dual simplex
+        start = solve_lp(LinearProgram([1.0], a_ub=[[1.0]], b_ub=[1.0]))
+        for gap in (1.5e-9, 5e-9):
+            cut = LinearProgram([1.0], a_ub=[[1.0], [-1.0]],
+                                b_ub=[1.0, -1.0 - gap])
+            assert solve_lp(cut, start=start).status is solve_lp(cut).status
+        assert solve_lp(cut, start=start).status is LpStatus.INFEASIBLE
+
+    def test_cut_of_mixed_magnitudes_is_not_infeasible(self):
+        # max x - y in the unit box sits at (1, 0); the cut
+        # x + 1e10 y <= 0.5 moves it to (0.5, 0).  The cut's dual row
+        # offers the pivot 1 beside -1e10, and only the 1 lifts it
+        start = solve_lp(LinearProgram([1.0, -1.0], a_ub=[[1.0, 0.0],
+                                                          [0.0, 1.0]],
+                                       b_ub=[1.0, 1.0]))
+        cut = LinearProgram([1.0, -1.0], a_ub=[[1.0, 0.0], [0.0, 1.0],
+                                               [1.0, 1e10]],
+                            b_ub=[1.0, 1.0, 0.5])
+        for sol in (solve_lp(cut, start=start), solve_lp(cut)):
+            assert sol.status is LpStatus.OPTIMAL
+            assert np.allclose(sol.x, [0.5, 0.0], atol=1e-12)
+
+    def test_program_without_rows(self):
+        for lp in (LinearProgram([-1.0]), LinearProgram([1.0], upper=[2.0])):
+            cold = solve_lp(lp)
+            warm = solve_lp(lp, start=cold)
+            assert warm.status is LpStatus.OPTIMAL
+            assert warm.x.tobytes() == cold.x.tobytes()
+            assert warm.iterations == 0
+
+    def test_cut_moves_the_optimum(self):
+        base = LinearProgram([1.0, 2.0], a_ub=[[1.0, 1.0], [0.0, 1.0]],
+                             b_ub=[4.0, 3.0])
+        start = solve_lp(base)
+        cut = LinearProgram([1.0, 2.0], a_ub=[[1.0, 1.0], [0.0, 1.0],
+                                              [-1.0, 2.0]],
+                            b_ub=[4.0, 3.0, 2.0])
+        warm = solve_lp(cut, start=start)
+        assert warm.status is LpStatus.OPTIMAL
+        assert np.allclose(warm.x, [2.0, 2.0], atol=1e-12)
+        assert warm.objective_value == pytest.approx(6.0, abs=1e-12)
+        # one dual pivot from the old vertex (1, 3); no phase 1 again
+        assert warm.iterations == 1
+
+    def test_bit_identical_reruns(self):
+        rng = np.random.default_rng(31)
+        c, a, b, eq, eq_rhs = random_program(rng, 5, 10, m_eq=1)
+        b[5:] = rng.uniform(-0.3, 0.6, size=5)
+        upper = np.full(5, 2.0)
+
+        def chain():
+            sol = solve_lp(self.grown(c, a, b, eq, eq_rhs, upper, 3))
+            for k in (5, 8, 10):
+                sol = solve_lp(self.grown(c, a, b, eq, eq_rhs, upper, k),
+                               start=sol)
+            return sol
+
+        first = chain()
+        assert first.status is LpStatus.OPTIMAL
+        for _ in range(3):
+            again = chain()
+            assert again.x.tobytes() == first.x.tobytes()
+            assert again.objective_value == first.objective_value
+            assert again.iterations == first.iterations
+
+    def test_start_is_left_untouched(self):
+        base = LinearProgram([1.0, 2.0], a_ub=[[1.0, 1.0]], b_ub=[4.0],
+                             upper=[3.0, 3.0])
+        start = solve_lp(base)
+        table = start.tableau.table.copy()
+        cut = LinearProgram([1.0, 2.0], a_ub=[[1.0, 1.0], [0.0, 1.0]],
+                            b_ub=[4.0, 2.5], upper=[3.0, 3.0])
+        first = solve_lp(cut, start=start)
+        second = solve_lp(cut, start=start)
+        assert np.array_equal(start.tableau.table, table)
+        assert first.x.tobytes() == second.x.tobytes()
+
+    def test_program_must_extend_the_start(self):
+        base = LinearProgram([1.0, 1.0], a_ub=[[1.0, 1.0]], b_ub=[2.0])
+        start = solve_lp(base)
+        for other in (LinearProgram([1.0, 0.0], a_ub=[[1.0, 1.0]], b_ub=[2.0]),
+                      LinearProgram([1.0, 1.0], a_ub=[[1.0, 2.0]], b_ub=[2.0]),
+                      LinearProgram([1.0, 1.0], a_ub=[[1.0, 1.0]], b_ub=[2.0],
+                                    upper=[1.0, 1.0]),
+                      LinearProgram([1.0, 1.0])):
+            with pytest.raises(ValueError, match="appended"):
+                solve_lp(other, start=start)
+
+    def test_start_must_be_optimal(self):
+        infeasible = solve_lp(LinearProgram([1.0], a_ub=[[1.0]], b_ub=[1.0],
+                                            a_eq=[[1.0]], b_eq=[3.0]))
+        with pytest.raises(ValueError, match="OPTIMAL"):
+            solve_lp(LinearProgram([1.0], a_ub=[[1.0], [1.0]], b_ub=[1.0, 2.0],
+                                   a_eq=[[1.0]], b_eq=[3.0]),
+                     start=infeasible)
 
 
 class TestAgainstVertexEnumeration:

@@ -120,6 +120,21 @@ class TestGameFormat:
                                               "beyond the float range"):
             parse_game(text)
 
+    def test_parse_rejects_repeated_profile_key(self):
+        text = PD_JSON.replace('"DD": [1, 1]', '"DD": [1, 1],\n    "CC": [9, 9]')
+        with pytest.raises(FormatError, match="duplicate key 'CC'"):
+            parse_game(text)
+
+    def test_parse_rejects_repeated_players_key(self):
+        text = PD_JSON.replace('"players": 2', '"players": 2, "players": 3')
+        with pytest.raises(FormatError, match="duplicate key 'players'"):
+            parse_game(text)
+
+    def test_matrix_rejects_repeated_key_in_result(self):
+        text = '{"matrix": [[1, 0], [0, 1]], "matrix": [[0, 1], [1, 0]]}'
+        with pytest.raises(FormatError, match="duplicate key 'matrix'"):
+            extract_matrix(text)
+
     def test_shuffled_keys_parse_to_the_same_table(self):
         game = build_graphical(GraphKind.CIRCULAR,
                                BaseGameParams(BaseGame.CHICKEN, 3.1, 0.9), 6)
