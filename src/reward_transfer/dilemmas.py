@@ -13,10 +13,13 @@ against j.
   everyone else only player 1.
 
 Each base payoff is bilinear in the two actions (0 C, 1 D), so for the
-2^n-by-n action table A, deg = W.sum(1) and facing = A @ W.T the whole
+n-by-2^n player-major action table A (row i is player i's action at
+every profile), the column deg = W.sum(1) and facing = W @ A the whole
 table is one formula: c*(deg - facing) plus d*A*deg (Prisoner's
 Dilemma), d*mismatch (Chicken) or d*(deg - mismatch) (Stag Hunt), with
-mismatch = A*deg + facing - 2*A*facing.
+mismatch = A*deg + facing - 2*A*facing.  The builders work player-major
+throughout and hand the game the transpose, which is already in its
+column-major layout.
 
 The functional family replaces per-edge payoffs with a shared welfare
 pot, -(c/n)*k**2 + 2*c*k for k cooperators, split in proportion to
@@ -96,9 +99,12 @@ def base_payoff(params: BaseGameParams, own: int, opponent: int) -> float:
 
 
 def _action_table(n: int) -> np.ndarray:
-    bits = np.arange(1 << n, dtype=np.int64)[:, None] >> np.arange(n)
-    bits &= 1
-    return bits.astype(float)
+    """A[i, p]: player i's action (0 C, 1 D) at profile p, player-major.
+    Row i is 2**i zeros then 2**i ones, repeated."""
+    table = np.zeros((n, 1 << n))
+    for i in range(n):
+        table[i].reshape(-1, 2, 1 << i)[:, 1] = 1.0
+    return table
 
 
 def _graph_weights(graph: GraphKind, n: int) -> np.ndarray:
@@ -129,19 +135,25 @@ def build_graphical(graph: GraphKind,
                       UserWarning, stacklevel=2)
     w = _graph_weights(graph, n)
     actions = _action_table(n)
-    deg = w.sum(axis=1)
-    facing = actions @ w.T
-    # the d term, accumulated in place to bound the build's peak memory:
-    # A*deg (PD), mismatch = A*deg + facing - 2*A*facing (Chicken), or
-    # deg - mismatch (Stag Hunt)
+    deg = w.sum(axis=1)[:, None]
+    facing = w @ actions
+    # the d term, accumulated in place to bound the build's peak memory
+    # and its passes over the table: A*deg (PD), mismatch = A*deg +
+    # facing*(1 - 2*A) (Chicken), or deg - mismatch (Stag Hunt); A, then
+    # facing, are overwritten once no longer needed
     table = actions * deg
     if params.kind is not BaseGame.PRISONERS_DILEMMA:
-        table += facing * (1.0 - 2.0 * actions)
+        actions *= -2.0
+        actions += 1.0
+        actions *= facing
+        table += actions
         if params.kind is BaseGame.STAG_HUNT:
             np.subtract(deg, table, out=table)
     table *= params.d
-    table += params.c * (deg - facing)
-    return NormalFormGame(table, labels=labels)
+    np.subtract(deg, facing, out=facing)
+    facing *= params.c
+    table += facing
+    return NormalFormGame(table.T, labels=labels)
 
 
 @dataclass(frozen=True)
@@ -161,16 +173,16 @@ def build_functional(params: FunctionalParams) -> NormalFormGame:
     defection-doubled weights."""
     n, c = params.n, params.c
     table = _action_table(n)  # 1 where the player defects
-    cooperators = n - table.sum(axis=1)
+    cooperators = n - table.sum(axis=0)
     pot = -(c / n) * cooperators ** 2 + 2.0 * c * cooperators
-    # the weights (1 + defect) * (i + 1), then their row shares of the
-    # pot, formed in place in the action table to bound the build's peak
-    # memory
+    # the weights (1 + defect) * (i + 1), then their shares of the pot at
+    # each profile, formed in place in the action table to bound the
+    # build's peak memory
     table += 1.0
-    table *= np.arange(1, n + 1)
-    table /= table.sum(axis=1)[:, None]
-    table *= pot[:, None]
-    return NormalFormGame(table)
+    table *= np.arange(1, n + 1)[:, None]
+    table /= table.sum(axis=0)
+    table *= pot
+    return NormalFormGame(table.T)
 
 
 @dataclass(frozen=True)

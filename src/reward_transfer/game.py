@@ -6,6 +6,13 @@ index each by an integer whose k-th bit holds player k's action.  The
 payoff table of a game is therefore a (2**n, n) array: row = profile,
 column = player.
 
+The table is stored column-major (Fortran order), so each player's 2**n
+rewards are one contiguous run.  Every pass that costs O(n * 2**n) reads
+one player at a time (deviation gains, the reward scale, the symmetry
+check), and at n = 16 a row-major column walks all 8 MB with a stride of
+n floats.  Products with a transfer matrix go through
+``transferred_payoffs``, which keeps that layout.
+
 A game is a social dilemma when three things hold at once:
 
 * cooperation raises group welfare: whenever any single player switches
@@ -153,13 +160,24 @@ def deviation_pairs(table, target: ActionProfile,
     return split[:, action], split[:, 1 - action]
 
 
+def transferred_payoffs(table, entries) -> np.ndarray:
+    """``table @ entries``, the rewards after transfer matrix
+    ``entries``, in the same column-major layout as a game's payoffs.
+
+    It is formed player-major, as ``entries.T @ table.T``, so that each
+    player's rewards stay one contiguous run for the passes that follow.
+    """
+    return (entries.T @ table.T).T
+
+
 def deviation_gains(table, target: ActionProfile) -> np.ndarray:
     """What each player gains by leaving the target, against each
     co-profile.
 
     ``table`` is any (2**n, n) reward table over profiles: a game's
-    payoffs, or ``payoffs @ T`` for the rewards after a transfer matrix
-    T.  Entry [i, m] of the (n, 2**(n-1)) result is
+    payoffs, or ``transferred_payoffs(payoffs, T)`` for the rewards
+    after a transfer matrix T.  A column-major table makes each player's
+    pass read contiguous memory.  Entry [i, m] of the (n, 2**(n-1)) result is
     ``table[leave, i] - table[keep, i]`` for player i's pair of rows at
     co-profile mask m.  The target is weakly dominant exactly when no
     entry is positive.
@@ -175,12 +193,15 @@ class NormalFormGame:
     """An n-player binary-action game held as a dense payoff table.
 
     ``payoffs[p, k]`` is player k's reward at the profile with bit
-    encoding p.  The table is validated (shape 2**n by n, finite) and
-    frozen on construction.
+    encoding p.  The table is copied, validated (shape 2**n by n,
+    finite) and frozen on construction.  It is stored column-major
+    (``payoffs.T`` is C-contiguous), so each player's rewards over the
+    profiles are contiguous: the deviation passes of the level searches
+    read one player at a time.
     """
 
     def __init__(self, payoffs, labels: Optional[Sequence[str]] = None):
-        table = np.array(payoffs, dtype=float)
+        table = np.array(payoffs, dtype=float, order="F")
         if table.ndim != 2:
             raise ValueError("payoffs must be a 2-d table: profiles by players")
         n_profiles, n = table.shape
@@ -369,12 +390,15 @@ def pure_nash_equilibria(game: NormalFormGame,
     """All profiles where no single player gains more than ``tolerance``
     by deviating."""
     table = game.payoffs
-    indices = np.arange(1 << game.n)
+    everyone_cooperates = ActionProfile.all_cooperate(game.n)
     stable = np.ones(1 << game.n, dtype=bool)
     for i in range(game.n):
-        flipped = indices ^ (1 << i)
-        gain = table[flipped, i] - table[indices, i]
-        stable &= gain <= tolerance
+        # the profiles where player i cooperates and where they defect,
+        # paired by co-profile in the table and in ``stable`` alike
+        cooperate, defect = deviation_pairs(table[:, i], everyone_cooperates, i)
+        at_c, at_d = deviation_pairs(stable, everyone_cooperates, i)
+        at_c &= defect - cooperate <= tolerance
+        at_d &= cooperate - defect <= tolerance
     return frozenset(
         ActionProfile(int(bits), game.n) for bits in np.flatnonzero(stable))
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from .game import (ActionProfile, DilemmaClassification, DilemmaKind,
                    NormalFormGame, classify_dilemma, deviation_gains,
-                   deviation_pairs, social_optima)
+                   deviation_pairs, social_optima, transferred_payoffs)
 from .lp import LinearProgram, LpStatus, solve_lp
 from .transfer import (ExcessReport, TransferMatrix, exchange_matrix,
                        excess_report)
@@ -107,6 +107,10 @@ def deviation_deltas(game: NormalFormGame,
     Row m (a co-profile mask) is the vector of every player's reward
     change when ``player`` swaps their target action for its opposite
     while the co-players play m.
+
+    A reference for tests and tracing: no search calls it, since
+    ``_scale`` takes the same extremes in one pass over the table and
+    ``symmetrical_level`` reads welfare changes off the welfare vector.
     """
     if target.n != game.n:
         raise ValueError("target profile size does not match the game")
@@ -114,11 +118,52 @@ def deviation_deltas(game: NormalFormGame,
     return (leave - keep).reshape(-1, game.n)
 
 
-def _scale(game, target) -> float:
-    """1 + the largest reward change any deviation causes, one player's
-    deltas at a time."""
-    return 1.0 + max(float(np.abs(deviation_deltas(game, target, i)).max())
-                     for i in range(game.n))
+_BLOCK_BITS = 17  # the scan in _scale reads 2**17 floats (1 MB) at a time
+
+
+def _scale(game) -> float:
+    """1 + the largest reward change any single deviation causes.
+
+    That is the largest |difference| between two profiles one bit apart,
+    over every player's rewards.  It does not depend on the target, as
+    |a - b| = |b - a|, and a max of exact differences is the same in any
+    order, so this equals 1 + max_i |deviation_deltas(game, target, i)|
+    bit for bit.  One pass over the player-major table ``payoffs.T``:
+    each block holds whole subcubes of 2**width profiles of one or more
+    players.  Bits at or above ``width // 2`` pair contiguous runs as
+    the block is laid out; the block is transposed once so that the
+    pairs of the lower bits lie in long contiguous runs too.  Only
+    tables beyond 2**17 profiles pair bits across blocks.
+    """
+    n = game.n
+    width = min(n, _BLOCK_BITS)
+    cubes = game.payoffs.T.reshape(-1, 1 << width)
+    per = min(len(cubes), max(1, (1 << _BLOCK_BITS) >> width))
+    low = width // 2
+    run = 1 << (width - low)
+    diff = np.empty(per << (width - 1))
+    peaks = []
+
+    def fold(keep, leave):
+        out = np.subtract(leave, keep, out=diff[:keep.size].reshape(keep.shape))
+        peaks.append(np.abs(out, out=out).max())
+
+    for i in range(width, n):
+        # a bit beyond the block pairs half-cubes in different blocks
+        pairs = cubes.reshape(-1, 2, 1 << (i - width + 1), 1 << (width - 1))
+        for a, b in np.ndindex(pairs.shape[0], pairs.shape[2]):
+            fold(pairs[a, 0, b], pairs[a, 1, b])
+    for start in range(0, len(cubes), per):
+        block = cubes[start:start + per]
+        p = len(block)
+        for i in range(low, width):
+            split = block.reshape(p, -1, 2, 1 << i)
+            fold(split[:, :, 0], split[:, :, 1])
+        turned = block.reshape(p, -1, 1 << low).transpose(0, 2, 1).copy()
+        for i in range(low):
+            split = turned.reshape(p, -1, 2, run << i)
+            fold(split[:, :, 0], split[:, :, 1])
+    return 1.0 + float(max(peaks))
 
 
 def _gate_dilemma(game, force, tolerance=1e-9) -> Optional[DilemmaClassification]:
@@ -162,19 +207,21 @@ def symmetrical_level(game: NormalFormGame,
     _gate_dilemma(game, force)
     _warn_if_suboptimal(game, target)
     n = game.n
-    own = deviation_gains(game.payoffs, target)
-    others = np.empty_like(own)
-    reach = 0.0
-    for i in range(n):
-        deltas = deviation_deltas(game, target, i)
-        others[i] = deltas.sum(axis=1) - own[i]
-        reach = max(reach, float(np.abs(deltas).max()))
-    scale = 1.0 + reach
+    table = game.payoffs
+    own = deviation_gains(table, target)
+    # what the others gain: the welfare change of each deviation, read
+    # as the gains of a table whose every column is the welfare
+    welfare = table.sum(axis=1)
+    others = deviation_gains(np.broadcast_to(welfare[:, None], table.shape),
+                             target)
+    others -= own
+    scale = _scale(game)
     tiny = 1e-12 * scale
 
     # s * own + (1 - s)/(n - 1) * others <= 0, rearranged in s
-    coef = own - others / (n - 1)
-    base = -others / (n - 1)
+    base = others / (n - 1)
+    coef = own - base
+    np.negative(base, out=base)
     immune = (np.abs(coef) <= tiny) & (base < -tiny)
     if immune.any():
         player = int(np.flatnonzero(immune.any(axis=1))[0])
@@ -236,7 +283,7 @@ def _lazy_solve(lp, var, table, target, working, atol,
         if sol.status is LpStatus.UNBOUNDED:
             raise RuntimeError("level search reported unbounded; the level "
                                "is capped by construction, so this is a bug")
-        gains = deviation_gains(table @ sol.x[var], target)
+        gains = deviation_gains(transferred_payoffs(table, sol.x[var]), target)
         added = []
         for i, resid in enumerate(gains):
             fresh = [m for m in np.flatnonzero(resid > atol).tolist()
@@ -300,7 +347,8 @@ def _matrix_from_solution(t, conserving) -> TransferMatrix:
 
 
 def _binding(game, target, matrix, tolerance) -> np.ndarray:
-    gains = deviation_gains(game.payoffs @ matrix.entries, target)
+    gains = deviation_gains(transferred_payoffs(game.payoffs, matrix.entries),
+                            target)
     return np.abs(gains) <= tolerance
 
 
@@ -331,7 +379,7 @@ def general_level(game: NormalFormGame,
     n = game.n
     table = game.payoffs
     var = np.arange(n * n).reshape(n, n)
-    atol = feas_tol * _scale(game, target)
+    atol = feas_tol * _scale(game)
     working = _extremes(n)
 
     lp, sol = _lazy_solve(_general_lp(table, target, var, working,
@@ -391,18 +439,31 @@ def _permutation_powers(generator: Sequence[int], n: int) -> list[np.ndarray]:
 
 
 def _check_symmetry(game, perm, tolerance=1e-9):
+    """Raise unless relabeling players by ``perm`` leaves the table
+    unchanged: player perm[k] at the profile that moves bit i to bit
+    perm[i] earns what player k earns at the original profile.
+
+    Each player's rewards are viewed as an n-axis cube over the bits
+    (axis n - 1 - b holds bit b); moving the bits is then a transpose of
+    the axes, so player perm[k]'s cube is compared with player k's in
+    place, one player at a time, without gathering a permuted table.
+    """
     n = game.n
-    bits = np.arange(1 << n)
-    mapped = np.zeros(1 << n, dtype=np.int64)
-    for i in range(n):
-        mapped |= ((bits >> i) & 1) << int(perm[i])
     table = game.payoffs
-    diff = np.abs(table[mapped][:, perm] - table).max()
+    cubes = table.T.reshape((n,) + (2,) * n)
+    axes = [0] * n
+    for i in range(n):
+        axes[n - 1 - i] = n - 1 - int(perm[i])
+    diff = np.empty((2,) * n)
+    worst = 0.0
+    for k in range(n):
+        np.subtract(cubes[perm[k]].transpose(axes), cubes[k], out=diff)
+        worst = max(worst, float(np.abs(diff, out=diff).max()))
     scale = 1.0 + float(np.abs(table).max())
-    if diff > tolerance * scale:
+    if worst > tolerance * scale:
         raise ValueError(
             "the game is not symmetric under the generator "
-            f"(payoff mismatch {diff:.3g})")
+            f"(payoff mismatch {worst:.3g})")
 
 
 def general_level_symmetric_fastpath(game: NormalFormGame,
@@ -446,7 +507,7 @@ def general_level_symmetric_fastpath(game: NormalFormGame,
     lp = LinearProgram(c, a_ub=rows, b_ub=np.zeros(len(rows)),
                        a_eq=np.ones((1, n)), b_eq=np.ones(1))
     _, sol = _lazy_solve(lp, var, table, target, working,
-                         feas_tol * _scale(game, target), feas_tol, opt_tol,
+                         feas_tol * _scale(game), feas_tol, opt_tol,
                          max_rounds)
     if sol.status is LpStatus.INFEASIBLE:
         raise NotResolvableError(

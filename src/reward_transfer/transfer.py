@@ -5,7 +5,9 @@ the fraction of player i's game reward handed to player j, so the
 diagonal is what each player keeps.  Rows may sum to less than one
 (reward is burned, an "excess" contract) but never more.  Post-transfer
 rewards are the matrix product ``r @ T``: column j collects j's shares
-of everyone's reward.
+of everyone's reward.  For a whole payoff table that product is
+``game.transferred_payoffs``, which keeps the table's column-major
+layout.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .game import (ActionProfile, DominanceReport, NormalFormGame,
-                   check_dominance, social_optima)
+                   check_dominance, social_optima, transferred_payoffs)
 
 
 class TransferMatrix:
@@ -111,7 +113,8 @@ def apply_transfers(game: NormalFormGame, matrix: TransferMatrix) -> NormalFormG
     contract.  Transfer is linear, so this is one matrix product."""
     if matrix.n != game.n:
         raise ValueError("matrix size does not match the game")
-    return NormalFormGame(game.payoffs @ matrix.entries, labels=game.labels)
+    return NormalFormGame(transferred_payoffs(game.payoffs, matrix.entries),
+                          labels=game.labels)
 
 
 @dataclass(frozen=True)
@@ -143,7 +146,7 @@ def conservation_check(game: NormalFormGame,
         raise ValueError(
             "matrix burns reward (rows sum below 1); conservation does not apply")
     before = game.payoffs.sum(axis=1)
-    after = (game.payoffs @ matrix.entries).sum(axis=1)
+    after = transferred_payoffs(game.payoffs, matrix.entries).sum(axis=1)
     scale = max(1.0, float(np.abs(before).max()))
     return bool(np.abs(after - before).max() <= tolerance * scale)
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,11 @@ from reward_transfer.game import (MUTUAL_CONDITION, TEMPTATION_CONDITION,
                                   coplayer_string, deviation_pairs,
                                   drop_bit, insert_bit, pure_nash_equilibria,
                                   social_optima, utilitarian_welfare)
-from reward_transfer import scaled_prisoners_dilemma
+from reward_transfer import (BaseGame, BaseGameParams, FunctionalParams,
+                             GraphKind, TransferMatrix, apply_transfers,
+                             build_functional, build_graphical, dumps_game,
+                             parse_game, scaled_prisoners_dilemma,
+                             too_many_cooks)
 
 
 class TestActionProfile:
@@ -118,6 +124,108 @@ class TestNormalFormGame:
     def test_profiles_enumeration(self, pd_game):
         names = [str(p) for p in pd_game.profiles()]
         assert names == ["CC", "DC", "CD", "DD"]
+
+
+def _row_major_graphical(graph, params, n):
+    """The graphical payoff formula on a row-major (profiles, players)
+    action table, as the builder evaluated it before it went
+    player-major."""
+    from reward_transfer.dilemmas import _graph_weights
+    w = _graph_weights(graph, n)
+    actions = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(float)
+    deg = w.sum(axis=1)
+    facing = actions @ w.T
+    table = actions * deg
+    if params.kind is not BaseGame.PRISONERS_DILEMMA:
+        table += facing * (1.0 - 2.0 * actions)
+        if params.kind is BaseGame.STAG_HUNT:
+            table = deg - table
+    return params.d * table + params.c * (deg - facing)
+
+
+def _row_major_functional(n, c):
+    defect = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(float)
+    cooperators = n - defect.sum(axis=1)
+    pot = -(c / n) * cooperators ** 2 + 2.0 * c * cooperators
+    weights = (1.0 + defect) * np.arange(1, n + 1)
+    return weights / weights.sum(axis=1)[:, None] * pot[:, None]
+
+
+class TestLayout:
+    """Every way of making a game stores its payoffs column-major (each
+    player's rewards contiguous), read-only, with the values it was
+    given, in an array of its own."""
+
+    @staticmethod
+    def assert_layout(game, expected):
+        table = game.payoffs
+        assert table.flags.f_contiguous
+        assert not table.flags.writeable
+        assert table.dtype == np.float64
+        assert table.shape == np.shape(expected)
+        assert np.array_equal(table, expected)
+
+    def test_list_input(self):
+        rows = [[3.0, 3.0], [4.0, 0.0], [0.0, 4.0], [1.0, 1.0]]
+        self.assert_layout(NormalFormGame(rows), rows)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_array_input_is_copied(self, order):
+        rng = np.random.default_rng(3)
+        given = np.array(rng.normal(size=(32, 5)), order=order)
+        kept = given.copy()
+        game = NormalFormGame(given)
+        self.assert_layout(game, kept)
+        assert not np.shares_memory(game.payoffs, given)
+        given[:] = 0.0
+        assert np.array_equal(game.payoffs, kept)
+
+    def test_transposed_input_is_copied(self):
+        # a player-major array's transpose is already column-major
+        rng = np.random.default_rng(4)
+        player_major = rng.normal(size=(4, 16))
+        game = NormalFormGame(player_major.T)
+        self.assert_layout(game, player_major.T)
+        assert not np.shares_memory(game.payoffs, player_major)
+
+    def test_parse_game(self):
+        rng = np.random.default_rng(5)
+        table = rng.normal(size=(64, 6))
+        self.assert_layout(parse_game(dumps_game(NormalFormGame(table))), table)
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 12])
+    def test_graphical_builder(self, n):
+        for graph in GraphKind:
+            for kind in BaseGame:
+                params = BaseGameParams(kind, 3.1, 0.9)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    game = build_graphical(graph, params, n)
+                self.assert_layout(
+                    game, _row_major_graphical(graph, params, n))
+
+    @pytest.mark.parametrize("n", [2, 5, 12])
+    def test_functional_builder(self, n):
+        for c in (1.0, 2.93):
+            self.assert_layout(build_functional(FunctionalParams(n, c)),
+                               _row_major_functional(n, c))
+
+    def test_apply_transfers(self, arbitrary_game):
+        t = np.array([[0.5, 0.25, 0.25], [0.2, 0.6, 0.2], [0.0, 0.3, 0.7]])
+        moved = apply_transfers(arbitrary_game, TransferMatrix(t))
+        expected = arbitrary_game.payoffs @ t
+        assert moved.payoffs.flags.f_contiguous
+        assert not moved.payoffs.flags.writeable
+        assert np.abs(moved.payoffs - expected).max() <= 1e-12
+
+    def test_named_games(self):
+        params = BaseGameParams(BaseGame.PRISONERS_DILEMMA, 3.0, 1.0)
+        expected = _row_major_graphical(GraphKind.SYMMETRICAL, params, 3)
+        expected[[0, -1]] -= 1.0
+        self.assert_layout(too_many_cooks(), expected)
+        self.assert_layout(scaled_prisoners_dilemma(1e-6),
+                           [[9.0, 3.0], [12.0 - 1e-6, 0.0], [0.0, 4.0],
+                            [3.0, 1.0]])
 
 
 def test_utilitarian_welfare():
@@ -264,6 +372,19 @@ def test_pure_nash_chicken(chicken_game):
 def test_pure_nash_constant():
     game = NormalFormGame(np.zeros((8, 3)))
     assert len(pure_nash_equilibria(game)) == 8
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_pure_nash_against_brute_force(n):
+    # small integer payoffs make ties, which count as stable
+    rng = np.random.default_rng(n)
+    for _ in range(4):
+        game = NormalFormGame(rng.integers(0, 3, size=(1 << n, n)))
+        expected = frozenset(
+            profile for profile in game.profiles()
+            if all(game.reward(profile.flip(i), i)
+                   - game.reward(profile, i) <= 1e-9 for i in range(n)))
+        assert pure_nash_equilibria(game) == expected
 
 
 def test_social_optima_pd(pd_game):

@@ -11,6 +11,9 @@ from reward_transfer import (ActionProfile, DilemmaKind, NormalFormGame,
                              deviation_deltas, exchange_matrix, general_level,
                              general_level_symmetric_fastpath,
                              symmetrical_level, verify_resolution)
+from reward_transfer import levels
+from reward_transfer.dilemmas import (BaseGame, BaseGameParams, GraphKind,
+                                      build_graphical)
 from reward_transfer.game import deviation_gains
 from reward_transfer.levels import binding_constraints
 
@@ -58,6 +61,147 @@ class TestDeviationDeltas:
         for i in range(n):
             expected = deviation_deltas(game, target, i) @ t[:, i]
             assert np.abs(gains[i] - expected).max() <= 1e-12 * scale
+
+
+def _random_magnitude_game(rng, n):
+    """Payoffs whose magnitudes span 1e-3 to 1e6, entry by entry."""
+    size = (1 << n, n)
+    return NormalFormGame(rng.normal(size=size)
+                          * 10.0 ** rng.uniform(-3.0, 6.0, size=size))
+
+
+class TestScale:
+    """``_scale`` takes the largest reward change of any deviation in one
+    pass over the table; the per-player deltas are its reference."""
+
+    @staticmethod
+    def reference(game, target):
+        return 1.0 + max(float(np.abs(deviation_deltas(game, target, i)).max())
+                         for i in range(game.n))
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_equals_per_player_deltas_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            game = _random_magnitude_game(rng, n)
+            targets = {0, (1 << n) - 1, int(rng.integers(0, 1 << n))}
+            for bits in targets:
+                assert levels._scale(game) == \
+                    self.reference(game, ActionProfile(bits, n))
+
+    @pytest.mark.parametrize("block_bits", [1, 2, 3, 5])
+    def test_blocks_smaller_than_the_table(self, block_bits, monkeypatch):
+        # with blocks of a few floats, most bits pair across blocks
+        rng = np.random.default_rng(block_bits)
+        games = [_random_magnitude_game(rng, n) for n in range(2, 9)]
+        expected = [levels._scale(game) for game in games]
+        monkeypatch.setattr(levels, "_BLOCK_BITS", block_bits)
+        for game, value in zip(games, expected):
+            assert levels._scale(game) == value
+            assert value == self.reference(game, ActionProfile(1, game.n))
+
+
+def _old_mismatch(game, perm):
+    """The symmetry check's mismatch, by gathering the permuted table."""
+    n = game.n
+    bits = np.arange(1 << n)
+    mapped = np.zeros(1 << n, dtype=np.int64)
+    for i in range(n):
+        mapped |= ((bits >> i) & 1) << int(perm[i])
+    table = game.payoffs
+    return np.abs(table[mapped][:, perm] - table).max()
+
+
+class TestCheckSymmetry:
+    def cyclic_game(self):
+        params = BaseGameParams(BaseGame.PRISONERS_DILEMMA, 3.0, 1.0)
+        return build_graphical(GraphKind.CIRCULAR, params, 5)
+
+    def test_rejects_one_entry_moved_by_ten_tolerances(self):
+        game = self.cyclic_game()
+        perm = np.roll(np.arange(5), -1)
+        tolerance = 1e-9
+        levels._check_symmetry(game, perm, tolerance)
+        scale = 1.0 + float(np.abs(game.payoffs).max())
+        table = game.payoffs.copy()
+        table[11, 3] += 10 * tolerance * scale
+        with pytest.raises(ValueError,
+                           match="not symmetric under the generator"):
+            levels._check_symmetry(NormalFormGame(table), perm, tolerance)
+        # within the tolerance the game still counts as symmetric
+        table[11, 3] = game.payoffs[11, 3] + 0.5 * tolerance * scale
+        levels._check_symmetry(NormalFormGame(table), perm, tolerance)
+
+    def test_mismatch_matches_the_permuted_table(self):
+        rng = np.random.default_rng(8)
+        for n in range(2, 8):
+            game = NormalFormGame(rng.normal(size=(1 << n, n)))
+            for _ in range(3):
+                perm = rng.permutation(n)
+                expected = _old_mismatch(game, perm)
+                if expected == 0.0:  # the identity permutation
+                    levels._check_symmetry(game, perm)
+                    continue
+                with pytest.raises(ValueError, match=f"{expected:.3g}"):
+                    levels._check_symmetry(game, perm)
+
+
+def _old_symmetrical_level(game, target, tolerance=1e-9):
+    """symmetrical_level's interval from per-player deltas, as it was
+    computed before it read the welfare vector: (level, binding mask), or
+    None when no share works."""
+    n = game.n
+    own = deviation_gains(game.payoffs, target)
+    others = np.empty_like(own)
+    reach = 0.0
+    for i in range(n):
+        deltas = deviation_deltas(game, target, i)
+        others[i] = deltas.sum(axis=1) - own[i]
+        reach = max(reach, float(np.abs(deltas).max()))
+    scale = 1.0 + reach
+    tiny = 1e-12 * scale
+    coef = own - others / (n - 1)
+    base = -others / (n - 1)
+    if ((np.abs(coef) <= tiny) & (base < -tiny)).any():
+        return None
+    above, below = coef > tiny, coef < -tiny
+    hi = float(np.min(base[above] / coef[above], initial=1.0))
+    lo = float(np.max(base[below] / coef[below], initial=0.0))
+    if lo > hi + tiny:
+        return None
+    resid = hi * own + (1.0 - hi) / (n - 1) * others
+    return hi, np.abs(resid) <= tolerance * scale
+
+
+class TestSymmetricalLevelFromWelfare:
+    @staticmethod
+    def check(game):
+        target = ActionProfile.all_cooperate(game.n)
+        expected = _old_symmetrical_level(game, target)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            if expected is None:
+                with pytest.raises(NotResolvableError):
+                    symmetrical_level(game, force=True)
+                return
+            result = symmetrical_level(game, force=True)
+        assert abs(result.level - expected[0]) <= 1e-12
+        assert np.array_equal(result.binding_mask, expected[1])
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_graphical(self, n):
+        for graph in GraphKind:
+            for kind in BaseGame:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    game = build_graphical(graph,
+                                           BaseGameParams(kind, 3.05, 0.98), n)
+                self.check(game)
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_pool_dilemmas(self, n):
+        for k in range(2):
+            self.check(pool_dilemma(n, k))
 
 
 class TestTwoPlayerAnchors:
