@@ -1,7 +1,7 @@
 """Command line front end.
 
-Subcommands: classify, solve, generate, transform, verify, analytic,
-bench.  Games, matrices and results travel as the canonical JSON
+Subcommands: classify, solve, generate, transform, verify, analytic.
+Games, matrices and results travel as the canonical JSON
 documents from the serialize module, so outputs feed back in as inputs
 (solve's result file works directly as verify's matrix argument).
 
@@ -16,7 +16,6 @@ import argparse
 import logging
 import os
 import sys
-import time
 from typing import Iterable, Optional
 
 from .dilemmas import (AnalyticLevel, BaseGame, BaseGameParams,
@@ -44,6 +43,8 @@ _WITNESS_CAP = 10
 
 _BASES = {b.value: b for b in BaseGame}
 _GRAPHS = {g.value: g for g in GraphKind}
+# the generate flags of the families that are not graphical
+_FLAGS_OF = {"functional": "-n and -c", "scaledpd": "--epsilon"}
 
 
 class _UsageError(Exception):
@@ -123,9 +124,9 @@ def cmd_solve(args) -> int:
 
 def cmd_generate(args) -> int:
     kind = args.kind
+    if kind in _FLAGS_OF and (args.base is not None or args.d is not None):
+        raise _UsageError(f"{kind} games take only {_FLAGS_OF[kind]}")
     if kind == "functional":
-        if args.base is not None or args.d is not None:
-            raise _UsageError("functional games take only -n and -c")
         game = build_functional(FunctionalParams(args.n, args.c))
     elif kind == "scaledpd":
         game = scaled_prisoners_dilemma(args.epsilon)
@@ -170,43 +171,17 @@ def cmd_analytic(args) -> int:
     params = BaseGameParams(_BASES[args.base or "pd"], args.c,
                             1.0 if args.d is None else args.d)
     mode = SolveMode.SYMMETRIC if args.mode == "symmetric" else SolveMode.GENERAL
+    if args.matrix and mode is not SolveMode.GENERAL:
+        raise _UsageError("--matrix goes with --mode general")
     level: AnalyticLevel = analytic_level(graph, params, args.n, mode)
     note = " (large-n limit)" if level.is_limit else ""
     print(f"{args.mode} level: {level.value:.17g}{note}")
     if args.matrix:
-        if mode is not SolveMode.GENERAL:
-            raise _UsageError("--matrix goes with --mode general")
         matrix = analytic_matrix(graph, params, args.n,
                                  allow_limit=level.is_limit)
         if level.is_limit:
             print("matrix below is the large-n limit; not optimal at small n")
         sys.stdout.write(dumps_matrix(matrix))
-    return EXIT_OK
-
-
-def cmd_bench(args) -> int:
-    if args.n_max > args.cap:
-        raise _UsageError(
-            f"refusing to benchmark beyond n = {args.cap}; runtime grows "
-            "roughly 3x per added player (override with --cap)")
-    if not 2 <= args.n_min <= args.n_max:
-        raise _UsageError("need 2 <= --n-min <= --n-max")
-    rows = []
-    print(f"{'n':>3} {'seconds':>9} {'level':>20}")
-    for n in range(args.n_min, args.n_max + 1):
-        game = build_functional(FunctionalParams(n, args.c))
-        start = time.perf_counter()
-        result = general_level(game, force=True)
-        elapsed = time.perf_counter() - start
-        rows.append((n, elapsed, result.level))
-        print(f"{n:>3} {elapsed:>9.3f} {result.level:>20.12g}")
-    for (n0, t0, _), (n1, t1, _) in zip(rows, rows[1:]):
-        if t0 > 0:
-            print(f"  n={n1} / n={n0}: {t1 / t0:.2f}x")
-    if args.csv:
-        lines = ["n,seconds,g_star"]
-        lines += [f"{n},{t:.6f},{g:.17g}" for n, t, g in rows]
-        _write_output(["\n".join(lines) + "\n"], args.csv)
     return EXIT_OK
 
 
@@ -274,15 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also print the closed-form matrix")
     p.set_defaults(handler=cmd_analytic)
 
-    p = sub.add_parser("bench", help="time the solver on the functional "
-                                     "family")
-    p.add_argument("--n-min", type=int, default=8)
-    p.add_argument("--n-max", type=int, default=12)
-    p.add_argument("-c", type=float, default=3.0)
-    p.add_argument("--cap", type=int, default=17,
-                   help="hard ceiling on --n-max")
-    p.add_argument("--csv", help="also write n,seconds,g_star rows here")
-    p.set_defaults(handler=cmd_bench)
     return parser
 
 

@@ -3,16 +3,25 @@
 The level of a transfer matrix is its smallest diagonal entry: the share
 of their own reward the most-taxed player keeps.  For a game and a
 target profile we look for the contract with the largest level under
-which the target becomes weakly dominant.  Two searches are offered:
+which the target becomes weakly dominant.
 
-* ``symmetrical_level`` restricts contracts to the one-parameter family
-  where everyone keeps s and splits the rest evenly; the optimum has a
-  closed form (an interval intersection).
-* ``general_level`` searches all transfer matrices with a linear
-  program: variables are the n*n shares plus the level z, constraints
-  say z is below every diagonal entry, rows are conserving (or may burn
-  reward with ``allow_excess``), and no player profits by deviating from
-  the target against any co-profile.
+``general_level`` and ``general_level_symmetric_fastpath`` are one
+linear program over a variable map ``var``: LP variable var[j, i] holds
+entry T[j, i] of the transfer matrix, and the level z is the last
+variable.  Constraints say z is below every diagonal entry, rows are
+conserving (or may burn reward with ``allow_excess``), and no player
+profits by deviating from the target against any co-profile.
+``general_level`` gives every entry its own variable; the fastpath maps
+the entries of a circulant T, constant along the game's player cycle,
+onto the n shares of one row.  Restricting T to matrices that commute
+with a symmetry of the game keeps the optimum (Bödi, Herr & Joswig
+2013).
+
+``symmetrical_level`` restricts contracts to the one-parameter family
+where everyone keeps s and splits the rest evenly.  Its optimum has a
+closed form (an interval intersection).  The same family run as a
+2-variable program gives the same answers but is several times slower
+at small n, so the closed form stays.
 
 Deviation constraints number n * 2**(n-1), so they are generated
 lazily from the first solve on, whatever the game's size: solve on a
@@ -176,11 +185,11 @@ def _gate_dilemma(game, force, tolerance=1e-9) -> Optional[DilemmaClassification
     return classification
 
 
-def _warn_if_suboptimal(game, target):
+def _warn_if_suboptimal(game, target, stacklevel=3):
     if target not in social_optima(game):
         warnings.warn(
             f"target {target} is not a social optimum of the game",
-            UserWarning, stacklevel=3)
+            UserWarning, stacklevel=stacklevel)
 
 
 def _resolve_target(game, target) -> ActionProfile:
@@ -249,16 +258,17 @@ def symmetrical_level(game: NormalFormGame,
     )
 
 
-def _deviation_block(table, target, masks, var, width) -> np.ndarray:
-    """LP rows of the given deviation constraints (one mask collection
-    per player), player by player and masks ascending.  Player i's row
-    for mask m reads sum_j delta[m, j] * T[j, i] <= 0, with T[j, i] held
-    by LP variable var[j, i]; delta is sliced straight from the payoff
-    rows."""
+def _deviation_block(table, target, mask, var, width) -> np.ndarray:
+    """LP rows of the deviation constraints set in ``mask``, an (n,
+    2**(n-1)) boolean array, player by player and masks ascending.
+    Player i's row for mask m reads sum_j delta[m, j] * T[j, i] <= 0,
+    with T[j, i] held by LP variable var[j, i]; delta is sliced straight
+    from the payoff rows.  The row is filled by assignment, so no
+    variable may repeat within a column of ``var``."""
     blocks = []
     for i in range(target.n):
         keep, leave = deviation_pairs(table, target, i)
-        picked = np.array(sorted(masks[i]), dtype=np.int64)
+        picked = np.flatnonzero(mask[i])
         at = (picked >> i, picked & ((1 << i) - 1))
         block = np.zeros((picked.size, width))
         block[:, var[:, i]] = leave[at] - keep[at]
@@ -268,13 +278,13 @@ def _deviation_block(table, target, masks, var, width) -> np.ndarray:
 
 def _lazy_solve(lp, var, table, target, working, atol,
                 feas_tol, opt_tol, max_rounds):
-    """Solve ``lp``, whose deviation rows are the ``working`` sets (one
-    mask set per player, grown in place), scan every deviation of the
-    resulting matrix T (entry [j, i] is LP variable var[j, i]) and
-    append each player's worst missing violations as new rows; repeat
-    until none is left.  Each round after the first re-optimizes the
-    tableau of the round before.  Returns the last program and its
-    solution."""
+    """Solve ``lp``, whose deviation rows are those set in ``working``
+    (an (n, 2**(n-1)) boolean mask, grown in place), scan every
+    deviation of the resulting matrix T (entry [j, i] is LP variable
+    var[j, i]) and append each player's worst missing violations as new
+    rows; repeat until none is left.  Each round after the first
+    re-optimizes the tableau of the round before.  Returns the last
+    program and its solution."""
     sol = None
     for _ in range(max_rounds):
         sol = solve_lp(lp, feas_tol=feas_tol, opt_tol=opt_tol, start=sol)
@@ -284,19 +294,16 @@ def _lazy_solve(lp, var, table, target, working, atol,
             raise RuntimeError("level search reported unbounded; the level "
                                "is capped by construction, so this is a bug")
         gains = deviation_gains(transferred_payoffs(table, sol.x[var]), target)
-        added = []
-        for i, resid in enumerate(gains):
-            fresh = [m for m in np.flatnonzero(resid > atol).tolist()
-                     if m not in working[i]]
-            if fresh:
-                fresh = np.array(fresh)
-                order = np.lexsort((fresh, -resid[fresh]))
-                fresh = fresh[order[:_ROWS_PER_ROUND]].tolist()
-                working[i].update(fresh)
-            added.append(fresh)
-        if not any(added):
+        fresh = (gains > atol) & ~working
+        # each player keeps their worst violations, ties to the lower mask
+        for i in np.flatnonzero(fresh.sum(axis=1) > _ROWS_PER_ROUND):
+            picked = np.flatnonzero(fresh[i])
+            order = np.argsort(-gains[i, picked], kind="stable")
+            fresh[i, picked[order[_ROWS_PER_ROUND:]]] = False
+        if not fresh.any():
             return lp, sol
-        rows = _deviation_block(table, target, added, var, lp.n_variables)
+        working |= fresh
+        rows = _deviation_block(table, target, fresh, var, lp.n_variables)
         lp = LinearProgram(lp.objective, a_ub=np.vstack([lp.a_ub, rows]),
                            b_ub=np.concatenate([lp.b_ub, np.zeros(len(rows))]),
                            a_eq=lp.a_eq, b_eq=lp.b_eq,
@@ -304,33 +311,32 @@ def _lazy_solve(lp, var, table, target, working, atol,
     raise RuntimeError("constraint generation did not converge")
 
 
-def _extremes(n) -> list[set]:
-    """Every player's starting working set: all co-players cooperate,
-    all defect."""
-    return [{0, (1 << (n - 1)) - 1} for _ in range(n)]
-
-
-def _general_lp(table, target, var, working, allow_excess) -> LinearProgram:
-    """The level LP over T's n*n entries (variable j*n + i is T[j, i])
-    and the level z (variable n*n), with the working deviation rows."""
-    n = target.n
-    nv = n * n + 1
-    level_rows = np.zeros((n, nv))
-    level_rows[:, n * n] = 1.0
-    level_rows[range(n), np.diag(var)] = -1.0
-    row_sums = np.zeros((n, nv))
-    row_sums[np.arange(n)[:, None], var] = 1.0
+def _level_lp(table, target, var, working, allow_excess) -> LinearProgram:
+    """The level LP over the entries of T (T[j, i] is variable
+    var[j, i]) and the level z (the last variable), with the working
+    deviation rows: z is below every diagonal variable, and each row of
+    T sums to one (at most one with ``allow_excess``)."""
+    nv = int(var.max()) + 2
+    # a map that shares variables repeats diagonal variables and rows of
+    # T; each distinct one gets one row, in order of first appearance
+    diagonal = list(dict.fromkeys(np.diag(var).tolist()))
+    sums = list(dict.fromkeys(tuple(sorted(row)) for row in var.tolist()))
+    level_rows = np.zeros((len(diagonal), nv))
+    level_rows[:, -1] = 1.0
+    level_rows[np.arange(len(diagonal)), diagonal] = -1.0
+    row_sums = np.zeros((len(sums), nv))
+    row_sums[np.arange(len(sums))[:, None], sums] = 1.0
     c = np.zeros(nv)
-    c[n * n] = 1.0
+    c[-1] = 1.0
 
     rows = np.vstack([level_rows,
                       _deviation_block(table, target, working, var, nv)])
     b_ub = np.zeros(len(rows))
     if allow_excess:
         return LinearProgram(c, a_ub=np.vstack([rows, row_sums]),
-                             b_ub=np.concatenate([b_ub, np.ones(n)]))
+                             b_ub=np.concatenate([b_ub, np.ones(len(sums))]))
     return LinearProgram(c, a_ub=rows, b_ub=b_ub, a_eq=row_sums,
-                         b_eq=np.ones(n))
+                         b_eq=np.ones(len(sums)))
 
 
 def _matrix_from_solution(t, conserving) -> TransferMatrix:
@@ -350,6 +356,60 @@ def _binding(game, target, matrix, tolerance) -> np.ndarray:
     gains = deviation_gains(transferred_payoffs(game.payoffs, matrix.entries),
                             target)
     return np.abs(gains) <= tolerance
+
+
+def _search(game, target, var, *, force, feas_tol, opt_tol, binding_tol,
+            max_rounds, allow_excess=False,
+            refine_diagonal=False) -> SelfInterestResult:
+    """The level search over transfer matrices whose entry [j, i] is LP
+    variable var[j, i]: one variable per entry searches every matrix,
+    and a map that shares variables searches the matrices it describes.
+    See ``general_level`` for the modes."""
+    _gate_dilemma(game, force)
+    _warn_if_suboptimal(game, target, stacklevel=4)
+    n = game.n
+    table = game.payoffs
+    atol = feas_tol * _scale(game)
+    # every player's working set starts from the two extreme co-profiles:
+    # all co-players cooperate, all defect
+    working = np.zeros((n, 1 << (n - 1)), dtype=bool)
+    working[:, [0, -1]] = True
+
+    lp, sol = _lazy_solve(_level_lp(table, target, var, working, allow_excess),
+                          var, table, target, working, atol,
+                          feas_tol, opt_tol, max_rounds)
+    if sol.status is LpStatus.INFEASIBLE:
+        raise NotResolvableError(
+            f"no transfer contract makes {target} weakly dominant")
+    level = float(sol.objective_value)
+    log.debug("level %.12g after stage 1 (%d iterations)", level, sol.iterations)
+
+    if allow_excess or refine_diagonal:
+        # stage 2 holds the level at its optimum and minimizes the total
+        # paid out, or maximizes the diagonal sum
+        c = np.zeros(lp.n_variables)
+        if allow_excess:
+            c[var] = -1.0
+        else:
+            c[np.diag(var)] = 1.0
+        floor = np.zeros(lp.n_variables)
+        floor[-1] = level
+        second = LinearProgram(c, a_ub=lp.a_ub, b_ub=lp.b_ub, a_eq=lp.a_eq,
+                               b_eq=lp.b_eq, lower=floor)
+        _, refined = _lazy_solve(second, var, table, target, working, atol,
+                                 feas_tol, opt_tol, max_rounds)
+        if refined.status is LpStatus.OPTIMAL:
+            sol = refined
+
+    matrix = _matrix_from_solution(sol.x[var], conserving=not allow_excess)
+    return SelfInterestResult(
+        level=level,
+        matrix=matrix,
+        target=target,
+        binding_mask=_binding(game, target, matrix, binding_tol),
+        excess=excess_report(matrix),
+        mode=SolveMode.GENERAL_WITH_EXCESS if allow_excess else SolveMode.GENERAL,
+    )
 
 
 def general_level(game: NormalFormGame,
@@ -374,68 +434,10 @@ def general_level(game: NormalFormGame,
     and NotResolvableError when no contract works at all.
     """
     target = _resolve_target(game, target)
-    _gate_dilemma(game, force)
-    _warn_if_suboptimal(game, target)
-    n = game.n
-    table = game.payoffs
-    var = np.arange(n * n).reshape(n, n)
-    atol = feas_tol * _scale(game)
-    working = _extremes(n)
-
-    lp, sol = _lazy_solve(_general_lp(table, target, var, working,
-                                      allow_excess),
-                          var, table, target, working, atol,
-                          feas_tol, opt_tol, max_rounds)
-    if sol.status is LpStatus.INFEASIBLE:
-        raise NotResolvableError(
-            f"no transfer contract makes {target} weakly dominant")
-    level = float(sol.objective_value)
-    log.debug("level %.12g after stage 1 (%d iterations)", level, sol.iterations)
-
-    if allow_excess or refine_diagonal:
-        # stage 2 holds the level at its optimum and minimizes the total
-        # paid out, or maximizes the diagonal sum
-        c = np.zeros(n * n + 1)
-        if allow_excess:
-            c[:n * n] = -1.0
-        else:
-            c[np.diag(var)] = 1.0
-        floor = np.zeros(n * n + 1)
-        floor[n * n] = level
-        second = LinearProgram(c, a_ub=lp.a_ub, b_ub=lp.b_ub, a_eq=lp.a_eq,
-                               b_eq=lp.b_eq, lower=floor)
-        _, refined = _lazy_solve(second, var, table, target, working, atol,
-                                 feas_tol, opt_tol, max_rounds)
-        if refined.status is LpStatus.OPTIMAL:
-            sol = refined
-
-    matrix = _matrix_from_solution(sol.x[var], conserving=not allow_excess)
-    return SelfInterestResult(
-        level=level,
-        matrix=matrix,
-        target=target,
-        binding_mask=_binding(game, target, matrix, binding_tol),
-        excess=excess_report(matrix),
-        mode=SolveMode.GENERAL_WITH_EXCESS if allow_excess else SolveMode.GENERAL,
-    )
-
-
-def _permutation_powers(generator: Sequence[int], n: int) -> list[np.ndarray]:
-    perm = np.asarray(generator, dtype=int)
-    if perm.shape != (n,) or sorted(perm.tolist()) != list(range(n)):
-        raise ValueError("generator must be a permutation of the players")
-    orbit = {0}
-    at = 0
-    for _ in range(n - 1):
-        at = int(perm[at])
-        orbit.add(at)
-    if len(orbit) != n:
-        raise ValueError("generator must be a single cycle through all "
-                         "players; its orbit of player 1 is shorter")
-    powers = [np.arange(n)]
-    for _ in range(n - 1):
-        powers.append(perm[powers[-1]])
-    return powers
+    return _search(game, target, np.arange(game.n ** 2).reshape(game.n, game.n),
+                   allow_excess=allow_excess, force=force, feas_tol=feas_tol,
+                   opt_tol=opt_tol, binding_tol=binding_tol,
+                   refine_diagonal=refine_diagonal, max_rounds=max_rounds)
 
 
 def _check_symmetry(game, perm, tolerance=1e-9):
@@ -482,46 +484,29 @@ def general_level_symmetric_fastpath(game: NormalFormGame,
     symmetry, which collapses the n*n shares to the n entries of one
     row; rows of the matrix are that row pushed around the cycle.  The
     target is all-cooperate (any symmetric target is all-same).  Results
-    agree with ``general_level`` but the LP is tiny even for large n.
+    agree with ``general_level`` but the LP has n + 1 variables.
     """
     n = game.n
     if generator is None:
         generator = tuple((i + 1) % n for i in range(n))
-    powers = _permutation_powers(generator, n)
-    _check_symmetry(game, np.asarray(generator, dtype=int))
-    _gate_dilemma(game, force)
-    target = ActionProfile.all_cooperate(n)
-    _warn_if_suboptimal(game, target)
-    table = game.payoffs
+    perm = np.asarray(generator, dtype=int)
+    if perm.shape != (n,) or sorted(perm.tolist()) != list(range(n)):
+        raise ValueError("generator must be a permutation of the players")
+    cycle = [0]
+    for _ in range(n - 1):
+        cycle.append(int(perm[cycle[-1]]))
+    if len(set(cycle)) != n:
+        raise ValueError("generator must be a single cycle through all "
+                         "players; its orbit of player 1 is shorter")
+    _check_symmetry(game, perm)
 
-    # row sigma^k(0) of T is the shared row pushed k steps round the
-    # cycle: T[sigma^k(0), sigma^k(j)] = v[j], so T[j, i] is v[var[j, i]]
-    var = np.zeros((n, n), dtype=int)
-    for perm in powers:
-        var[perm[0], perm] = np.arange(n)
-    c = np.zeros(n)
-    c[0] = 1.0
-
-    working = _extremes(n)
-    rows = _deviation_block(table, target, working, var, n)
-    lp = LinearProgram(c, a_ub=rows, b_ub=np.zeros(len(rows)),
-                       a_eq=np.ones((1, n)), b_eq=np.ones(1))
-    _, sol = _lazy_solve(lp, var, table, target, working,
-                         feas_tol * _scale(game), feas_tol, opt_tol,
-                         max_rounds)
-    if sol.status is LpStatus.INFEASIBLE:
-        raise NotResolvableError(
-            f"no transfer contract makes {target} weakly dominant")
-
-    matrix = _matrix_from_solution(sol.x[var], conserving=True)
-    return SelfInterestResult(
-        level=float(sol.objective_value),
-        matrix=matrix,
-        target=target,
-        binding_mask=_binding(game, target, matrix, binding_tol),
-        excess=excess_report(matrix),
-        mode=SolveMode.GENERAL,
-    )
+    # row cycle[k] of T is row 0 pushed k steps round the cycle, so
+    # T[j, i] = T[0, cycle[pos[i] - pos[j]]], held by variable var[j, i]
+    pos = np.argsort(cycle)
+    var = np.array(cycle)[(pos[None, :] - pos[:, None]) % n]
+    return _search(game, ActionProfile.all_cooperate(n), var, force=force,
+                   feas_tol=feas_tol, opt_tol=opt_tol,
+                   binding_tol=binding_tol, max_rounds=max_rounds)
 
 
 def binding_constraints(game: NormalFormGame,

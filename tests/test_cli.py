@@ -193,6 +193,13 @@ class TestGenerate:
         assert main(["generate", "functional", "--base", "pd"]) == 3
         assert main(["generate", "functional", "-d", "1"]) == 3
 
+    def test_scaledpd_rejects_graph_flags(self, capsys):
+        assert main(["generate", "scaledpd", "--base", "chicken"]) == 3
+        assert main(["generate", "scaledpd", "-d", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "scaledpd games take only --epsilon" in captured.err
+
     def test_bad_params_exit_code(self, capsys):
         assert main(["generate", "cyclical", "-c", "1", "-d", "2"]) == 3
         assert "c > d" in capsys.readouterr().err
@@ -282,34 +289,17 @@ class TestAnalytic:
         rows = json.loads(out[out.index("["):])
         assert rows[0] == pytest.approx([0.8, 0.2, 0.0], abs=1e-12)
 
-    def test_matrix_requires_general(self):
+    def test_matrix_requires_general(self, capsys):
         assert main(["analytic", "cyclical", "--mode", "symmetric",
                      "--matrix"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--matrix" in captured.err
 
     def test_symmetric_mode(self, capsys):
         assert main(["analytic", "tycoon", "--mode", "symmetric",
                      "-n", "4", "-c", "3", "-d", "1"]) == 0
         assert "symmetric level: 0.5" in capsys.readouterr().out
-
-
-class TestBench:
-    def test_small_run_with_csv(self, tmp_path, capsys):
-        csv = str(tmp_path / "timings.csv")
-        assert main(["bench", "--n-min", "3", "--n-max", "5",
-                     "--csv", csv]) == 0
-        out = capsys.readouterr().out
-        assert "seconds" in out
-        lines = open(csv).read().strip().splitlines()
-        assert lines[0] == "n,seconds,g_star"
-        assert len(lines) == 4
-        assert lines[1].startswith("3,")
-
-    def test_cap_refusal(self, capsys):
-        assert main(["bench", "--n-max", "18"]) == 3
-        assert "refusing" in capsys.readouterr().err
-
-    def test_bad_range(self):
-        assert main(["bench", "--n-min", "6", "--n-max", "5"]) == 3
 
 
 class TestTopLevel:

@@ -1,12 +1,13 @@
-"""Levels from the lazy solver against the whole level LP solved by
-HiGHS (scipy's ``linprog``).
+"""Levels from the lazy solver, general and fastpath, against the whole
+level LP solved by HiGHS (scipy's ``linprog``).
 
 The reference LP is written here from the payoff table, every deviation
 row at once, with no code from the package's LP layer or its deviation
-helpers.  scipy is not a dependency of the package, so the module is
-skipped when it is missing.
+helpers.  scipy comes with the package's ``test`` extra only, so the
+module is skipped when it is missing.
 """
 
+import functools
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 from reward_transfer import (ActionProfile, BaseGame, BaseGameParams,
                              GraphKind, NormalFormGame, NotResolvableError,
                              build_graphical, general_level,
+                             general_level_symmetric_fastpath,
                              scaled_prisoners_dilemma)
 
 from conftest import pool_dilemma
@@ -71,17 +73,22 @@ def highs(table, allow_excess):
     return level, second.fun
 
 
-def check(table, allow_excess):
+def check(table, allow_excess, search=None):
+    """``search(game, force=True)`` against HiGHS; ``general_level`` in
+    the given mode by default."""
     game = NormalFormGame(table)
+    if search is None:
+        search = functools.partial(general_level,
+                                   target=ActionProfile.all_cooperate(game.n),
+                                   allow_excess=allow_excess)
     expected = highs(table, allow_excess)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         if expected is None:
             with pytest.raises(NotResolvableError):
-                general_level(game, allow_excess=allow_excess, force=True)
+                search(game, force=True)
             return
-        result = general_level(game, ActionProfile.all_cooperate(game.n),
-                               allow_excess=allow_excess, force=True)
+        result = search(game, force=True)
     level, least_total = expected
     assert abs(result.level - level) <= 1e-9, (result.level, level)
     if allow_excess:
@@ -116,3 +123,18 @@ def test_random_strict_dilemmas(n, allow_excess):
 def test_scaled_prisoners_dilemma(epsilon, allow_excess):
     # payoffs that differ by epsilon make the LP nearly degenerate
     check(scaled_prisoners_dilemma(epsilon).payoffs, allow_excess)
+
+
+CYCLIC = [(graph, base, n)
+          for graph in (GraphKind.CYCLICAL, GraphKind.SYMMETRICAL,
+                        GraphKind.CIRCULAR)
+          for base in BaseGame for n in (3, 4, 5, 6)]
+
+
+@pytest.mark.parametrize("graph, base, n", CYCLIC,
+                         ids=[f"{g.value}-{b.value}-n{n}" for g, b, n in CYCLIC])
+def test_fastpath_on_cyclic_families(graph, base, n):
+    # the fastpath searches only circulant matrices; the game's rotation
+    # symmetry makes that lose nothing against the full LP
+    game = build_graphical(graph, BaseGameParams(base, 3.04, 0.97), n)
+    check(game.payoffs, False, general_level_symmetric_fastpath)

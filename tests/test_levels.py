@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -394,6 +395,25 @@ class TestSymmetricFastpath:
         default = general_level_symmetric_fastpath(game)
         other = general_level_symmetric_fastpath(game, generator=[2, 0, 1])
         assert other.level == pytest.approx(default.level, abs=1e-9)
+
+    def test_every_generator_gives_an_invariant_matrix(self):
+        params = BaseGameParams(BaseGame.PRISONERS_DILEMMA, c=4.0, d=1.0)
+        game = build_graphical(GraphKind.SYMMETRICAL, params, 4)
+        default = general_level_symmetric_fastpath(game)
+        cycles = []
+        for g in itertools.permutations(range(4)):
+            orbit, at = [0], g[0]
+            while at != 0:
+                orbit.append(at)
+                at = g[at]
+            if len(orbit) == 4:
+                cycles.append(g)
+        assert len(cycles) == 6
+        for g in cycles:
+            result = general_level_symmetric_fastpath(game, generator=g)
+            t = result.matrix.entries
+            assert np.array_equal(t[list(g)][:, list(g)], t), g
+            assert result.level == pytest.approx(default.level, abs=1e-12), g
 
     def test_rejects_asymmetric_game(self, arbitrary_game):
         with pytest.raises(ValueError, match="symmetri"):
