@@ -124,16 +124,19 @@ def cmd_solve(args) -> int:
 
 def cmd_generate(args) -> int:
     kind = args.kind
-    if kind in _FLAGS_OF and (args.base is not None or args.d is not None):
+    stray = [args.base, args.d] + ([args.n, args.c] if kind == "scaledpd" else [])
+    if kind in _FLAGS_OF and any(flag is not None for flag in stray):
         raise _UsageError(f"{kind} games take only {_FLAGS_OF[kind]}")
+    n = 3 if args.n is None else args.n
+    c = 3.0 if args.c is None else args.c
     if kind == "functional":
-        game = build_functional(FunctionalParams(args.n, args.c))
+        game = build_functional(FunctionalParams(n, c))
     elif kind == "scaledpd":
         game = scaled_prisoners_dilemma(args.epsilon)
     else:
         base = _BASES[args.base or "pd"]
-        params = BaseGameParams(base, args.c, 1.0 if args.d is None else args.d)
-        game = build_graphical(_GRAPHS[kind], params, args.n)
+        params = BaseGameParams(base, c, 1.0 if args.d is None else args.d)
+        game = build_graphical(_GRAPHS[kind], params, n)
     _write_output([dumps_game(game)], args.output)
     return EXIT_OK
 
@@ -214,8 +217,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="emit a game from a named family")
     p.add_argument("kind", choices=sorted(_GRAPHS) + ["functional", "scaledpd"])
     p.add_argument("--base", choices=sorted(_BASES))
-    p.add_argument("-n", type=int, default=3, help="number of players")
-    p.add_argument("-c", type=float, default=3.0, help="cooperation stake")
+    p.add_argument("-n", type=int, default=None,
+                   help="number of players (default 3)")
+    p.add_argument("-c", type=float, default=None,
+                   help="cooperation stake (default 3)")
     p.add_argument("-d", type=float, default=None, help="defection stake")
     p.add_argument("--epsilon", type=float, default=1e-6,
                    help="offset for the scaledpd family")

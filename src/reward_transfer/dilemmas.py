@@ -40,7 +40,7 @@ from typing import Optional
 
 import numpy as np
 
-from .game import NormalFormGame
+from .game import _MAX_PLAYERS, NormalFormGame
 from .levels import SolveMode
 from .transfer import TransferMatrix, exchange_matrix
 
@@ -100,7 +100,10 @@ def base_payoff(params: BaseGameParams, own: int, opponent: int) -> float:
 
 def _action_table(n: int) -> np.ndarray:
     """A[i, p]: player i's action (0 C, 1 D) at profile p, player-major.
-    Row i is 2**i zeros then 2**i ones, repeated."""
+    Row i is 2**i zeros then 2**i ones, repeated.  Both builders start
+    from it, so it refuses a size beyond the cap before allocating."""
+    if n > _MAX_PLAYERS:
+        raise ValueError(f"a game has at most {_MAX_PLAYERS} players, got {n}")
     table = np.zeros((n, 1 << n))
     for i in range(n):
         table[i].reshape(-1, 2, 1 << i)[:, 1] = 1.0

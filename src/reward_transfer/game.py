@@ -37,6 +37,10 @@ import numpy as np
 COOPERATE = 0
 DEFECT = 1
 
+# the most players a game may have: the payoff table of 20 players
+# holds 2**20 * 20 floats (160 MB); games are parsed and built up to it
+_MAX_PLAYERS = 20
+
 _CHAR_TO_ACTION = {"C": COOPERATE, "D": DEFECT}
 _ACTION_TO_CHAR = {COOPERATE: "C", DEFECT: "D"}
 
@@ -185,7 +189,7 @@ def deviation_gains(table, target: ActionProfile) -> np.ndarray:
     gains = np.empty((target.n, 1 << (target.n - 1)))
     for i in range(target.n):
         keep, leave = deviation_pairs(table[:, i], target, i)
-        gains[i] = (leave - keep).ravel()
+        np.subtract(leave, keep, out=gains[i].reshape(keep.shape))
     return gains
 
 
@@ -401,6 +405,14 @@ def pure_nash_equilibria(game: NormalFormGame,
         at_d &= cooperate - defect <= tolerance
     return frozenset(
         ActionProfile(int(bits), game.n) for bits in np.flatnonzero(stable))
+
+
+def _is_social_optimum(game: NormalFormGame, target: ActionProfile,
+                       tolerance: float = 1e-9) -> bool:
+    """``target in social_optima(game, tolerance)``, without building
+    the set of every optimal profile."""
+    sw = _profile_welfare(game)
+    return bool(sw[target.bits] >= sw.max() - tolerance)
 
 
 def social_optima(game: NormalFormGame,

@@ -28,6 +28,13 @@ lazily from the first solve on, whatever the game's size: solve on a
 working set that starts from the two extreme co-profiles, scan the full
 set for violations, add the worst offenders, repeat.  The relaxation
 optimum only ever over-estimates, so a violation-free solution is exact.
+
+Tolerance tests (a violation, the even split's interval and binding
+tests) are scaled by 1 + the largest reward change of any single
+deviation.  Computing it exactly costs O(n**2 * 2**n), so each search
+decides its tests from cheap bounds on it, [1, 1 + the widest column
+range], and runs the exact pass only when a test falls between them
+(``_Scale``).  The decisions are the exact scale's, bit for bit.
 """
 
 from __future__ import annotations
@@ -41,9 +48,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .game import (ActionProfile, DilemmaClassification, DilemmaKind,
-                   NormalFormGame, classify_dilemma, deviation_gains,
-                   deviation_pairs, social_optima, transferred_payoffs)
+# nothing here calls social_optima; the name stays importable because
+# perfbench/spans.py re-binds it by name when it traces a run
+from .game import (ActionProfile, DilemmaClassification, DilemmaKind,  # noqa: F401
+                   NormalFormGame, _is_social_optimum, classify_dilemma,
+                   deviation_gains, deviation_pairs, social_optima,
+                   transferred_payoffs)
 from .lp import LinearProgram, LpStatus, solve_lp
 from .transfer import (ExcessReport, TransferMatrix, exchange_matrix,
                        excess_report)
@@ -117,9 +127,11 @@ def deviation_deltas(game: NormalFormGame,
     change when ``player`` swaps their target action for its opposite
     while the co-players play m.
 
-    A reference for tests and tracing: no search calls it, since
-    ``_scale`` takes the same extremes in one pass over the table and
-    ``symmetrical_level`` reads welfare changes off the welfare vector.
+    A reference for tests and tracing: no search calls it.  The largest
+    |delta| over every player sets the scale of the tolerances, which
+    the searches bound by column ranges and ``_scale`` takes exactly in
+    one pass over the table; ``symmetrical_level`` reads welfare changes
+    off the welfare vector.
     """
     if target.n != game.n:
         raise ValueError("target profile size does not match the game")
@@ -132,6 +144,10 @@ _BLOCK_BITS = 17  # the scan in _scale reads 2**17 floats (1 MB) at a time
 
 def _scale(game) -> float:
     """1 + the largest reward change any single deviation causes.
+
+    The searches scale their tolerances by it, but they decide most of
+    those tests from bounds on it (``_Scale``) and run this pass only
+    when a test falls between them.
 
     That is the largest |difference| between two profiles one bit apart,
     over every player's rewards.  It does not depend on the target, as
@@ -175,6 +191,33 @@ def _scale(game) -> float:
     return 1.0 + float(max(peaks))
 
 
+class _Scale:
+    """Bounds [lo, hi] on ``_scale(game)`` that decide scaled tolerance
+    tests without the O(n**2 * 2**n) pass.
+
+    Every one-bit difference lies within its column's range and rounding
+    is monotone, so lo = 1 <= _scale(game) <= 1 + the widest column
+    range holds bit for bit.  ``decide(test)`` takes a test as a
+    function of the scale, monotone in it (element by element for an
+    array), and evaluates it at both bounds: where the answers agree,
+    they are the answer at the exact scale too.  Otherwise it runs
+    ``_scale`` once, collapses both bounds onto it and evaluates the
+    test there, so every decision is the one the exact scale gives.
+    """
+
+    def __init__(self, game):
+        self._game = game
+        self.lo = 1.0
+        self.hi = 1.0 + float(np.ptp(game.payoffs, axis=0).max())
+
+    def decide(self, test):
+        at_lo, at_hi = test(self.lo), test(self.hi)
+        if np.array_equal(at_lo, at_hi):
+            return at_hi
+        self.lo = self.hi = _scale(self._game)
+        return test(self.hi)
+
+
 def _gate_dilemma(game, force, tolerance=1e-9) -> Optional[DilemmaClassification]:
     classification = classify_dilemma(game, tolerance)
     if classification.kind is DilemmaKind.NOT_DILEMMA and not force:
@@ -186,7 +229,7 @@ def _gate_dilemma(game, force, tolerance=1e-9) -> Optional[DilemmaClassification
 
 
 def _warn_if_suboptimal(game, target, stacklevel=3):
-    if target not in social_optima(game):
+    if not _is_social_optimum(game, target):
         warnings.warn(
             f"target {target} is not a social optimum of the game",
             UserWarning, stacklevel=stacklevel)
@@ -224,23 +267,25 @@ def symmetrical_level(game: NormalFormGame,
     others = deviation_gains(np.broadcast_to(welfare[:, None], table.shape),
                              target)
     others -= own
-    scale = _scale(game)
-    tiny = 1e-12 * scale
+    scale = _Scale(game)
 
     # s * own + (1 - s)/(n - 1) * others <= 0, rearranged in s
     base = others / (n - 1)
     coef = own - base
     np.negative(base, out=base)
-    immune = (np.abs(coef) <= tiny) & (base < -tiny)
+    # a conjunction of tests is not monotone in the scale: decide each
+    immune = (scale.decide(lambda s: np.abs(coef) <= 1e-12 * s)
+              & scale.decide(lambda s: base < -1e-12 * s))
     if immune.any():
         player = int(np.flatnonzero(immune.any(axis=1))[0])
         raise NotResolvableError(
             "deviation gains are immune to symmetrical transfers "
             f"(player {player + 1}); no exchange share resolves {target}")
-    above, below = coef > tiny, coef < -tiny
+    above = scale.decide(lambda s: coef > 1e-12 * s)
+    below = scale.decide(lambda s: coef < -1e-12 * s)
     hi = float(np.min(base[above] / coef[above], initial=1.0))
     lo = float(np.max(base[below] / coef[below], initial=0.0))
-    if lo > hi + tiny:
+    if scale.decide(lambda s: lo > hi + 1e-12 * s):
         raise NotResolvableError(
             f"no exchange share makes {target} weakly dominant "
             f"(feasible interval [{lo:.6g}, {hi:.6g}] is empty)")
@@ -248,11 +293,12 @@ def symmetrical_level(game: NormalFormGame,
     level = hi
     matrix = exchange_matrix(n, level)
     resid = level * own + (1.0 - level) / (n - 1) * others
+    np.abs(resid, out=resid)
     return SelfInterestResult(
         level=level,
         matrix=matrix,
         target=target,
-        binding_mask=np.abs(resid) <= tolerance * scale,
+        binding_mask=scale.decide(lambda s: resid <= tolerance * s),
         excess=excess_report(matrix),
         mode=SolveMode.SYMMETRIC,
     )
@@ -276,15 +322,16 @@ def _deviation_block(table, target, mask, var, width) -> np.ndarray:
     return np.vstack(blocks)
 
 
-def _lazy_solve(lp, var, table, target, working, atol,
+def _lazy_solve(lp, var, table, target, working, scale,
                 feas_tol, opt_tol, max_rounds):
     """Solve ``lp``, whose deviation rows are those set in ``working``
     (an (n, 2**(n-1)) boolean mask, grown in place), scan every
     deviation of the resulting matrix T (entry [j, i] is LP variable
     var[j, i]) and append each player's worst missing violations as new
     rows; repeat until none is left.  Each round after the first
-    re-optimizes the tableau of the round before.  Returns the last
-    program and its solution."""
+    re-optimizes the tableau of the round before.  A violation is a gain
+    above ``feas_tol`` times the game's scale, decided through ``scale``
+    (a ``_Scale``).  Returns the last program and its solution."""
     sol = None
     for _ in range(max_rounds):
         sol = solve_lp(lp, feas_tol=feas_tol, opt_tol=opt_tol, start=sol)
@@ -294,7 +341,7 @@ def _lazy_solve(lp, var, table, target, working, atol,
             raise RuntimeError("level search reported unbounded; the level "
                                "is capped by construction, so this is a bug")
         gains = deviation_gains(transferred_payoffs(table, sol.x[var]), target)
-        fresh = (gains > atol) & ~working
+        fresh = scale.decide(lambda s: gains > feas_tol * s) & ~working
         # each player keeps their worst violations, ties to the lower mask
         for i in np.flatnonzero(fresh.sum(axis=1) > _ROWS_PER_ROUND):
             picked = np.flatnonzero(fresh[i])
@@ -369,14 +416,14 @@ def _search(game, target, var, *, force, feas_tol, opt_tol, binding_tol,
     _warn_if_suboptimal(game, target, stacklevel=4)
     n = game.n
     table = game.payoffs
-    atol = feas_tol * _scale(game)
+    scale = _Scale(game)
     # every player's working set starts from the two extreme co-profiles:
     # all co-players cooperate, all defect
     working = np.zeros((n, 1 << (n - 1)), dtype=bool)
     working[:, [0, -1]] = True
 
     lp, sol = _lazy_solve(_level_lp(table, target, var, working, allow_excess),
-                          var, table, target, working, atol,
+                          var, table, target, working, scale,
                           feas_tol, opt_tol, max_rounds)
     if sol.status is LpStatus.INFEASIBLE:
         raise NotResolvableError(
@@ -396,7 +443,7 @@ def _search(game, target, var, *, force, feas_tol, opt_tol, binding_tol,
         floor[-1] = level
         second = LinearProgram(c, a_ub=lp.a_ub, b_ub=lp.b_ub, a_eq=lp.a_eq,
                                b_eq=lp.b_eq, lower=floor)
-        _, refined = _lazy_solve(second, var, table, target, working, atol,
+        _, refined = _lazy_solve(second, var, table, target, working, scale,
                                  feas_tol, opt_tol, max_rounds)
         if refined.status is LpStatus.OPTIMAL:
             sol = refined
@@ -429,6 +476,12 @@ def general_level(game: NormalFormGame,
     so the reported slack is the largest one compatible with the level.
     With ``refine_diagonal`` (conserving mode only) a second pass
     maximizes the diagonal sum to break ties among optimal matrices.
+
+    ``feas_tol`` and ``opt_tol`` go to the simplex as they are.  The
+    violation scan scales ``feas_tol`` by 1 + the largest reward change
+    any single deviation causes in the game: a deviation joins the lazy
+    working set when its gain exceeds that.  ``binding_tol`` is an
+    absolute bound on the gains after transfer.
 
     Raises NotADilemmaError for non-dilemmas unless ``force`` is given,
     and NotResolvableError when no contract works at all.

@@ -24,11 +24,9 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .game import ActionProfile, NormalFormGame
+from .game import _MAX_PLAYERS, ActionProfile, NormalFormGame
 from .levels import SelfInterestResult
 from .transfer import TransferMatrix
-
-_MAX_PLAYERS = 20
 
 
 class FormatError(ValueError):

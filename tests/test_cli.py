@@ -7,12 +7,15 @@ entry point wiring; everything else stays in-process for speed.
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import ARBITRARY_MATRIX_3DP, ARBITRARY_TABLE, package_env
-from reward_transfer import NormalFormGame
+from reward_transfer import (BaseGame, BaseGameParams, FunctionalParams,
+                             GraphKind, NormalFormGame, build_functional,
+                             build_graphical)
 from reward_transfer.cli import main
 from reward_transfer.serialize import dumps_game, parse_game
 
@@ -196,9 +199,36 @@ class TestGenerate:
     def test_scaledpd_rejects_graph_flags(self, capsys):
         assert main(["generate", "scaledpd", "--base", "chicken"]) == 3
         assert main(["generate", "scaledpd", "-d", "2"]) == 3
+        assert main(["generate", "scaledpd", "-n", "5"]) == 3
+        assert main(["generate", "scaledpd", "-c", "9"]) == 3
+        assert main(["generate", "scaledpd", "-n", "5", "-c", "9"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "scaledpd games take only --epsilon" in captured.err
+
+    def test_defaults_fill_per_family(self, capsys):
+        assert main(["generate", "scaledpd"]) == 0
+        assert parse_game(capsys.readouterr().out).n == 2
+        assert main(["generate", "functional"]) == 0
+        assert parse_game(capsys.readouterr().out) == \
+            build_functional(FunctionalParams(3, 3.0))
+        assert main(["generate", "cyclical", "--base", "chicken"]) == 0
+        assert parse_game(capsys.readouterr().out) == build_graphical(
+            GraphKind.CYCLICAL, BaseGameParams(BaseGame.CHICKEN, 3.0, 1.0), 3)
+
+    @pytest.mark.parametrize("n", ["21", "40"])
+    def test_too_many_players_refused_before_allocating(self, n, capsys):
+        tracemalloc.start()
+        try:
+            assert main(["generate", "cyclical", "-n", n]) == 3
+            assert main(["generate", "functional", "-n", n]) == 3
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "at most 20 players" in captured.err
 
     def test_bad_params_exit_code(self, capsys):
         assert main(["generate", "cyclical", "-c", "1", "-d", "2"]) == 3

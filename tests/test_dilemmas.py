@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -160,6 +161,21 @@ class TestGraphicalTables:
     def test_needs_two_players(self):
         with pytest.raises(ValueError, match="two players"):
             build_graphical(GraphKind.CYCLICAL, PD, 1)
+
+    @pytest.mark.parametrize("n", [21, 40])
+    def test_refuses_more_players_than_the_parser_before_allocating(self, n):
+        # 2**40 * 40 floats would be 350 TB; the refusal must come first
+        tracemalloc.start()
+        try:
+            for graph in GraphKind:
+                with pytest.raises(ValueError, match="at most 20 players"):
+                    build_graphical(graph, PD, n)
+            with pytest.raises(ValueError, match="at most 20 players"):
+                build_functional(FunctionalParams(n, 3.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_dilemma_kinds(self):
         # defection always pays in the base PD; in Chicken and Stag Hunt

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reward_transfer.game import (MUTUAL_CONDITION, TEMPTATION_CONDITION,
+                                  _is_social_optimum,
                                   WELFARE_CONDITION, ActionProfile,
                                   DilemmaKind, NormalFormGame,
                                   check_dominance, classify_dilemma,
@@ -405,3 +406,17 @@ def test_social_optima_tolerance(pd_game):
 def test_social_optima_welfare_hook(pd_game):
     optima = social_optima(pd_game, welfare=lambda r: -float(np.sum(r)))
     assert optima == frozenset({ActionProfile.all_defect(2)})
+
+
+@pytest.mark.parametrize("tolerance", [0.0, 1e-9, 0.5, 2.5])
+def test_is_social_optimum_agrees_with_the_set(tolerance):
+    # integer payoffs in a narrow range tie often
+    rng = np.random.default_rng(3)
+    for n in range(2, 6):
+        for _ in range(4):
+            game = NormalFormGame(rng.integers(0, 3, size=(1 << n, n)))
+            optima = social_optima(game, tolerance)
+            for bits in range(1 << n):
+                target = ActionProfile(bits, n)
+                assert _is_social_optimum(game, target, tolerance) == \
+                    (target in optima)

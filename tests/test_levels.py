@@ -1,3 +1,4 @@
+import functools
 import itertools
 import warnings
 
@@ -13,17 +14,20 @@ from reward_transfer import (ActionProfile, DilemmaKind, NormalFormGame,
                              general_level_symmetric_fastpath,
                              symmetrical_level, verify_resolution)
 from reward_transfer import levels
-from reward_transfer.dilemmas import (BaseGame, BaseGameParams, GraphKind,
-                                      build_graphical)
+from reward_transfer.dilemmas import (BaseGame, BaseGameParams,
+                                      FunctionalParams, GraphKind,
+                                      build_functional, build_graphical,
+                                      scaled_prisoners_dilemma, too_many_cooks)
 from reward_transfer.game import deviation_gains
 from reward_transfer.levels import binding_constraints
 
-from conftest import pool_dilemma
+from conftest import make_strict_dilemma, pool_dilemma
 
 # regression anchors, frozen from solver output that was cross-checked
 # against an independent implementation before being pinned
 ARBITRARY_GENERAL_LEVEL = 0.4869565217391304
 FUNCTIONAL_5_3_LEVEL = 0.26107022577023814
+PD = BaseGameParams(BaseGame.PRISONERS_DILEMMA, 3.0, 1.0)
 
 
 class TestDeviationDeltas:
@@ -100,6 +104,174 @@ class TestScale:
         for game, value in zip(games, expected):
             assert levels._scale(game) == value
             assert value == self.reference(game, ActionProfile(1, game.n))
+
+
+# The searches' scaled tests, each as a (threshold, test) pair of
+# functions of the scale s: the test of a value v at scale s, and the
+# value on its threshold, written in the searches' own floating-point
+# form.  "empty" is symmetrical_level's lo > hi + tiny with hi = 0.25.
+SCALED_TESTS = {
+    "scan": (lambda s: 1e-9 * s, lambda v, s: v > 1e-9 * s),
+    "immune-flat": (lambda s: 1e-12 * s, lambda v, s: np.abs(v) <= 1e-12 * s),
+    "immune-base": (lambda s: -1e-12 * s, lambda v, s: v < -1e-12 * s),
+    "above": (lambda s: 1e-12 * s, lambda v, s: v > 1e-12 * s),
+    "below": (lambda s: -1e-12 * s, lambda v, s: v < -1e-12 * s),
+    "empty": (lambda s: 0.25 + 1e-12 * s, lambda v, s: v > 0.25 + 1e-12 * s),
+    "binding": (lambda s: 1e-7 * s, lambda v, s: np.abs(v) <= 1e-7 * s),
+}
+
+
+def _refuse_exact_scale(game):
+    raise AssertionError("the exact scale was computed")
+
+
+class TestScaleBounds:
+    """``_Scale`` decides scaled tests from [1, 1 + widest column range]
+    and falls back to ``_scale`` only between them; every decision must
+    be the one the exact scale gives."""
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_bounds_hold_bit_for_bit(self, n):
+        rng = np.random.default_rng(100 + n)
+        for game in (_random_magnitude_game(rng, n),
+                     build_graphical(GraphKind.CIRCULAR, PD, n)):
+            bounds = levels._Scale(game)
+            assert bounds.lo <= levels._scale(game) <= bounds.hi
+
+    @pytest.mark.parametrize("name", sorted(SCALED_TESTS))
+    def test_planted_values_decide_as_the_exact_scale(self, name, monkeypatch):
+        threshold, test = SCALED_TESTS[name]
+        game = build_graphical(GraphKind.CIRCULAR, PD, 6)
+        exact = levels._scale(game)
+        bounds = levels._Scale(game)
+        lo, hi = bounds.lo, bounds.hi
+        assert lo < exact < hi
+        # thresholds at scales in (lo, hi], and at scales outside it
+        inside = [threshold(s) for s in
+                  (np.nextafter(lo, 2.0), (lo + exact) / 2, exact,
+                   np.nextafter(exact, 0.0), np.nextafter(exact, 2.0),
+                   (exact + hi) / 2, hi)]
+        outside = [threshold(s) for s in (0.25, 0.5, lo, 2 * hi, 10 * hi)]
+        planted = inside + outside + [np.nextafter(v, side)
+                                      for v in inside + outside
+                                      for side in (-np.inf, np.inf)]
+        for v in planted + [np.array(planted)]:
+            decided = levels._Scale(game).decide(lambda s: test(v, s))
+            assert np.array_equal(decided, test(v, exact))
+
+        # the values outside the band never need the exact pass
+        monkeypatch.setattr(levels, "_scale", _refuse_exact_scale)
+        bounds = levels._Scale(game)
+        for v in outside + [np.array(outside)]:
+            assert np.array_equal(bounds.decide(lambda s: test(v, s)),
+                                  test(v, exact))
+
+    def test_fallback_collapses_the_bounds_once(self, monkeypatch):
+        game = build_graphical(GraphKind.CIRCULAR, PD, 6)
+        exact = levels._scale(game)
+        calls = []
+        monkeypatch.setattr(levels, "_scale",
+                            lambda g: calls.append(g) or exact)
+        bounds = levels._Scale(game)
+        between = 1e-9 * (1.0 + exact) / 2
+        assert bounds.decide(lambda s: between > 1e-9 * s) == \
+            (between > 1e-9 * exact)
+        assert bounds.lo == bounds.hi == exact
+        bounds.decide(lambda s: between > 1e-9 * s)
+        assert len(calls) == 1
+
+    @pytest.mark.filterwarnings("ignore")
+    @pytest.mark.parametrize("game, fastpath", [
+        (build_graphical(GraphKind.CIRCULAR, PD, 8), True),
+        (build_functional(FunctionalParams(6, 3.0)), False),
+    ], ids=["circular-8", "functional-6"])
+    def test_common_path_skips_the_exact_pass(self, game, fastpath,
+                                              monkeypatch):
+        monkeypatch.setattr(levels, "_scale", _refuse_exact_scale)
+        general_level(game, force=True)
+        general_level(game, force=True, allow_excess=True)
+        general_level(game, force=True, refine_diagonal=True)
+        symmetrical_level(game, force=True)
+        if fastpath:
+            general_level_symmetric_fastpath(game, force=True)
+
+
+class _ExactScale(levels._Scale):
+    """The bounds collapsed onto the exact scale from the start."""
+
+    def __init__(self, game):
+        super().__init__(game)
+        self.lo = self.hi = levels._scale(game)
+
+
+def _outcome(search, game):
+    try:
+        result = search(game)
+    except (NotResolvableError, NotADilemmaError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return (result.level, result.matrix.entries.tobytes(),
+            result.binding_mask.tobytes())
+
+
+_GENERAL = functools.partial(general_level, force=True)
+_EXCESS = functools.partial(general_level, force=True, allow_excess=True)
+_REFINE = functools.partial(general_level, force=True, refine_diagonal=True)
+_SYMMETRIC = functools.partial(symmetrical_level, force=True)
+_FASTPATH = functools.partial(general_level_symmetric_fastpath, force=True)
+_EVERY_SEARCH = (_GENERAL, _EXCESS, _REFINE, _SYMMETRIC)
+
+
+@pytest.mark.filterwarnings("ignore")
+class TestScaleFilterDifferential:
+    """Every search gives the same level, matrix bytes and binding mask
+    with the bounds as with the exact scale."""
+
+    @staticmethod
+    def fallbacks(monkeypatch, games, searches):
+        """Assert the two agree on every game and search; return how
+        many times the filtered runs computed the exact scale."""
+        calls = []
+        exact = levels._scale
+
+        def counted(game):
+            calls.append(game)
+            return exact(game)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(levels, "_scale", counted)
+            filtered = [_outcome(s, g) for g in games for s in searches]
+        with monkeypatch.context() as patch:
+            patch.setattr(levels, "_Scale", _ExactScale)
+            assert [_outcome(s, g) for g in games for s in searches] == filtered
+        return len(calls)
+
+    @pytest.mark.parametrize("graph", list(GraphKind))
+    @pytest.mark.parametrize("base", list(BaseGame))
+    def test_graphical(self, graph, base, monkeypatch):
+        games = [build_graphical(graph, BaseGameParams(base, 3.0, 1.0), n)
+                 for n in range(3, 11)]
+        searches = (_GENERAL, _SYMMETRIC)
+        if graph is not GraphKind.TYCOON:
+            searches += (_FASTPATH,)
+        self.fallbacks(monkeypatch, games, searches)
+
+    def test_functional_and_too_many_cooks(self, monkeypatch):
+        games = [build_functional(FunctionalParams(n, 3.0)) for n in range(2, 8)]
+        self.fallbacks(monkeypatch, games + [too_many_cooks()], _EVERY_SEARCH)
+
+    def test_scaled_pd(self, monkeypatch):
+        games = [scaled_prisoners_dilemma(eps)
+                 for eps in (1e-7, 3e-7, 1e-6, 3e-6, 1e-5)]
+        self.fallbacks(monkeypatch, games, _EVERY_SEARCH)
+
+    def test_random_strict_dilemmas(self, monkeypatch):
+        # pool dilemma n = 11, k = 1 leaves a gain between the bounds'
+        # thresholds after its first solve, so its searches fall back
+        rng = np.random.default_rng(11)
+        games = [make_strict_dilemma(rng, n) for n in (2, 3, 4, 5, 6) * 2]
+        games += [pool_dilemma(n) for n in range(3, 11)] + [pool_dilemma(11, 1)]
+        assert self.fallbacks(monkeypatch, games,
+                              (_GENERAL, _EXCESS, _SYMMETRIC)) >= 1
 
 
 def _old_mismatch(game, perm):
@@ -289,6 +461,15 @@ class TestDilemmaGate:
         with pytest.warns(UserWarning, match="social optimum"):
             general_level(pd_game, ActionProfile.from_string("DD"),
                           force=True)
+
+    def test_tied_optimum_does_not_warn(self):
+        # every profile of a constant table is a social optimum
+        game = NormalFormGame(np.ones((1 << 6, 6)))
+        target = ActionProfile.from_string("DDCDCC")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert general_level(game, target, force=True).level == 1.0
+            assert symmetrical_level(game, target, force=True).level == 1.0
 
 
 class TestTooManyCooks:

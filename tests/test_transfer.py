@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -189,6 +191,28 @@ class TestVerifyResolution:
         with pytest.warns(UserWarning, match="social optimum"):
             verify_resolution(pd_game, exchange_matrix(2, 0.0),
                               ActionProfile.from_string("DD"))
+
+    def test_tied_optimum_does_not_warn(self):
+        # every profile of a constant table is a social optimum
+        game = NormalFormGame(np.full((1 << 10, 10), 2.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = verify_resolution(game, exchange_matrix(10, 0.5),
+                                       ActionProfile.from_string("CDCDCDCDCD"))
+        assert report.weakly_dominant
+
+    def test_target_below_a_tie_warns(self):
+        # CC and DD tie for the best welfare; DC falls 1e-6 short
+        game = NormalFormGame([[2.0, 2.0], [3.0, 1.0 - 1e-6],
+                               [1.0, 1.0], [2.0, 2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            verify_resolution(game, exchange_matrix(2, 0.5))
+            verify_resolution(game, exchange_matrix(2, 0.5),
+                              ActionProfile.from_string("DD"))
+        with pytest.warns(UserWarning, match="social optimum"):
+            verify_resolution(game, exchange_matrix(2, 0.5),
+                              ActionProfile.from_string("DC"))
 
     def test_full_split_resolves_any_strict_dilemma(self, strict_dilemma_factory):
         # at s = 1/n rewards are pooled evenly, so own action only
