@@ -9,10 +9,10 @@ which full cooperation becomes every player's weakly dominant choice.
 from .game import (ActionProfile, ConditionWitness, DilemmaClassification,
                    DilemmaKind, DominanceReport, NormalFormGame,
                    check_dominance, classify_dilemma, pure_nash_equilibria,
-                   social_optima, utilitarian_welfare)
+                   social_optima)
 from .transfer import (ExcessReport, TransferMatrix, apply_transfers,
                        conservation_check, exchange_matrix, excess_report,
-                       post_transfer_rewards, verify_resolution)
+                       verify_resolution)
 from .lp import LinearProgram, LpSolution, LpStatus, check_feasible, solve_lp
 from .levels import (NotADilemmaError, NotResolvableError, SelfInterestResult,
                      SolveMode, binding_constraints, deviation_deltas,
@@ -32,10 +32,8 @@ __all__ = [
     "ActionProfile", "NormalFormGame", "DilemmaKind", "DilemmaClassification",
     "ConditionWitness", "DominanceReport", "classify_dilemma",
     "check_dominance", "pure_nash_equilibria", "social_optima",
-    "utilitarian_welfare",
     "TransferMatrix", "ExcessReport", "exchange_matrix", "apply_transfers",
-    "post_transfer_rewards", "verify_resolution", "conservation_check",
-    "excess_report",
+    "verify_resolution", "conservation_check", "excess_report",
     "LinearProgram", "LpSolution", "LpStatus", "solve_lp", "check_feasible",
     "SelfInterestResult", "SolveMode", "NotADilemmaError",
     "NotResolvableError", "symmetrical_level", "general_level",

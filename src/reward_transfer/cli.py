@@ -127,12 +127,15 @@ def cmd_generate(args) -> int:
     stray = [args.base, args.d] + ([args.n, args.c] if kind == "scaledpd" else [])
     if kind in _FLAGS_OF and any(flag is not None for flag in stray):
         raise _UsageError(f"{kind} games take only {_FLAGS_OF[kind]}")
+    if kind != "scaledpd" and args.epsilon is not None:
+        raise _UsageError(f"{kind} games do not take --epsilon")
     n = 3 if args.n is None else args.n
     c = 3.0 if args.c is None else args.c
     if kind == "functional":
         game = build_functional(FunctionalParams(n, c))
     elif kind == "scaledpd":
-        game = scaled_prisoners_dilemma(args.epsilon)
+        game = scaled_prisoners_dilemma(
+            1e-6 if args.epsilon is None else args.epsilon)
     else:
         base = _BASES[args.base or "pd"]
         params = BaseGameParams(base, c, 1.0 if args.d is None else args.d)
@@ -222,8 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-c", type=float, default=None,
                    help="cooperation stake (default 3)")
     p.add_argument("-d", type=float, default=None, help="defection stake")
-    p.add_argument("--epsilon", type=float, default=1e-6,
-                   help="offset for the scaledpd family")
+    p.add_argument("--epsilon", type=float, default=None,
+                   help="offset for the scaledpd family (default 1e-6)")
     p.add_argument("-o", "--output", help="write the game JSON here")
     p.set_defaults(handler=cmd_generate)
 

@@ -253,16 +253,6 @@ class NormalFormGame:
         return f"NormalFormGame(n={self.n})"
 
 
-def utilitarian_welfare(rewards) -> float:
-    """Total welfare of one reward vector: the plain sum."""
-    values = np.asarray(rewards, dtype=float)
-    if values.size == 0:
-        raise ValueError("no rewards to aggregate")
-    if not np.isfinite(values).all():
-        raise ValueError("rewards must be finite")
-    return float(values.sum())
-
-
 class DilemmaKind(enum.Enum):
     STRICT = "strict"
     PARTIAL = "partial"

@@ -139,9 +139,6 @@ def deviation_deltas(game: NormalFormGame,
     return (leave - keep).reshape(-1, game.n)
 
 
-_BLOCK_BITS = 17  # the scan in _scale reads 2**17 floats (1 MB) at a time
-
-
 def _scale(game) -> float:
     """1 + the largest reward change any single deviation causes.
 
@@ -153,42 +150,20 @@ def _scale(game) -> float:
     over every player's rewards.  It does not depend on the target, as
     |a - b| = |b - a|, and a max of exact differences is the same in any
     order, so this equals 1 + max_i |deviation_deltas(game, target, i)|
-    bit for bit.  One pass over the player-major table ``payoffs.T``:
-    each block holds whole subcubes of 2**width profiles of one or more
-    players.  Bits at or above ``width // 2`` pair contiguous runs as
-    the block is laid out; the block is transposed once so that the
-    pairs of the lower bits lie in long contiguous runs too.  Only
-    tables beyond 2**17 profiles pair bits across blocks.
+    bit for bit.  One plain pass over the contiguous player rows of
+    ``payoffs.T``, bit by bit, into one reused buffer of 2**(n-1)
+    differences.
     """
     n = game.n
-    width = min(n, _BLOCK_BITS)
-    cubes = game.payoffs.T.reshape(-1, 1 << width)
-    per = min(len(cubes), max(1, (1 << _BLOCK_BITS) >> width))
-    low = width // 2
-    run = 1 << (width - low)
-    diff = np.empty(per << (width - 1))
-    peaks = []
-
-    def fold(keep, leave):
-        out = np.subtract(leave, keep, out=diff[:keep.size].reshape(keep.shape))
-        peaks.append(np.abs(out, out=out).max())
-
-    for i in range(width, n):
-        # a bit beyond the block pairs half-cubes in different blocks
-        pairs = cubes.reshape(-1, 2, 1 << (i - width + 1), 1 << (width - 1))
-        for a, b in np.ndindex(pairs.shape[0], pairs.shape[2]):
-            fold(pairs[a, 0, b], pairs[a, 1, b])
-    for start in range(0, len(cubes), per):
-        block = cubes[start:start + per]
-        p = len(block)
-        for i in range(low, width):
-            split = block.reshape(p, -1, 2, 1 << i)
-            fold(split[:, :, 0], split[:, :, 1])
-        turned = block.reshape(p, -1, 1 << low).transpose(0, 2, 1).copy()
-        for i in range(low):
-            split = turned.reshape(p, -1, 2, run << i)
-            fold(split[:, :, 0], split[:, :, 1])
-    return 1.0 + float(max(peaks))
+    diff = np.empty(1 << (n - 1))
+    peak = 0.0
+    for rewards in game.payoffs.T:
+        for i in range(n):
+            pairs = rewards.reshape(-1, 2, 1 << i)
+            out = np.subtract(pairs[:, 1], pairs[:, 0],
+                              out=diff.reshape(-1, 1 << i))
+            peak = max(peak, np.abs(out, out=out).max())
+    return 1.0 + float(peak)
 
 
 class _Scale:
@@ -353,8 +328,7 @@ def _lazy_solve(lp, var, table, target, working, scale,
         rows = _deviation_block(table, target, fresh, var, lp.n_variables)
         lp = LinearProgram(lp.objective, a_ub=np.vstack([lp.a_ub, rows]),
                            b_ub=np.concatenate([lp.b_ub, np.zeros(len(rows))]),
-                           a_eq=lp.a_eq, b_eq=lp.b_eq,
-                           lower=lp.lower, upper=lp.upper)
+                           a_eq=lp.a_eq, b_eq=lp.b_eq, lower=lp.lower)
     raise RuntimeError("constraint generation did not converge")
 
 

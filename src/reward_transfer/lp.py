@@ -7,9 +7,10 @@ bit-identical answers (fixed pivoting order, no randomization, no
 degeneracy perturbation).
 
 Conventions: ``maximize c @ x`` subject to ``a_ub @ x <= b_ub``,
-``a_eq @ x == b_eq`` and ``lower <= x <= upper``.  Default bounds are
-``0 <= x`` with no upper limit.  Infinities in the bounds are handled by
-shifting, mirroring, or splitting variables before the tableau is built.
+``a_eq @ x == b_eq`` and ``x >= lower``, a finite bound that defaults to
+0.  The tableau holds y = x - lower >= 0, so the rows are the caller's
+rows with ``b - A @ lower`` on the right.  A bound from above, or any
+other side of a box, is written as an inequality row.
 
 Pivoting.  A cold solve runs phase 1 on artificial variables, then
 phase 2.  The entering column has the most negative reduced cost.  The
@@ -35,8 +36,8 @@ and a primal pass cleans up; no phase 1 is run again.  This is the
 re-optimization step of cutting-plane methods (Kelley 1960).
 
 Every solve ends by re-solving the final basis against the untouched
-standardized rows, appended ones included, and keeps that vertex when
-it fits the rows better than the pivoted tableau does.
+rows, appended ones included, and keeps that vertex when it fits the
+rows better than the pivoted tableau does.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ class LinearProgram:
     """An immutable LP instance (maximization form)."""
 
     def __init__(self, objective, a_ub=None, b_ub=None, a_eq=None, b_eq=None,
-                 lower=None, upper=None):
+                 lower=None):
         c = np.array(objective, dtype=float).ravel()
         if c.size == 0:
             raise ValueError("objective must have at least one variable")
@@ -81,23 +82,15 @@ class LinearProgram:
         self.a_eq, self.b_eq = self._check_system(a_eq, b_eq, nvar, "a_eq")
 
         lo = np.zeros(nvar) if lower is None else np.array(lower, dtype=float).ravel()
-        hi = np.full(nvar, np.inf) if upper is None else np.array(upper, dtype=float).ravel()
-        if lo.shape != (nvar,) or hi.shape != (nvar,):
+        if lo.shape != (nvar,):
             raise ValueError("bounds must have one entry per variable")
-        if np.isnan(lo).any() or np.isnan(hi).any():
-            raise ValueError("bounds may not be NaN")
-        if (lo == np.inf).any() or (hi == -np.inf).any():
-            raise ValueError("lower bounds must be < +inf and upper bounds > -inf")
-        if (lo > hi).any():
-            j = int(np.argmax(lo > hi))
-            raise ValueError(f"empty bound interval for variable {j}: "
-                             f"[{lo[j]}, {hi[j]}]")
+        if not np.isfinite(lo).all():
+            raise ValueError("lower bounds must be finite")
 
-        for arr in (c, lo, hi):
+        for arr in (c, lo):
             arr.setflags(write=False)
         self.objective = c
         self.lower = lo
-        self.upper = hi
         self.n_variables = nvar
 
     @staticmethod
@@ -128,10 +121,8 @@ class _Tableau:
     lp: LinearProgram      # the program it is optimal for
     table: np.ndarray      # constraint rows, then reduced costs; rhs last
     basis: np.ndarray
-    rows0: np.ndarray      # the standardized rows [A | slack] before pivoting
+    rows0: np.ndarray      # the rows [A | slack] before pivoting
     rhs0: np.ndarray
-    var_map: np.ndarray    # x = var_map @ y + offsets
-    offsets: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -259,59 +250,6 @@ def _run_dual_simplex(tableau, basis, n_cols, feas_tol, opt_tol, cap, scale):
                 "degenerate beyond what this solver is meant for")
 
 
-def _standardize(lp: LinearProgram):
-    """Rewrite general bounds into y >= 0 variables.
-
-    Returns (var_map M, offset o, rows_ub, rhs_ub, rows_eq, rhs_eq,
-    c_std) with x = M @ y + o.
-    """
-    nvar = lp.n_variables
-    columns = []
-    offsets = np.zeros(nvar)
-    extra_rows = []  # (structural column, upper rhs) for two-sided bounds
-    n_std = 0
-    for j in range(nvar):
-        lo, hi = lp.lower[j], lp.upper[j]
-        if np.isfinite(lo):
-            col = np.zeros(nvar)
-            col[j] = 1.0
-            columns.append(col)
-            offsets[j] = lo
-            if np.isfinite(hi):
-                extra_rows.append((n_std, hi - lo))
-            n_std += 1
-        elif np.isfinite(hi):
-            col = np.zeros(nvar)
-            col[j] = -1.0
-            columns.append(col)
-            offsets[j] = hi
-            n_std += 1
-        else:
-            pos = np.zeros(nvar)
-            pos[j] = 1.0
-            neg = np.zeros(nvar)
-            neg[j] = -1.0
-            columns.append(pos)
-            columns.append(neg)
-            n_std += 2
-    var_map = np.column_stack(columns)  # nvar x n_std
-
-    a_ub = lp.a_ub @ var_map
-    b_ub = lp.b_ub - lp.a_ub @ offsets
-    if extra_rows:
-        bound_rows = np.zeros((len(extra_rows), n_std))
-        bound_rhs = np.zeros(len(extra_rows))
-        for k, (col, rhs) in enumerate(extra_rows):
-            bound_rows[k, col] = 1.0
-            bound_rhs[k] = rhs
-        a_ub = np.vstack([a_ub, bound_rows])
-        b_ub = np.concatenate([b_ub, bound_rhs])
-    a_eq = lp.a_eq @ var_map
-    b_eq = lp.b_eq - lp.a_eq @ offsets
-    c_std = lp.objective @ var_map
-    return var_map, offsets, a_ub, b_ub, a_eq, b_eq, c_std
-
-
 def solve_lp(lp: LinearProgram,
              feas_tol: float = 1e-9,
              opt_tol: float = 1e-9,
@@ -328,14 +266,15 @@ def solve_lp(lp: LinearProgram,
     ``iterations`` then counts only the pivots of this solve."""
     if start is not None:
         return _resolve(lp, start, feas_tol, opt_tol, max_iterations)
-    var_map, offsets, a_ub, b_ub, a_eq, b_eq, c_std = _standardize(lp)
-    n_std = var_map.shape[1]
-    m_ub, m_eq = a_ub.shape[0], a_eq.shape[0]
+    nvar = lp.n_variables
+    m_ub, m_eq = lp.a_ub.shape[0], lp.a_eq.shape[0]
     m = m_ub + m_eq
 
-    # assemble [A | slack | artificial | rhs] with all rhs >= 0
-    rows = np.vstack([a_ub, a_eq]) if m else np.zeros((0, n_std))
-    rhs = np.concatenate([b_ub, b_eq])
+    # assemble [A | slack | artificial | rhs] in y = x - lower, with all
+    # rhs >= 0
+    rows = np.vstack([lp.a_ub, lp.a_eq])
+    rhs = np.concatenate([lp.b_ub - lp.a_ub @ lp.lower,
+                          lp.b_eq - lp.a_eq @ lp.lower])
     slack_sign = np.zeros(m)
     slack_sign[:m_ub] = 1.0
     negate = rhs < 0
@@ -355,31 +294,31 @@ def solve_lp(lp: LinearProgram,
     for a, r in enumerate(art_rows):
         art_block[r, a] = 1.0
 
-    first_art = n_std + m_ub
+    first_art = nvar + m_ub
     n_total = first_art + n_art
     tableau = np.zeros((m + 1, n_total + 1))
     if m:
-        tableau[:m, :n_std] = rows
-        tableau[:m, n_std:first_art] = slack_block
+        tableau[:m, :nvar] = rows
+        tableau[:m, nvar:first_art] = slack_block
         tableau[:m, first_art:n_total] = art_block
         tableau[:m, -1] = rhs
 
     basis = np.zeros(m, dtype=int)
     for k in range(m_ub):
-        basis[k] = n_std + k if slack_sign[k] > 0 else 0
+        basis[k] = nvar + k if slack_sign[k] > 0 else 0
     next_art = first_art
     for r in art_rows:
         basis[r] = next_art
         next_art += 1
 
-    # untouched copy of the standardized system; long pivot runs smear
-    # roundoff across the tableau, so the final vertex is recomputed
-    # from these rows once the basis is known
+    # untouched copy of the system; long pivot runs smear roundoff
+    # across the tableau, so the final vertex is recomputed from these
+    # rows once the basis is known
     rows0 = tableau[:m, :first_art].copy()
     rhs0 = tableau[:m, -1].copy()
 
-    log.debug("standardized LP: %d structural, %d slack, %d artificial, "
-              "%d rows", n_std, m_ub, n_art, m)
+    log.debug("LP: %d structural, %d slack, %d artificial, %d rows",
+              nvar, m_ub, n_art, m)
 
     cap = max_iterations or (200 + 25 * (m + n_total))
     iterations = 0
@@ -424,7 +363,7 @@ def solve_lp(lp: LinearProgram,
     # phase 2
     n_cols = tableau.shape[1] - 1
     c_ext = np.zeros(n_cols)
-    c_ext[:n_std] = c_std
+    c_ext[:nvar] = lp.objective
     tableau[-1, :n_cols] = -c_ext
     tableau[-1, -1] = 0.0
     for r in range(m):
@@ -437,8 +376,8 @@ def solve_lp(lp: LinearProgram,
     if outcome == "unbounded":
         bad = np.full(lp.n_variables, np.nan)
         return LpSolution(LpStatus.UNBOUNDED, bad, float("inf"), iterations)
-    return _finish(_Tableau(lp, tableau, basis, rows0, rhs0, var_map, offsets),
-                   iterations, feas_tol)
+    return _finish(_Tableau(lp, tableau, basis, rows0, rhs0), iterations,
+                   feas_tol)
 
 
 def _resolve(lp, start, feas_tol, opt_tol, max_iterations) -> LpSolution:
@@ -451,8 +390,7 @@ def _resolve(lp, start, feas_tol, opt_tol, max_iterations) -> LpSolution:
     k = old.a_ub.shape[0]
     pairs = ((lp.a_ub[:k], old.a_ub), (lp.b_ub[:k], old.b_ub),
              (lp.a_eq, old.a_eq), (lp.b_eq, old.b_eq),
-             (lp.objective, old.objective), (lp.lower, old.lower),
-             (lp.upper, old.upper))
+             (lp.objective, old.objective), (lp.lower, old.lower))
     if lp.a_ub.shape[0] < k or not all(np.array_equal(p, q) for p, q in pairs):
         raise ValueError("a warm start needs the start's program with "
                          "inequality rows appended")
@@ -461,8 +399,7 @@ def _resolve(lp, start, feas_tol, opt_tol, max_iterations) -> LpSolution:
     new = lp.a_ub[k:]
     add = new.shape[0]
     n_cols = width + add
-    a_std = new @ prev.var_map
-    n_std = a_std.shape[1]
+    nvar = lp.n_variables
     table = np.zeros((m + add + 1, n_cols + 1))
     table[:m, :width] = prev.table[:m, :width]
     table[:m, -1] = prev.table[:m, -1]
@@ -470,15 +407,15 @@ def _resolve(lp, start, feas_tol, opt_tol, max_iterations) -> LpSolution:
     # row a @ y + s = b, less the multiples of the rows its basic
     # columns are basic in; each new slack starts basic
     fresh = table[m:m + add]
-    fresh[:, :n_std] = a_std
+    fresh[:, :nvar] = new
     fresh[:, width:n_cols] = np.eye(add)
-    fresh[:, -1] = lp.b_ub[k:] - new @ prev.offsets
+    fresh[:, -1] = lp.b_ub[k:] - new @ lp.lower
     rows0 = np.zeros((m + add, n_cols))
     rows0[:m, :width] = prev.rows0
     rows0[m:] = fresh[:, :-1]
     rhs0 = np.concatenate([prev.rhs0, fresh[:, -1]])
-    structural = np.flatnonzero(prev.basis < n_std)
-    fresh -= a_std[:, prev.basis[structural]] @ table[structural]
+    structural = np.flatnonzero(prev.basis < nvar)
+    fresh -= new[:, prev.basis[structural]] @ table[structural]
     fresh[:, prev.basis] = 0.0
     basis = np.concatenate([prev.basis, width + np.arange(add)])
     log.debug("warm start: %d rows appended to %d", add, m)
@@ -496,8 +433,8 @@ def _resolve(lp, start, feas_tol, opt_tol, max_iterations) -> LpSolution:
     if outcome == "unbounded":
         bad = np.full(lp.n_variables, np.nan)
         return LpSolution(LpStatus.UNBOUNDED, bad, float("inf"), iterations)
-    return _finish(_Tableau(lp, table, basis, rows0, rhs0, prev.var_map,
-                            prev.offsets), iterations, feas_tol)
+    return _finish(_Tableau(lp, table, basis, rows0, rhs0), iterations,
+                   feas_tol)
 
 
 def _finish(tab: _Tableau, iterations: int, feas_tol: float) -> LpSolution:
@@ -531,7 +468,7 @@ def _finish(tab: _Tableau, iterations: int, feas_tol: float) -> LpSolution:
     table[:m, -1] = basic_values
     y = np.zeros(n_cols)
     y[basis] = basic_values
-    x = tab.var_map @ y[:tab.var_map.shape[1]] + tab.offsets
+    x = y[:tab.lp.n_variables] + tab.lp.lower
     value = float(tab.lp.objective @ x)
     log.debug("optimal after %d iterations, objective %.12g",
               iterations, value)
@@ -545,11 +482,8 @@ def check_feasible(lp: LinearProgram, x, feas_tol: float = 1e-9) -> list:
     if point.shape != (lp.n_variables,):
         raise ValueError("point has the wrong number of variables")
     violations = []
-    for j in range(lp.n_variables):
-        if point[j] < lp.lower[j] - feas_tol:
-            violations.append(("lower-bound", j, float(lp.lower[j] - point[j])))
-        if point[j] > lp.upper[j] + feas_tol:
-            violations.append(("upper-bound", j, float(point[j] - lp.upper[j])))
+    for j in np.flatnonzero(point < lp.lower - feas_tol):
+        violations.append(("lower-bound", int(j), float(lp.lower[j] - point[j])))
     if lp.a_ub.shape[0]:
         resid = lp.a_ub @ point - lp.b_ub
         for k in np.flatnonzero(resid > feas_tol):

@@ -100,17 +100,6 @@ def exchange_matrix(n: int, s: float) -> TransferMatrix:
     return TransferMatrix(m)
 
 
-def post_transfer_rewards(rewards, matrix: TransferMatrix) -> np.ndarray:
-    """Redistribute one reward vector through the contract."""
-    r = np.asarray(rewards, dtype=float)
-    if r.shape != (matrix.n,):
-        raise ValueError(
-            f"expected {matrix.n} rewards, got shape {r.shape}")
-    if not np.isfinite(r).all():
-        raise ValueError("rewards must be finite")
-    return r @ matrix.entries
-
-
 def apply_transfers(game: NormalFormGame, matrix: TransferMatrix) -> NormalFormGame:
     """The transformed game: every profile's rewards pushed through the
     contract.  Transfer is linear, so this is one matrix product."""

@@ -206,9 +206,20 @@ class TestGenerate:
         assert captured.out == ""
         assert "scaledpd games take only --epsilon" in captured.err
 
+    def test_only_scaledpd_takes_epsilon(self, capsys):
+        assert main(["generate", "cyclical", "--epsilon", "5", "-n", "2"]) == 3
+        assert main(["generate", "functional", "--epsilon", "5"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cyclical games do not take --epsilon" in captured.err
+        assert "functional games do not take --epsilon" in captured.err
+
     def test_defaults_fill_per_family(self, capsys):
         assert main(["generate", "scaledpd"]) == 0
-        assert parse_game(capsys.readouterr().out).n == 2
+        default = capsys.readouterr().out
+        assert parse_game(default).n == 2
+        assert main(["generate", "scaledpd", "--epsilon", "1e-6"]) == 0
+        assert capsys.readouterr().out == default
         assert main(["generate", "functional"]) == 0
         assert parse_game(capsys.readouterr().out) == \
             build_functional(FunctionalParams(3, 3.0))

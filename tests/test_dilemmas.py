@@ -10,8 +10,7 @@ from reward_transfer import (ActionProfile, BaseGame, BaseGameParams,
                              base_payoff, build_functional, build_graphical,
                              classify_dilemma, exchange_matrix, general_level,
                              scaled_prisoners_dilemma, symmetrical_level,
-                             too_many_cooks, utilitarian_welfare,
-                             verify_resolution)
+                             too_many_cooks, verify_resolution)
 
 PD = BaseGameParams(BaseGame.PRISONERS_DILEMMA, 4.0, 1.0)
 CHICKEN = BaseGameParams(BaseGame.CHICKEN, 4.0, 1.0)
@@ -201,8 +200,8 @@ class TestFunctional:
         assert np.allclose(game.payoffs[1], [1.8, 1.8, 2.7, 3.6, 4.5],
                            atol=1e-12)
         assert game.payoffs[-1].tolist() == [0.0] * 5
-        assert utilitarian_welfare(
-            game.rewards(ActionProfile.all_cooperate(5))) == pytest.approx(15.0)
+        assert game.rewards(ActionProfile.all_cooperate(5)).sum() == \
+            pytest.approx(15.0)
 
     def test_every_profile_against_the_formula(self):
         # pot c * (2k - k^2 / n) over k cooperators, split by the weights

@@ -12,7 +12,7 @@ from reward_transfer.game import (MUTUAL_CONDITION, TEMPTATION_CONDITION,
                                   check_dominance, classify_dilemma,
                                   coplayer_string, deviation_pairs,
                                   drop_bit, insert_bit, pure_nash_equilibria,
-                                  social_optima, utilitarian_welfare)
+                                  social_optima)
 from reward_transfer import (BaseGame, BaseGameParams, FunctionalParams,
                              GraphKind, TransferMatrix, apply_transfers,
                              build_functional, build_graphical, dumps_game,
@@ -227,15 +227,6 @@ class TestLayout:
         self.assert_layout(scaled_prisoners_dilemma(1e-6),
                            [[9.0, 3.0], [12.0 - 1e-6, 0.0], [0.0, 4.0],
                             [3.0, 1.0]])
-
-
-def test_utilitarian_welfare():
-    assert utilitarian_welfare([3, 3]) == 6.0
-    assert utilitarian_welfare(np.array([0.5, -0.5])) == 0.0
-    with pytest.raises(ValueError):
-        utilitarian_welfare([])
-    with pytest.raises(ValueError):
-        utilitarian_welfare([np.inf, 1.0])
 
 
 class TestClassify:

@@ -84,7 +84,7 @@ class TestScale:
         return 1.0 + max(float(np.abs(deviation_deltas(game, target, i)).max())
                          for i in range(game.n))
 
-    @pytest.mark.parametrize("n", range(2, 13))
+    @pytest.mark.parametrize("n", range(2, 15))
     def test_equals_per_player_deltas_bit_for_bit(self, n):
         rng = np.random.default_rng(n)
         for _ in range(3):
@@ -93,17 +93,6 @@ class TestScale:
             for bits in targets:
                 assert levels._scale(game) == \
                     self.reference(game, ActionProfile(bits, n))
-
-    @pytest.mark.parametrize("block_bits", [1, 2, 3, 5])
-    def test_blocks_smaller_than_the_table(self, block_bits, monkeypatch):
-        # with blocks of a few floats, most bits pair across blocks
-        rng = np.random.default_rng(block_bits)
-        games = [_random_magnitude_game(rng, n) for n in range(2, 9)]
-        expected = [levels._scale(game) for game in games]
-        monkeypatch.setattr(levels, "_BLOCK_BITS", block_bits)
-        for game, value in zip(games, expected):
-            assert levels._scale(game) == value
-            assert value == self.reference(game, ActionProfile(1, game.n))
 
 
 # The searches' scaled tests, each as a (threshold, test) pair of

@@ -1,6 +1,7 @@
 """The simplex core gets the heaviest scrutiny here because every level
 computation sits on top of it.  Random bounded instances are checked
-against brute-force vertex enumeration."""
+against brute-force vertex enumeration.  The solver takes only lower
+bounds, so a box's upper sides are written as rows ``vstack([eye, a])``."""
 
 import itertools
 
@@ -99,10 +100,6 @@ class TestStatuses:
         assert sol.objective_value == np.inf
         assert np.isnan(sol.x).all()
 
-    def test_unbounded_via_free_variable(self):
-        lp = LinearProgram([-1.0], lower=[-np.inf], upper=[np.inf])
-        assert solve_lp(lp).status is LpStatus.UNBOUNDED
-
     def test_column_of_mixed_magnitudes_is_not_unbounded(self):
         # max x st x <= 1, -1e10 x <= 5: the pivot 1 is tiny next to
         # the column's |-1e10| but is the only one, and x = 1 is optimal
@@ -113,44 +110,26 @@ class TestStatuses:
 
 
 class TestBounds:
-    def test_upper_bounds(self):
-        lp = LinearProgram([1.0, 1.0], upper=[2.0, 0.5])
-        sol = solve_lp(lp)
-        assert np.allclose(sol.x, [2.0, 0.5], atol=1e-9)
-
     def test_shifted_lower_bound(self):
         # max -x with x >= -3 should park x at the bound
-        lp = LinearProgram([-1.0], lower=[-3.0], upper=[np.inf])
+        lp = LinearProgram([-1.0], lower=[-3.0])
         sol = solve_lp(lp)
         assert sol.x[0] == pytest.approx(-3.0)
 
     def test_negative_box(self):
-        lp = LinearProgram([1.0, -1.0], lower=[-2.0, -4.0], upper=[-1.0, 5.0])
+        # -2 <= x <= -1 and -4 <= y <= 5, the upper sides as rows
+        lp = LinearProgram([1.0, -1.0], a_ub=np.eye(2), b_ub=[-1.0, 5.0],
+                           lower=[-2.0, -4.0])
         sol = solve_lp(lp)
         assert np.allclose(sol.x, [-1.0, -4.0], atol=1e-9)
 
-    def test_free_variable_in_equality(self):
-        # y free; the split representation must recombine correctly
-        lp = LinearProgram([0.0, 1.0],
-                           a_eq=[[1.0, 1.0]], b_eq=[0.0],
-                           a_ub=[[1.0, 0.0]], b_ub=[4.0],
-                           lower=[0.0, -np.inf], upper=[np.inf, np.inf])
-        sol = solve_lp(lp)
-        assert sol.objective_value == pytest.approx(0.0)
-        assert sol.x[0] + sol.x[1] == pytest.approx(0.0)
-
     def test_fixed_variable(self):
-        lp = LinearProgram([1.0, 1.0], a_ub=[[1.0, 1.0]], b_ub=[5.0],
-                           lower=[2.0, 0.0], upper=[2.0, np.inf])
+        # x = 2 from its lower bound and the row x <= 2
+        lp = LinearProgram([1.0, 1.0], a_ub=[[1.0, 0.0], [1.0, 1.0]],
+                           b_ub=[2.0, 5.0], lower=[2.0, 0.0])
         sol = solve_lp(lp)
         assert sol.x[0] == pytest.approx(2.0)
         assert sol.objective_value == pytest.approx(5.0)
-
-    def test_mirrored_variable(self):
-        # upper bound only: x <= 1, maximize x
-        lp = LinearProgram([1.0], lower=[-np.inf], upper=[1.0])
-        sol = solve_lp(lp)
-        assert sol.x[0] == pytest.approx(1.0)
 
 
 class TestValidation:
@@ -175,12 +154,13 @@ class TestValidation:
             LinearProgram([1.0], a_ub=[[np.nan]], b_ub=[1.0])
 
     def test_bad_bounds(self):
-        with pytest.raises(ValueError, match="empty bound"):
-            LinearProgram([1.0], lower=[2.0], upper=[1.0])
-        with pytest.raises(ValueError):
-            LinearProgram([1.0], lower=[np.inf])
+        for bound in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite"):
+                LinearProgram([1.0], lower=[bound])
         with pytest.raises(ValueError, match="one entry per"):
             LinearProgram([1.0, 1.0], lower=[0.0])
+        with pytest.raises(TypeError):
+            LinearProgram([1.0], upper=[1.0])
 
     def test_iteration_cap(self):
         lp = LinearProgram([1.0], a_ub=[[1.0]], b_ub=[1.0])
@@ -194,11 +174,11 @@ class TestDeterminism:
         a = rng.normal(size=(6, 4))
         b = rng.uniform(1.0, 3.0, size=6)
         c = rng.normal(size=4)
-        lp = LinearProgram(c, a_ub=a, b_ub=b, upper=np.full(4, 5.0))
-        first = solve_lp(lp)
+        boxed = np.vstack([np.eye(4), a])
+        rhs = np.concatenate([np.full(4, 5.0), b])
+        first = solve_lp(LinearProgram(c, a_ub=boxed, b_ub=rhs))
         for _ in range(3):
-            again = solve_lp(LinearProgram(c, a_ub=a, b_ub=b,
-                                           upper=np.full(4, 5.0)))
+            again = solve_lp(LinearProgram(c, a_ub=boxed, b_ub=rhs))
             assert again.x.tobytes() == first.x.tobytes()
             assert again.objective_value == first.objective_value
             assert again.iterations == first.iterations
@@ -253,8 +233,11 @@ class TestWarmStart:
 
     @staticmethod
     def grown(c, a, b, eq, eq_rhs, upper, k):
-        return LinearProgram(c, a_ub=a[:k], b_ub=b[:k], a_eq=eq, b_eq=eq_rhs,
-                             upper=upper)
+        """The first ``k`` rows of ``a`` under the box x <= upper, whose
+        rows come first so that growing ``k`` appends."""
+        return LinearProgram(c, a_ub=np.vstack([np.eye(len(c)), a[:k]]),
+                             b_ub=np.concatenate([upper, b[:k]]),
+                             a_eq=eq, b_eq=eq_rhs)
 
     def test_matches_cold_solve(self):
         rng = np.random.default_rng(808)
@@ -325,7 +308,7 @@ class TestWarmStart:
             assert np.allclose(sol.x, [0.5, 0.0], atol=1e-12)
 
     def test_program_without_rows(self):
-        for lp in (LinearProgram([-1.0]), LinearProgram([1.0], upper=[2.0])):
+        for lp in (LinearProgram([-1.0]), LinearProgram([-1.0], lower=[2.0])):
             cold = solve_lp(lp)
             warm = solve_lp(lp, start=cold)
             assert warm.status is LpStatus.OPTIMAL
@@ -368,12 +351,14 @@ class TestWarmStart:
             assert again.iterations == first.iterations
 
     def test_start_is_left_untouched(self):
-        base = LinearProgram([1.0, 2.0], a_ub=[[1.0, 1.0]], b_ub=[4.0],
-                             upper=[3.0, 3.0])
+        base = LinearProgram([1.0, 2.0], a_ub=[[1.0, 0.0], [0.0, 1.0],
+                                               [1.0, 1.0]],
+                             b_ub=[3.0, 3.0, 4.0])
         start = solve_lp(base)
         table = start.tableau.table.copy()
-        cut = LinearProgram([1.0, 2.0], a_ub=[[1.0, 1.0], [0.0, 1.0]],
-                            b_ub=[4.0, 2.5], upper=[3.0, 3.0])
+        cut = LinearProgram([1.0, 2.0], a_ub=[[1.0, 0.0], [0.0, 1.0],
+                                              [1.0, 1.0], [0.0, 1.0]],
+                            b_ub=[3.0, 3.0, 4.0, 2.5])
         first = solve_lp(cut, start=start)
         second = solve_lp(cut, start=start)
         assert np.array_equal(start.tableau.table, table)
@@ -385,7 +370,7 @@ class TestWarmStart:
         for other in (LinearProgram([1.0, 0.0], a_ub=[[1.0, 1.0]], b_ub=[2.0]),
                       LinearProgram([1.0, 1.0], a_ub=[[1.0, 2.0]], b_ub=[2.0]),
                       LinearProgram([1.0, 1.0], a_ub=[[1.0, 1.0]], b_ub=[2.0],
-                                    upper=[1.0, 1.0]),
+                                    lower=[0.5, 0.0]),
                       LinearProgram([1.0, 1.0])):
             with pytest.raises(ValueError, match="appended"):
                 solve_lp(other, start=start)
@@ -409,7 +394,8 @@ class TestAgainstVertexEnumeration:
             b = rng.uniform(0.5, 2.0, size=m)  # keeps the origin feasible
             c = rng.normal(size=n)
             hi = rng.uniform(0.5, 3.0, size=n)
-            lp = LinearProgram(c, a_ub=a, b_ub=b, upper=hi)
+            lp = LinearProgram(c, a_ub=np.vstack([np.eye(n), a]),
+                               b_ub=np.concatenate([hi, b]))
             sol = solve_lp(lp)
             assert sol.status is LpStatus.OPTIMAL, f"trial {trial}"
             expected = brute_force_max(c, a, b, np.zeros(n), hi)
@@ -429,8 +415,9 @@ class TestAgainstVertexEnumeration:
             eq_rhs = eq @ rng.uniform(0.1, 0.4, size=n)  # passes near origin
             c = rng.normal(size=n)
             hi = np.full(n, 2.0)
-            lp = LinearProgram(c, a_ub=a, b_ub=b, a_eq=eq, b_eq=eq_rhs,
-                               upper=hi)
+            lp = LinearProgram(c, a_ub=np.vstack([np.eye(n), a]),
+                               b_ub=np.concatenate([hi, b]), a_eq=eq,
+                               b_eq=eq_rhs)
             sol = solve_lp(lp)
             if sol.status is not LpStatus.OPTIMAL:
                 continue  # random equality may miss the box; skip those
@@ -447,17 +434,18 @@ class TestCheckFeasible:
         lp = LinearProgram([1.0, 1.0],
                            a_ub=[[1.0, 0.0]], b_ub=[1.0],
                            a_eq=[[0.0, 1.0]], b_eq=[2.0],
-                           lower=[0.0, 0.0], upper=[np.inf, 3.0])
+                           lower=[0.0, 5.0])
         found = check_feasible(lp, [2.0, 4.0])
         kinds = {(kind, idx) for kind, idx, _ in found}
-        assert kinds == {("upper-bound", 1), ("inequality", 0),
+        assert kinds == {("lower-bound", 1), ("inequality", 0),
                          ("equality", 0)}
         amounts = {kind: amt for kind, _, amt in found}
+        assert amounts["lower-bound"] == pytest.approx(1.0)
         assert amounts["inequality"] == pytest.approx(1.0)
         assert amounts["equality"] == pytest.approx(2.0)
 
     def test_lower_bound_violation(self):
-        lp = LinearProgram([1.0], lower=[1.0], upper=[np.inf])
+        lp = LinearProgram([1.0], lower=[1.0])
         found = check_feasible(lp, [0.5])
         assert found == [("lower-bound", 0, 0.5)]
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from reward_transfer import (ActionProfile, NormalFormGame, TransferMatrix,
                              apply_transfers, conservation_check,
                              exchange_matrix, excess_report,
-                             post_transfer_rewards, verify_resolution)
+                             verify_resolution)
 
 
 class TestTransferMatrix:
@@ -76,40 +76,6 @@ class TestExchange:
             exchange_matrix(3, 1.01)
         with pytest.raises(ValueError):
             exchange_matrix(1, 0.5)
-
-
-class TestPostTransfer:
-    def test_two_player(self):
-        m = exchange_matrix(2, 0.75)
-        assert post_transfer_rewards([4.0, 0.0], m).tolist() == [3.0, 1.0]
-
-    def test_identity_fixed_point(self):
-        r = np.array([1.0, -2.0, 5.0])
-        assert post_transfer_rewards(r, TransferMatrix.identity(3)).tolist() \
-            == r.tolist()
-
-    def test_equal_rewards_fixed_point(self):
-        # everyone equal stays equal under any conserving exchange
-        for s in (0.0, 0.3, 1.0):
-            out = post_transfer_rewards([3.0, 3.0, 3.0], exchange_matrix(3, s))
-            assert np.allclose(out, 3.0, atol=1e-12)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            post_transfer_rewards([1.0, 2.0, 3.0], exchange_matrix(2, 0.5))
-        with pytest.raises(ValueError):
-            post_transfer_rewards([np.inf, 0.0], exchange_matrix(2, 0.5))
-
-    @settings(max_examples=50)
-    @given(st.lists(st.integers(-20, 20), min_size=3, max_size=3),
-           st.lists(st.integers(-20, 20), min_size=3, max_size=3),
-           st.integers(-5, 5))
-    def test_linearity(self, r1, r2, a):
-        m = exchange_matrix(3, 0.4)
-        lhs = post_transfer_rewards(a * np.array(r1, float) + r2, m)
-        rhs = a * post_transfer_rewards(np.array(r1, float), m) \
-            + post_transfer_rewards(np.array(r2, float), m)
-        assert np.allclose(lhs, rhs, atol=1e-9)
 
 
 class TestApplyTransfers:
