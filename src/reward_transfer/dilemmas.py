@@ -19,7 +19,8 @@ table is one formula: c*(deg - facing) plus d*A*deg (Prisoner's
 Dilemma), d*mismatch (Chicken) or d*(deg - mismatch) (Stag Hunt), with
 mismatch = A*deg + facing - 2*A*facing.  The builders work player-major
 throughout and hand the game the transpose, which is already in its
-column-major layout.
+column-major layout.  The graphical builder evaluates the formula over
+blocks of profiles, so that the build holds the table and little else.
 
 The functional family replaces per-edge payoffs with a shared welfare
 pot, -(c/n)*k**2 + 2*c*k for k cooperators, split in proportion to
@@ -98,15 +99,29 @@ def base_payoff(params: BaseGameParams, own: int, opponent: int) -> float:
     return facing + d * (1 - abs(own - opponent))
 
 
-def _action_table(n: int) -> np.ndarray:
-    """A[i, p]: player i's action (0 C, 1 D) at profile p, player-major.
-    Row i is 2**i zeros then 2**i ones, repeated.  Both builders start
-    from it, so it refuses a size beyond the cap before allocating."""
+# the graphical builder evaluates its formula over blocks of
+# 2**_BLOCK_BITS profiles; a game with at most that many players is one
+_BLOCK_BITS = 11
+
+
+def _action_table(n: int, start: int = 0,
+                  stop: Optional[int] = None) -> np.ndarray:
+    """A[i, p - start]: player i's action (0 C, 1 D) at profile p, for
+    the profiles start <= p < stop (every profile by default),
+    player-major.  Row i is 2**i zeros then 2**i ones, repeated; a block
+    of profiles must start at a multiple of its power-of-two length, so
+    a row whose run is at least that long is constant on it.  Both
+    builders start from it, so it refuses a size beyond the cap before
+    allocating."""
     if n > _MAX_PLAYERS:
         raise ValueError(f"a game has at most {_MAX_PLAYERS} players, got {n}")
-    table = np.zeros((n, 1 << n))
+    size = (1 << n if stop is None else stop) - start
+    table = np.zeros((n, size))
     for i in range(n):
-        table[i].reshape(-1, 2, 1 << i)[:, 1] = 1.0
+        if 2 << i <= size:
+            table[i].reshape(-1, 2, 1 << i)[:, 1] = 1.0
+        else:
+            table[i] = (start >> i) & 1
     return table
 
 
@@ -137,26 +152,42 @@ def build_graphical(graph: GraphKind,
         warnings.warn("a two-player tycoon game degenerates to the base game",
                       UserWarning, stacklevel=2)
     w = _graph_weights(graph, n)
-    actions = _action_table(n)
     deg = w.sum(axis=1)[:, None]
+    # the formula runs over blocks of profiles, so that its temporaries
+    # stay in cache and the build holds one table; the first block
+    # refuses a size beyond the cap before the table is allocated
+    step = 1 << min(n, _BLOCK_BITS)
+    actions = _action_table(n, 0, step)
+    table = np.empty((n, 1 << n))
+    for start in range(0, 1 << n, step):
+        if start:
+            actions = _action_table(n, start, start + step)
+        _graphical_block(table[:, start:start + step], actions, w, deg, params)
+    return NormalFormGame._adopt(table.T, labels=labels)
+
+
+def _graphical_block(out, actions, w, deg, params) -> None:
+    """The graphical payoff formula on one block of profiles, written
+    into ``out``; ``actions`` (the block's action table) is used up.
+    Each profile's payoffs take the same operations in the same order
+    whatever the block, so a blocked table equals a one-shot one bit
+    for bit."""
     facing = w @ actions
-    # the d term, accumulated in place to bound the build's peak memory
-    # and its passes over the table: A*deg (PD), mismatch = A*deg +
+    # the d term, accumulated in place: A*deg (PD), mismatch = A*deg +
     # facing*(1 - 2*A) (Chicken), or deg - mismatch (Stag Hunt); A, then
     # facing, are overwritten once no longer needed
-    table = actions * deg
+    np.multiply(actions, deg, out=out)
     if params.kind is not BaseGame.PRISONERS_DILEMMA:
         actions *= -2.0
         actions += 1.0
         actions *= facing
-        table += actions
+        out += actions
         if params.kind is BaseGame.STAG_HUNT:
-            np.subtract(deg, table, out=table)
-    table *= params.d
+            np.subtract(deg, out, out=out)
+    out *= params.d
     np.subtract(deg, facing, out=facing)
     facing *= params.c
-    table += facing
-    return NormalFormGame(table.T, labels=labels)
+    out += facing
 
 
 @dataclass(frozen=True)
@@ -185,7 +216,7 @@ def build_functional(params: FunctionalParams) -> NormalFormGame:
     table *= np.arange(1, n + 1)[:, None]
     table /= table.sum(axis=0)
     table *= pot
-    return NormalFormGame(table.T)
+    return NormalFormGame._adopt(table.T)
 
 
 @dataclass(frozen=True)

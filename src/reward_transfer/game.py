@@ -198,14 +198,28 @@ class NormalFormGame:
 
     ``payoffs[p, k]`` is player k's reward at the profile with bit
     encoding p.  The table is copied, validated (shape 2**n by n,
-    finite) and frozen on construction.  It is stored column-major
-    (``payoffs.T`` is C-contiguous), so each player's rewards over the
-    profiles are contiguous: the deviation passes of the level searches
-    read one player at a time.
+    finite) and frozen on construction; tables the library has just
+    made itself are adopted without the copy.  It is stored
+    column-major (``payoffs.T`` is C-contiguous), so each player's
+    rewards over the profiles are contiguous: the deviation passes of
+    the level searches read one player at a time.
     """
 
     def __init__(self, payoffs, labels: Optional[Sequence[str]] = None):
-        table = np.array(payoffs, dtype=float, order="F")
+        self._hold(np.array(payoffs, dtype=float, order="F"), labels)
+
+    @classmethod
+    def _adopt(cls, table: np.ndarray,
+               labels: Optional[Sequence[str]] = None) -> "NormalFormGame":
+        """A game over ``table``, a column-major float64 array the
+        library has just made and hands over: validated and frozen in
+        place, not copied, so a builder or a transfer holds one table
+        where a copy would hold two."""
+        game = cls.__new__(cls)
+        game._hold(np.asfortranarray(table, dtype=float), labels)
+        return game
+
+    def _hold(self, table: np.ndarray, labels) -> None:
         if table.ndim != 2:
             raise ValueError("payoffs must be a 2-d table: profiles by players")
         n_profiles, n = table.shape

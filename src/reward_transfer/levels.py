@@ -61,6 +61,10 @@ from .transfer import (ExcessReport, TransferMatrix, exchange_matrix,
 log = logging.getLogger(__name__)
 
 _ROWS_PER_ROUND = 8
+# the even split's tests run over chunks of players whose arrays hold at
+# most this many floats (256 KB), so that a chunk's temporaries stay in
+# cache and well below the table; games of up to 12 players are one chunk
+_CHUNK_FLOATS = 1 << 15
 
 
 class SolveMode(enum.Enum):
@@ -243,23 +247,31 @@ def symmetrical_level(game: NormalFormGame,
                              target)
     others -= own
     scale = _Scale(game)
+    # the tests run over chunks of players, so that their temporaries
+    # stay small beside own and others; every test is elementwise and
+    # the extremes are exact, so the answers do not depend on the chunks
+    rows = max(1, _CHUNK_FLOATS // own.shape[1])
+    chunks = [slice(first, first + rows) for first in range(0, n, rows)]
 
     # s * own + (1 - s)/(n - 1) * others <= 0, rearranged in s
-    base = others / (n - 1)
-    coef = own - base
-    np.negative(base, out=base)
-    # a conjunction of tests is not monotone in the scale: decide each
-    immune = (scale.decide(lambda s: np.abs(coef) <= 1e-12 * s)
-              & scale.decide(lambda s: base < -1e-12 * s))
-    if immune.any():
-        player = int(np.flatnonzero(immune.any(axis=1))[0])
-        raise NotResolvableError(
-            "deviation gains are immune to symmetrical transfers "
-            f"(player {player + 1}); no exchange share resolves {target}")
-    above = scale.decide(lambda s: coef > 1e-12 * s)
-    below = scale.decide(lambda s: coef < -1e-12 * s)
-    hi = float(np.min(base[above] / coef[above], initial=1.0))
-    lo = float(np.max(base[below] / coef[below], initial=0.0))
+    hi, lo = 1.0, 0.0
+    for chunk in chunks:
+        base = others[chunk] / (n - 1)
+        coef = own[chunk] - base
+        np.negative(base, out=base)
+        # a conjunction of tests is not monotone in the scale: decide each
+        immune = (scale.decide(lambda s: np.abs(coef) <= 1e-12 * s)
+                  & scale.decide(lambda s: base < -1e-12 * s))
+        if immune.any():
+            # earlier chunks had none, so this is the lowest immune player
+            player = chunk.start + int(np.flatnonzero(immune.any(axis=1))[0])
+            raise NotResolvableError(
+                "deviation gains are immune to symmetrical transfers "
+                f"(player {player + 1}); no exchange share resolves {target}")
+        above = scale.decide(lambda s: coef > 1e-12 * s)
+        below = scale.decide(lambda s: coef < -1e-12 * s)
+        hi = min(hi, float(np.min(base[above] / coef[above], initial=1.0)))
+        lo = max(lo, float(np.max(base[below] / coef[below], initial=0.0)))
     if scale.decide(lambda s: lo > hi + 1e-12 * s):
         raise NotResolvableError(
             f"no exchange share makes {target} weakly dominant "
@@ -267,13 +279,17 @@ def symmetrical_level(game: NormalFormGame,
 
     level = hi
     matrix = exchange_matrix(n, level)
-    resid = level * own + (1.0 - level) / (n - 1) * others
-    np.abs(resid, out=resid)
+    share = (1.0 - level) / (n - 1)
+    binding = np.empty(own.shape, dtype=bool)
+    for chunk in chunks:
+        resid = level * own[chunk] + share * others[chunk]
+        np.abs(resid, out=resid)
+        binding[chunk] = scale.decide(lambda s: resid <= tolerance * s)
     return SelfInterestResult(
         level=level,
         matrix=matrix,
         target=target,
-        binding_mask=scale.decide(lambda s: resid <= tolerance * s),
+        binding_mask=binding,
         excess=excess_report(matrix),
         mode=SolveMode.SYMMETRIC,
     )
@@ -322,6 +338,8 @@ def _lazy_solve(lp, var, table, target, working, scale,
             picked = np.flatnonzero(fresh[i])
             order = np.argsort(-gains[i, picked], kind="stable")
             fresh[i, picked[order[_ROWS_PER_ROUND:]]] = False
+        # the next round's product is formed without this round's gains
+        del gains
         if not fresh.any():
             return lp, sol
         working |= fresh
@@ -376,7 +394,7 @@ def _matrix_from_solution(t, conserving) -> TransferMatrix:
 def _binding(game, target, matrix, tolerance) -> np.ndarray:
     gains = deviation_gains(transferred_payoffs(game.payoffs, matrix.entries),
                             target)
-    return np.abs(gains) <= tolerance
+    return np.abs(gains, out=gains) <= tolerance
 
 
 def _search(game, target, var, *, force, feas_tol, opt_tol, binding_tol,
@@ -404,6 +422,9 @@ def _search(game, target, var, *, force, feas_tol, opt_tol, binding_tol,
             f"no transfer contract makes {target} weakly dominant")
     level = float(sol.objective_value)
     log.debug("level %.12g after stage 1 (%d iterations)", level, sol.iterations)
+    # stage 2 starts cold, so stage 1's tableau is not kept beside it
+    x = sol.x
+    del sol
 
     if allow_excess or refine_diagonal:
         # stage 2 holds the level at its optimum and minimizes the total
@@ -420,9 +441,9 @@ def _search(game, target, var, *, force, feas_tol, opt_tol, binding_tol,
         _, refined = _lazy_solve(second, var, table, target, working, scale,
                                  feas_tol, opt_tol, max_rounds)
         if refined.status is LpStatus.OPTIMAL:
-            sol = refined
+            x = refined.x
 
-    matrix = _matrix_from_solution(sol.x[var], conserving=not allow_excess)
+    matrix = _matrix_from_solution(x[var], conserving=not allow_excess)
     return SelfInterestResult(
         level=level,
         matrix=matrix,

@@ -43,6 +43,9 @@ def _row(values) -> str:
 
 _KEY_DIGITS = str.maketrans("CD", "01")
 
+# dumps_game renders the payoff rows this many at a time
+_DUMP_ROWS = 1 << 10
+
 
 def _key_bits(key: str) -> int:
     """Profile bits of a C/D key; the first character is player 0, the
@@ -51,17 +54,26 @@ def _key_bits(key: str) -> int:
 
 
 def dumps_game(game: NormalFormGame) -> str:
-    lines = ["{", '  "payoffs": {']
-    last = (1 << game.n) - 1
+    n = game.n
+    # key position p names player 0 first, in its highest bit, so its
+    # profile is p's n bits reversed
+    pos = np.arange(1 << n)
+    profiles = np.zeros_like(pos)
+    for k in range(n):
+        profiles |= ((pos >> (n - 1 - k)) & 1) << k
     # product over "CD" yields the keys already in sorted order
-    for pos, chars in enumerate(itertools.product("CD", repeat=game.n)):
-        key = "".join(chars)
-        comma = "," if pos < last else ""
-        lines.append(f'    "{key}": {_row(game.payoffs[_key_bits(key)])}{comma}')
-    lines.append("  },")
-    lines.append(f'  "players": {game.n}')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    keys = map("".join, itertools.product("CD", repeat=n))
+    # rows are read a block at a time as Python floats and each block is
+    # joined on its own, so the whole line list is never held at once
+    blocks = ['{\n  "payoffs": {\n']
+    for start in range(0, 1 << n, _DUMP_ROWS):
+        rows = game.payoffs[profiles[start:start + _DUMP_ROWS]].tolist()
+        # rows first: zip then stops without taking the next block's key
+        blocks.append("".join(f'    "{key}": {_row(row)},\n'
+                              for row, key in zip(rows, keys)))
+    blocks[-1] = blocks[-1][:-2] + "\n"   # the last row takes no comma
+    blocks.append(f'  }},\n  "players": {n}\n}}\n')
+    return "".join(blocks)
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -77,9 +89,20 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
+class _FloatMemo(dict):
+    """Number text -> float, parsed on first sight.  A payoff table
+    repeats a few values many times, so one float per distinct text
+    serves every occurrence."""
+
+    def __missing__(self, text: str) -> float:
+        value = self[text] = float(text)
+        return value
+
+
 def _load(text: str):
     try:
-        return json.loads(text, object_pairs_hook=_unique_keys)
+        return json.loads(text, object_pairs_hook=_unique_keys,
+                          parse_float=_FloatMemo().__getitem__)
     except json.JSONDecodeError as exc:
         raise FormatError(f"not valid JSON: {exc}") from None
 

@@ -102,11 +102,12 @@ def exchange_matrix(n: int, s: float) -> TransferMatrix:
 
 def apply_transfers(game: NormalFormGame, matrix: TransferMatrix) -> NormalFormGame:
     """The transformed game: every profile's rewards pushed through the
-    contract.  Transfer is linear, so this is one matrix product."""
+    contract.  Transfer is linear, so this is one matrix product, and
+    the game adopts the fresh product instead of copying it."""
     if matrix.n != game.n:
         raise ValueError("matrix size does not match the game")
-    return NormalFormGame(transferred_payoffs(game.payoffs, matrix.entries),
-                          labels=game.labels)
+    return NormalFormGame._adopt(
+        transferred_payoffs(game.payoffs, matrix.entries), labels=game.labels)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -5,9 +6,10 @@ import numpy as np
 import pytest
 
 from reward_transfer import (ActionProfile, BaseGame, BaseGameParams,
-                             GraphKind, NormalFormGame,
+                             FunctionalParams, GraphKind, NormalFormGame,
                              SelfInterestResult, SolveMode, TransferMatrix,
-                             build_graphical, exchange_matrix, excess_report,
+                             build_functional, build_graphical,
+                             exchange_matrix, excess_report,
                              general_level, general_level_symmetric_fastpath,
                              symmetrical_level)
 from reward_transfer.game import coplayer_string, insert_bit
@@ -156,6 +158,60 @@ class TestGameFormat:
             parsed = parse_game(json.dumps(doc))
             assert np.array_equal(parsed.payoffs,
                                   _table_by_item(doc["payoffs"], n))
+
+
+def _rowwise_dumps_game(game):
+    """The game document as it was first rendered: one row of the
+    column-major table per profile key, read in place."""
+    lines = ["{", '  "payoffs": {']
+    last = (1 << game.n) - 1
+    for pos, chars in enumerate(itertools.product("CD", repeat=game.n)):
+        key = "".join(chars)
+        bits = int(key[::-1].translate(str.maketrans("CD", "01")), 2)
+        row = "[" + ", ".join("%.17g" % (float(v) + 0.0)
+                              for v in game.payoffs[bits]) + "]"
+        lines.append(f'    "{key}": {row}{"," if pos < last else ""}')
+    lines += ["  },", f'  "players": {game.n}', "}"]
+    return "\n".join(lines) + "\n"
+
+
+class TestBlockedGameDump:
+    @pytest.mark.parametrize("n", [2, 3, 5, 9, 14])
+    def test_bytes_equal_the_row_by_row_rendering(self, n):
+        for game in (build_functional(FunctionalParams(n, 3.07)),
+                     build_graphical(GraphKind.CIRCULAR,
+                                     BaseGameParams(BaseGame.PRISONERS_DILEMMA,
+                                                    2.9731, 1.0123), n)):
+            assert dumps_game(game) == _rowwise_dumps_game(game)
+
+
+class TestMemoizedFloatParse:
+    def test_parses_to_the_plain_json_values(self):
+        # signed zeros, extreme magnitudes, subnormals, integers, exponent
+        # forms and repeated texts, each in a cell of its own
+        texts = ["-0.0", "0.0", "1e300", "-1.7976931348623157e308",
+                 "5e-324", "2.2250738585072014e-308", "3", "-7",
+                 "18446744073709551617", "0.1", "0.1", "1E5", "-0.0",
+                 "0.30000000000000004", "1e-7", "0.1"]
+        keys = ["".join(k) for k in itertools.product("CD", repeat=4)]
+        text = ('{"players": 4, "payoffs": {'
+                + ", ".join(f'"{key}": [{texts[i]}, {texts[-1 - i]}, '
+                            f'{texts[(3 * i) % 16]}, 0.1]'
+                            for i, key in enumerate(keys))
+                + "}}")
+        plain = json.loads(text)["payoffs"]
+        expected = np.zeros((16, 4))
+        for key, row in plain.items():
+            expected[ActionProfile.from_string(key).bits] = row
+        parsed = parse_game(text).payoffs
+        assert parsed.tobytes() == expected.tobytes()
+        assert np.signbit(parsed[ActionProfile.from_string("CCCC").bits, 0])
+
+    def test_a_repeated_value_is_one_float_object(self):
+        from reward_transfer.serialize import _load
+        rows = _load('[[0.25, 0.25], [0.25, 0.5]]')
+        assert rows[0][0] is rows[1][0]
+        assert rows[0][0] is not rows[1][1]
 
 
 def _pd_with(change):
