@@ -29,9 +29,8 @@ from .levels import (NotADilemmaError, NotResolvableError, SolveMode,
 # solve streams result_lines and never calls dumps_result; the name stays
 # importable here because perfbench/spans.py re-binds cli.dumps_result by
 # name when it traces a run
-from .serialize import (FormatError, dumps_game, dumps_matrix,  # noqa: F401
-                        dumps_result, extract_matrix, parse_game,
-                        result_lines)
+from .serialize import (FormatError, dumps_matrix, dumps_result,  # noqa: F401
+                        extract_matrix, game_blocks, parse_game, result_lines)
 from .transfer import apply_transfers, verify_resolution
 
 EXIT_OK = 0
@@ -140,14 +139,14 @@ def cmd_generate(args) -> int:
         base = _BASES[args.base or "pd"]
         params = BaseGameParams(base, c, 1.0 if args.d is None else args.d)
         game = build_graphical(_GRAPHS[kind], params, n)
-    _write_output([dumps_game(game)], args.output)
+    _write_output(game_blocks(game), args.output)
     return EXIT_OK
 
 
 def cmd_transform(args) -> int:
     game = _read_game(args.game)
     matrix, _ = extract_matrix(_read_text(args.matrix))
-    _write_output([dumps_game(apply_transfers(game, matrix))], args.output)
+    _write_output(game_blocks(apply_transfers(game, matrix)), args.output)
     return EXIT_OK
 
 
@@ -180,11 +179,13 @@ def cmd_analytic(args) -> int:
     if args.matrix and mode is not SolveMode.GENERAL:
         raise _UsageError("--matrix goes with --mode general")
     level: AnalyticLevel = analytic_level(graph, params, args.n, mode)
+    # the matrix is built before anything is printed, so that a refused
+    # call writes nothing to stdout
+    matrix = (analytic_matrix(graph, params, args.n, allow_limit=level.is_limit)
+              if args.matrix else None)
     note = " (large-n limit)" if level.is_limit else ""
     print(f"{args.mode} level: {level.value:.17g}{note}")
-    if args.matrix:
-        matrix = analytic_matrix(graph, params, args.n,
-                                 allow_limit=level.is_limit)
+    if matrix is not None:
         if level.is_limit:
             print("matrix below is the large-n limit; not optimal at small n")
         sys.stdout.write(dumps_matrix(matrix))

@@ -29,6 +29,7 @@ the ones that fail.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -48,6 +49,14 @@ _ACTION_TO_CHAR = {COOPERATE: "C", DEFECT: "D"}
 WELFARE_CONDITION = "cooperation-raises-welfare"
 TEMPTATION_CONDITION = "defection-raises-own-reward"
 MUTUAL_CONDITION = "all-cooperate-beats-all-defect"
+
+
+def _check_tolerance(tolerance: float) -> None:
+    """Refuse a tolerance no test can read: NaN (every comparison with
+    it is false, so every check would pass), infinite or negative."""
+    if not 0.0 <= tolerance < math.inf:
+        raise ValueError(
+            f"tolerance must be finite and non-negative, got {tolerance!r}")
 
 
 def insert_bit(mask: int, player: int, action: int) -> int:
@@ -327,6 +336,7 @@ def classify_dilemma(game: NormalFormGame,
     ``tolerance``: differences within it count as ties, and ties break
     the strict inequalities.
     """
+    _check_tolerance(tolerance)
     table = game.payoffs
     n = game.n
     sw = _profile_welfare(game, welfare)
@@ -379,6 +389,7 @@ def check_dominance(game: NormalFormGame,
     Strict dominance additionally requires every deviation to strictly
     lose.
     """
+    _check_tolerance(tolerance)
     if target.n != game.n:
         raise ValueError("target profile size does not match the game")
     gains = deviation_gains(game.payoffs, target)
@@ -397,6 +408,7 @@ def pure_nash_equilibria(game: NormalFormGame,
                          tolerance: float = 1e-9) -> frozenset[ActionProfile]:
     """All profiles where no single player gains more than ``tolerance``
     by deviating."""
+    _check_tolerance(tolerance)
     table = game.payoffs
     everyone_cooperates = ActionProfile.all_cooperate(game.n)
     stable = np.ones(1 << game.n, dtype=bool)
@@ -423,6 +435,7 @@ def social_optima(game: NormalFormGame,
                   tolerance: float = 1e-9,
                   welfare: Optional[Callable] = None) -> frozenset[ActionProfile]:
     """Profiles whose group welfare is within ``tolerance`` of the best."""
+    _check_tolerance(tolerance)
     sw = _profile_welfare(game, welfare)
     best = sw.max()
     return frozenset(

@@ -29,12 +29,14 @@ working set that starts from the two extreme co-profiles, scan the full
 set for violations, add the worst offenders, repeat.  The relaxation
 optimum only ever over-estimates, so a violation-free solution is exact.
 
-Tolerance tests (a violation, the even split's interval and binding
-tests) are scaled by 1 + the largest reward change of any single
-deviation.  Computing it exactly costs O(n**2 * 2**n), so each search
-decides its tests from cheap bounds on it, [1, 1 + the widest column
-range], and runs the exact pass only when a test falls between them
-(``_Scale``).  The decisions are the exact scale's, bit for bit.
+Every test a search makes reads its one ``tolerance``: the simplex, the
+dilemma gate and the social-optimum warning as it is, and every test on
+reward changes (a violation, a binding constraint, the symmetry check)
+as value vs tolerance * s, where s is 1 + the largest reward change of
+any single deviation.  Computing s exactly costs O(n**2 * 2**n), so each
+search decides its tests from cheap bounds on it, [1, 1 + the widest
+column range], and runs the exact pass only when a test falls between
+them (``_Scale``).  The decisions are the exact scale's, bit for bit.
 """
 
 from __future__ import annotations
@@ -51,9 +53,9 @@ import numpy as np
 # nothing here calls social_optima; the name stays importable because
 # perfbench/spans.py re-binds it by name when it traces a run
 from .game import (ActionProfile, DilemmaClassification, DilemmaKind,  # noqa: F401
-                   NormalFormGame, _is_social_optimum, classify_dilemma,
-                   deviation_gains, deviation_pairs, social_optima,
-                   transferred_payoffs)
+                   NormalFormGame, _check_tolerance, _is_social_optimum,
+                   classify_dilemma, deviation_gains, deviation_pairs,
+                   social_optima, transferred_payoffs)
 from .lp import LinearProgram, LpStatus, solve_lp
 from .transfer import (ExcessReport, TransferMatrix, exchange_matrix,
                        excess_report)
@@ -61,6 +63,8 @@ from .transfer import (ExcessReport, TransferMatrix, exchange_matrix,
 log = logging.getLogger(__name__)
 
 _ROWS_PER_ROUND = 8
+# constraint generation gives up after this many rounds
+_MAX_ROUNDS = 200
 # the even split's tests run over chunks of players whose arrays hold at
 # most this many floats (256 KB), so that a chunk's temporaries stay in
 # cache and well below the table; games of up to 12 players are one chunk
@@ -132,10 +136,7 @@ def deviation_deltas(game: NormalFormGame,
     while the co-players play m.
 
     A reference for tests and tracing: no search calls it.  The largest
-    |delta| over every player sets the scale of the tolerances, which
-    the searches bound by column ranges and ``_scale`` takes exactly in
-    one pass over the table; ``symmetrical_level`` reads welfare changes
-    off the welfare vector.
+    |delta| over every player is ``_scale(game)`` - 1.
     """
     if target.n != game.n:
         raise ValueError("target profile size does not match the game")
@@ -144,11 +145,8 @@ def deviation_deltas(game: NormalFormGame,
 
 
 def _scale(game) -> float:
-    """1 + the largest reward change any single deviation causes.
-
-    The searches scale their tolerances by it, but they decide most of
-    those tests from bounds on it (``_Scale``) and run this pass only
-    when a test falls between them.
+    """1 + the largest reward change any single deviation causes: the
+    scale of every tolerance test on reward changes.
 
     That is the largest |difference| between two profiles one bit apart,
     over every player's rewards.  It does not depend on the target, as
@@ -197,28 +195,26 @@ class _Scale:
         return test(self.hi)
 
 
-def _gate_dilemma(game, force, tolerance=1e-9) -> Optional[DilemmaClassification]:
+def _admit(game, target, force, tolerance, stacklevel=3) -> ActionProfile:
+    """The target a search works for (all-cooperate when None), after
+    the dilemma gate, which refuses a non-dilemma unless ``force`` is
+    given, and a warning if the target is not a social optimum.  Both
+    read ``tolerance`` unscaled, as ``classify_dilemma`` and
+    ``social_optima`` define it."""
+    if target is None:
+        target = ActionProfile.all_cooperate(game.n)
+    if target.n != game.n:
+        raise ValueError("target profile size does not match the game")
     classification = classify_dilemma(game, tolerance)
     if classification.kind is DilemmaKind.NOT_DILEMMA and not force:
         first = classification.witnesses[0].describe(game.n)
         raise NotADilemmaError(
             f"not a social dilemma ({first}); pass force=True to search anyway",
             classification)
-    return classification
-
-
-def _warn_if_suboptimal(game, target, stacklevel=3):
-    if not _is_social_optimum(game, target):
+    if not _is_social_optimum(game, target, tolerance):
         warnings.warn(
             f"target {target} is not a social optimum of the game",
             UserWarning, stacklevel=stacklevel)
-
-
-def _resolve_target(game, target) -> ActionProfile:
-    if target is None:
-        return ActionProfile.all_cooperate(game.n)
-    if target.n != game.n:
-        raise ValueError("target profile size does not match the game")
     return target
 
 
@@ -232,11 +228,10 @@ def symmetrical_level(game: NormalFormGame,
     Each deviation constraint is linear in s, so each yields a one-sided
     bound and the answer is the upper end of the feasible interval
     intersected with [0, 1].  Raises NotResolvableError when the
-    interval is empty.
+    interval is empty.  ``tolerance`` is read as in ``general_level``.
     """
-    target = _resolve_target(game, target)
-    _gate_dilemma(game, force)
-    _warn_if_suboptimal(game, target)
+    _check_tolerance(tolerance)
+    target = _admit(game, target, force, tolerance)
     n = game.n
     table = game.payoffs
     own = deviation_gains(table, target)
@@ -313,26 +308,25 @@ def _deviation_block(table, target, mask, var, width) -> np.ndarray:
     return np.vstack(blocks)
 
 
-def _lazy_solve(lp, var, table, target, working, scale,
-                feas_tol, opt_tol, max_rounds):
+def _lazy_solve(lp, var, table, target, working, scale, tolerance):
     """Solve ``lp``, whose deviation rows are those set in ``working``
     (an (n, 2**(n-1)) boolean mask, grown in place), scan every
     deviation of the resulting matrix T (entry [j, i] is LP variable
     var[j, i]) and append each player's worst missing violations as new
     rows; repeat until none is left.  Each round after the first
     re-optimizes the tableau of the round before.  A violation is a gain
-    above ``feas_tol`` times the game's scale, decided through ``scale``
+    above ``tolerance`` times the game's scale, decided through ``scale``
     (a ``_Scale``).  Returns the last program and its solution."""
     sol = None
-    for _ in range(max_rounds):
-        sol = solve_lp(lp, feas_tol=feas_tol, opt_tol=opt_tol, start=sol)
+    for _ in range(_MAX_ROUNDS):
+        sol = solve_lp(lp, feas_tol=tolerance, opt_tol=tolerance, start=sol)
         if sol.status is LpStatus.INFEASIBLE:
             return lp, sol
         if sol.status is LpStatus.UNBOUNDED:
             raise RuntimeError("level search reported unbounded; the level "
                                "is capped by construction, so this is a bug")
         gains = deviation_gains(transferred_payoffs(table, sol.x[var]), target)
-        fresh = scale.decide(lambda s: gains > feas_tol * s) & ~working
+        fresh = scale.decide(lambda s: gains > tolerance * s) & ~working
         # each player keeps their worst violations, ties to the lower mask
         for i in np.flatnonzero(fresh.sum(axis=1) > _ROWS_PER_ROUND):
             picked = np.flatnonzero(fresh[i])
@@ -391,32 +385,31 @@ def _matrix_from_solution(t, conserving) -> TransferMatrix:
     return TransferMatrix(t)
 
 
-def _binding(game, target, matrix, tolerance) -> np.ndarray:
+def _binding(game, target, matrix, tolerance, scale) -> np.ndarray:
+    """The deviation constraints whose gain after transfer under
+    ``matrix`` is within tolerance * s of zero, decided through ``scale``."""
     gains = deviation_gains(transferred_payoffs(game.payoffs, matrix.entries),
                             target)
-    return np.abs(gains, out=gains) <= tolerance
+    np.abs(gains, out=gains)
+    return scale.decide(lambda s: gains <= tolerance * s)
 
 
-def _search(game, target, var, *, force, feas_tol, opt_tol, binding_tol,
-            max_rounds, allow_excess=False,
-            refine_diagonal=False) -> SelfInterestResult:
+def _search(game, target, var, scale, *, force, tolerance,
+            allow_excess=False, refine_diagonal=False) -> SelfInterestResult:
     """The level search over transfer matrices whose entry [j, i] is LP
     variable var[j, i]: one variable per entry searches every matrix,
     and a map that shares variables searches the matrices it describes.
-    See ``general_level`` for the modes."""
-    _gate_dilemma(game, force)
-    _warn_if_suboptimal(game, target, stacklevel=4)
+    ``scale`` is the game's ``_Scale``; see ``general_level`` for the rest."""
+    target = _admit(game, target, force, tolerance, stacklevel=4)
     n = game.n
     table = game.payoffs
-    scale = _Scale(game)
     # every player's working set starts from the two extreme co-profiles:
     # all co-players cooperate, all defect
     working = np.zeros((n, 1 << (n - 1)), dtype=bool)
     working[:, [0, -1]] = True
 
     lp, sol = _lazy_solve(_level_lp(table, target, var, working, allow_excess),
-                          var, table, target, working, scale,
-                          feas_tol, opt_tol, max_rounds)
+                          var, table, target, working, scale, tolerance)
     if sol.status is LpStatus.INFEASIBLE:
         raise NotResolvableError(
             f"no transfer contract makes {target} weakly dominant")
@@ -439,7 +432,7 @@ def _search(game, target, var, *, force, feas_tol, opt_tol, binding_tol,
         second = LinearProgram(c, a_ub=lp.a_ub, b_ub=lp.b_ub, a_eq=lp.a_eq,
                                b_eq=lp.b_eq, lower=floor)
         _, refined = _lazy_solve(second, var, table, target, working, scale,
-                                 feas_tol, opt_tol, max_rounds)
+                                 tolerance)
         if refined.status is LpStatus.OPTIMAL:
             x = refined.x
 
@@ -448,7 +441,7 @@ def _search(game, target, var, *, force, feas_tol, opt_tol, binding_tol,
         level=level,
         matrix=matrix,
         target=target,
-        binding_mask=_binding(game, target, matrix, binding_tol),
+        binding_mask=_binding(game, target, matrix, tolerance, scale),
         excess=excess_report(matrix),
         mode=SolveMode.GENERAL_WITH_EXCESS if allow_excess else SolveMode.GENERAL,
     )
@@ -459,39 +452,40 @@ def general_level(game: NormalFormGame,
                   *,
                   allow_excess: bool = False,
                   force: bool = False,
-                  feas_tol: float = 1e-9,
-                  opt_tol: float = 1e-9,
-                  binding_tol: float = 1e-7,
                   refine_diagonal: bool = False,
-                  max_rounds: int = 200) -> SelfInterestResult:
+                  tolerance: float = 1e-9) -> SelfInterestResult:
     """Search all transfer contracts for the highest resolving level.
 
     With ``allow_excess`` rows may sum to less than one (burning reward
     as a deterrent); a second LP pass then minimizes the total paid out
     so the reported slack is the largest one compatible with the level.
-    With ``refine_diagonal`` (conserving mode only) a second pass
-    maximizes the diagonal sum to break ties among optimal matrices.
+    With ``refine_diagonal`` (conserving searches only; with
+    ``allow_excess`` it raises ValueError) a second pass maximizes the
+    diagonal sum to break ties among optimal matrices.
 
-    ``feas_tol`` and ``opt_tol`` go to the simplex as they are.  The
-    violation scan scales ``feas_tol`` by 1 + the largest reward change
-    any single deviation causes in the game: a deviation joins the lazy
-    working set when its gain exceeds that.  ``binding_tol`` is an
-    absolute bound on the gains after transfer.
+    Every test reads ``tolerance``: the simplex, the dilemma gate and
+    the social-optimum warning as it is.  With s the game's reward scale
+    (see the module notes), the scan adds a deviation whose gain exceeds
+    tolerance * s, and a constraint binds when its gain after transfer is
+    within tolerance * s of zero, as ``binding_constraints`` recomputes.
 
     Raises NotADilemmaError for non-dilemmas unless ``force`` is given,
     and NotResolvableError when no contract works at all.
     """
-    target = _resolve_target(game, target)
+    _check_tolerance(tolerance)
+    if allow_excess and refine_diagonal:
+        raise ValueError("refine_diagonal applies to conserving searches "
+                         "only; it cannot be combined with allow_excess")
     return _search(game, target, np.arange(game.n ** 2).reshape(game.n, game.n),
-                   allow_excess=allow_excess, force=force, feas_tol=feas_tol,
-                   opt_tol=opt_tol, binding_tol=binding_tol,
-                   refine_diagonal=refine_diagonal, max_rounds=max_rounds)
+                   _Scale(game), allow_excess=allow_excess, force=force,
+                   tolerance=tolerance, refine_diagonal=refine_diagonal)
 
 
-def _check_symmetry(game, perm, tolerance=1e-9):
+def _check_symmetry(game, perm, tolerance, scale):
     """Raise unless relabeling players by ``perm`` leaves the table
     unchanged: player perm[k] at the profile that moves bit i to bit
-    perm[i] earns what player k earns at the original profile.
+    perm[i] earns what player k earns at the original profile, to within
+    tolerance * s, decided through ``scale``.
 
     Each player's rewards are viewed as an n-axis cube over the bits
     (axis n - 1 - b holds bit b); moving the bits is then a transpose of
@@ -509,8 +503,7 @@ def _check_symmetry(game, perm, tolerance=1e-9):
     for k in range(n):
         np.subtract(cubes[perm[k]].transpose(axes), cubes[k], out=diff)
         worst = max(worst, float(np.abs(diff, out=diff).max()))
-    scale = 1.0 + float(np.abs(table).max())
-    if worst > tolerance * scale:
+    if scale.decide(lambda s: worst > tolerance * s):
         raise ValueError(
             "the game is not symmetric under the generator "
             f"(payoff mismatch {worst:.3g})")
@@ -520,10 +513,7 @@ def general_level_symmetric_fastpath(game: NormalFormGame,
                                      generator: Optional[Sequence[int]] = None,
                                      *,
                                      force: bool = False,
-                                     feas_tol: float = 1e-9,
-                                     opt_tol: float = 1e-9,
-                                     binding_tol: float = 1e-7,
-                                     max_rounds: int = 200) -> SelfInterestResult:
+                                     tolerance: float = 1e-9) -> SelfInterestResult:
     """General-level search for games with a cyclic player symmetry.
 
     ``generator`` is a permutation (one n-cycle) under which the game is
@@ -533,7 +523,11 @@ def general_level_symmetric_fastpath(game: NormalFormGame,
     row; rows of the matrix are that row pushed around the cycle.  The
     target is all-cooperate (any symmetric target is all-same).  Results
     agree with ``general_level`` but the LP has n + 1 variables.
+
+    ``tolerance`` is read as in ``general_level``, and a payoff mismatch
+    above tolerance * s fails the symmetry check.
     """
+    _check_tolerance(tolerance)
     n = game.n
     if generator is None:
         generator = tuple((i + 1) % n for i in range(n))
@@ -546,19 +540,21 @@ def general_level_symmetric_fastpath(game: NormalFormGame,
     if len(set(cycle)) != n:
         raise ValueError("generator must be a single cycle through all "
                          "players; its orbit of player 1 is shorter")
-    _check_symmetry(game, perm)
+    scale = _Scale(game)
+    _check_symmetry(game, perm, tolerance, scale)
 
     # row cycle[k] of T is row 0 pushed k steps round the cycle, so
     # T[j, i] = T[0, cycle[pos[i] - pos[j]]], held by variable var[j, i]
     pos = np.argsort(cycle)
     var = np.array(cycle)[(pos[None, :] - pos[:, None]) % n]
-    return _search(game, ActionProfile.all_cooperate(n), var, force=force,
-                   feas_tol=feas_tol, opt_tol=opt_tol,
-                   binding_tol=binding_tol, max_rounds=max_rounds)
+    return _search(game, None, var, scale, force=force, tolerance=tolerance)
 
 
 def binding_constraints(game: NormalFormGame,
                         result: SelfInterestResult,
-                        tolerance: float = 1e-7) -> list[tuple[int, int]]:
-    """Recompute which deviation constraints are tight for a result."""
-    return _mask_pairs(_binding(game, result.target, result.matrix, tolerance))
+                        tolerance: float = 1e-9) -> list[tuple[int, int]]:
+    """Recompute which deviation constraints are tight for a result, by
+    the searches' rule: a gain after transfer within tolerance * s of 0."""
+    _check_tolerance(tolerance)
+    return _mask_pairs(_binding(game, result.target, result.matrix, tolerance,
+                                _Scale(game)))

@@ -43,7 +43,7 @@ def _row(values) -> str:
 
 _KEY_DIGITS = str.maketrans("CD", "01")
 
-# dumps_game renders the payoff rows this many at a time
+# game_blocks renders the payoff rows this many at a time
 _DUMP_ROWS = 1 << 10
 
 
@@ -53,7 +53,10 @@ def _key_bits(key: str) -> int:
     return int(key[::-1].translate(_KEY_DIGITS), 2)
 
 
-def dumps_game(game: NormalFormGame) -> str:
+def game_blocks(game: NormalFormGame) -> Iterator[str]:
+    """The canonical game document in pieces of at most ``_DUMP_ROWS``
+    payoff rows, so that a large game can be written without holding
+    the whole text."""
     n = game.n
     # key position p names player 0 first, in its highest bit, so its
     # profile is p's n bits reversed
@@ -63,17 +66,22 @@ def dumps_game(game: NormalFormGame) -> str:
         profiles |= ((pos >> (n - 1 - k)) & 1) << k
     # product over "CD" yields the keys already in sorted order
     keys = map("".join, itertools.product("CD", repeat=n))
+    yield '{\n  "payoffs": {\n'
     # rows are read a block at a time as Python floats and each block is
     # joined on its own, so the whole line list is never held at once
-    blocks = ['{\n  "payoffs": {\n']
     for start in range(0, 1 << n, _DUMP_ROWS):
         rows = game.payoffs[profiles[start:start + _DUMP_ROWS]].tolist()
         # rows first: zip then stops without taking the next block's key
-        blocks.append("".join(f'    "{key}": {_row(row)},\n'
-                              for row, key in zip(rows, keys)))
-    blocks[-1] = blocks[-1][:-2] + "\n"   # the last row takes no comma
-    blocks.append(f'  }},\n  "players": {n}\n}}\n')
-    return "".join(blocks)
+        block = "".join(f'    "{key}": {_row(row)},\n'
+                        for row, key in zip(rows, keys))
+        if start + _DUMP_ROWS >= 1 << n:
+            block = block[:-2] + "\n"   # the last row takes no comma
+        yield block
+    yield f'  }},\n  "players": {n}\n}}\n'
+
+
+def dumps_game(game: NormalFormGame) -> str:
+    return "".join(game_blocks(game))
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -138,22 +146,26 @@ def _table_at_once(payoffs: dict, n: int) -> Optional[np.ndarray]:
     # exact types: bool is an int subclass and must stay refused
     if not set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}:
         return None
+    # 2**n distinct keys of n C/D characters name every profile once, so
+    # the rows are put in profile order first and read into the table
+    # once, column-major as a game holds it
+    bits = np.zeros(len(rows), dtype=np.int64)
+    for k in range(n):
+        bits[defect[:, k]] |= 1 << k
     try:
-        values = np.array(rows, dtype=float)
+        table = np.array([rows[i] for i in np.argsort(bits).tolist()],
+                         dtype=float, order="F")
     except OverflowError:
         return None
-    if not np.isfinite(values).all():
+    if not np.isfinite(table).all():
         return None
-    # 2**n distinct keys of n C/D characters name every profile once
-    table = np.empty_like(values)
-    table[defect @ (1 << np.arange(n))] = values
     return table
 
 
 def _table_by_item(payoffs: dict, n: int) -> np.ndarray:
     """The payoff table, one key and one number at a time, raising
     FormatError at the first one that is wrong."""
-    table = np.zeros((1 << n, n))
+    table = np.zeros((1 << n, n), order="F")
     seen = set()
     for key, row in payoffs.items():
         if len(key) != n or any(ch not in "CD" for ch in key):
@@ -195,7 +207,7 @@ def parse_game(text: str) -> NormalFormGame:
     table = _table_at_once(payoffs, players)
     if table is None:
         table = _table_by_item(payoffs, players)
-    return NormalFormGame(table)
+    return NormalFormGame._adopt(table)
 
 
 def dumps_matrix(matrix: TransferMatrix) -> str:

@@ -21,8 +21,8 @@ import numpy as np
 # nothing here calls social_optima; the name stays importable because
 # perfbench/spans.py re-binds it by name when it traces a run
 from .game import (ActionProfile, DominanceReport, NormalFormGame,  # noqa: F401
-                   _is_social_optimum, check_dominance, social_optima,
-                   transferred_payoffs)
+                   _check_tolerance, _is_social_optimum, check_dominance,
+                   social_optima, transferred_payoffs)
 
 
 class TransferMatrix:
@@ -33,6 +33,7 @@ class TransferMatrix:
     """
 
     def __init__(self, entries, tol: float = 1e-12):
+        _check_tolerance(tol)
         m = np.array(entries, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("a transfer matrix must be square")
@@ -67,6 +68,7 @@ class TransferMatrix:
 
     def is_conserving(self, tolerance: float = 1e-9) -> bool:
         """True when every row sums to 1, i.e. no reward is burned."""
+        _check_tolerance(tolerance)
         return bool(np.abs(self.row_sums() - 1.0).max() <= tolerance)
 
     def min_retained(self) -> float:
@@ -133,6 +135,7 @@ def conservation_check(game: NormalFormGame,
     Raises if the matrix is not conserving to begin with (use
     ``excess_report`` for those).
     """
+    _check_tolerance(tolerance)
     if matrix.n != game.n:
         raise ValueError("matrix size does not match the game")
     if not matrix.is_conserving(tolerance):
@@ -155,6 +158,7 @@ def verify_resolution(game: NormalFormGame,
     optimum of the original game is allowed but warned about, since
     enforcing it pins the group to suboptimal welfare.
     """
+    _check_tolerance(tolerance)
     if target is None:
         target = ActionProfile.all_cooperate(game.n)
     if target.n != game.n:

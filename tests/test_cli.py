@@ -14,7 +14,8 @@ import pytest
 
 from conftest import ARBITRARY_MATRIX_3DP, ARBITRARY_TABLE, package_env
 from reward_transfer import (BaseGame, BaseGameParams, FunctionalParams,
-                             GraphKind, NormalFormGame, build_functional,
+                             GraphKind, NormalFormGame, TransferMatrix,
+                             apply_transfers, build_functional,
                              build_graphical)
 from reward_transfer.cli import main
 from reward_transfer.serialize import dumps_game, parse_game
@@ -150,6 +151,14 @@ class TestSolve:
         assert doc["level"] == pytest.approx(0.5, abs=1e-6)
         assert doc["excess"][0] == pytest.approx(8.0 / 18.0, abs=1e-3)
 
+    def test_excess_refuses_refine_diagonal(self, pd_path, capsys):
+        # refining is for conserving searches only
+        assert main(["solve", pd_path, "--allow-excess",
+                     "--refine-diagonal"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "refine_diagonal" in captured.err
+
     def test_excess_requires_general(self, pd_path):
         assert main(["solve", pd_path, "--mode", "symmetric",
                      "--allow-excess"]) == 3
@@ -255,6 +264,35 @@ class TestGenerate:
         assert capsys.readouterr().out == first
 
 
+class TestStreamedGameFiles:
+    """generate and transform write the game document block by block;
+    the bytes are dumps_game's."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 9, 14])
+    def test_generate_writes_dumps_game(self, n, tmp_path):
+        path = tmp_path / "g.json"
+        assert main(["generate", "functional", "-n", str(n), "-c", "3.07",
+                     "-o", str(path)]) == 0
+        expected = dumps_game(build_functional(FunctionalParams(n, 3.07)))
+        assert path.read_text() == expected
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 9, 14])
+    def test_transform_writes_dumps_game(self, n, tmp_path):
+        game = build_graphical(GraphKind.CIRCULAR,
+                               BaseGameParams(BaseGame.PRISONERS_DILEMMA,
+                                              2.9731, 1.0123), n)
+        shares = np.full((n, n), 0.5 / (n - 1))
+        np.fill_diagonal(shares, 0.5)
+        game_path = tmp_path / "g.json"
+        game_path.write_text(dumps_game(game))
+        matrix = write_json(tmp_path, "m.json", shares.tolist())
+        out = tmp_path / "t.json"
+        assert main(["transform", str(game_path), matrix, "-o", str(out)]) == 0
+        expected = dumps_game(apply_transfers(parse_game(dumps_game(game)),
+                                              TransferMatrix(shares)))
+        assert out.read_text() == expected
+
+
 class TestTransform:
     def test_matches_library(self, arbitrary_path, tmp_path, capsys):
         matrix = write_json(tmp_path, "m.json", ARBITRARY_MATRIX_3DP)
@@ -269,6 +307,37 @@ class TestTransform:
     def test_missing_file(self, arbitrary_path, tmp_path):
         assert main(["transform", arbitrary_path,
                      str(tmp_path / "nope.json")]) == 3
+
+
+BAD_TOLERANCES = ["nan", "inf", "-1"]
+
+
+class TestUnreadableTolerance:
+    """Every comparison with a NaN tolerance is false, so no verdict
+    read with it means anything: classify and verify refuse it, and
+    infinite and negative ones, as an input error."""
+
+    @pytest.mark.parametrize("tolerance", BAD_TOLERANCES)
+    def test_classify(self, pd_path, tolerance, capsys):
+        assert main(["classify", pd_path, "--tolerance", tolerance]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tolerance" in captured.err
+
+    @pytest.mark.parametrize("tolerance", BAD_TOLERANCES)
+    def test_verify(self, tmp_path, tolerance, capsys):
+        game = str(tmp_path / "g.json")
+        main(["generate", "cyclical", "-o", game])
+        identity = write_json(tmp_path, "id.json",
+                              [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        capsys.readouterr()
+        assert main(["verify", game, identity]) == 2
+        capsys.readouterr()
+        assert main(["verify", game, identity,
+                     "--tolerance", tolerance]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tolerance" in captured.err
 
 
 class TestVerify:
@@ -336,6 +405,14 @@ class TestAnalytic:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--matrix" in captured.err
+
+    def test_refused_matrix_prints_nothing(self, capsys):
+        # the limiting circular matrix needs three players, and a
+        # refused call writes nothing to stdout, not even the level line
+        assert main(["analytic", "circular", "-n", "2", "--matrix"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "n >= 3" in captured.err
 
     def test_symmetric_mode(self, capsys):
         assert main(["analytic", "tycoon", "--mode", "symmetric",

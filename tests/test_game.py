@@ -411,3 +411,26 @@ def test_is_social_optimum_agrees_with_the_set(tolerance):
                 target = ActionProfile(bits, n)
                 assert _is_social_optimum(game, target, tolerance) == \
                     (target in optima)
+
+
+# a tolerance no test can read: every comparison with NaN is false, so a
+# NaN tolerance would pass every check
+BAD_TOLERANCES = [float("nan"), float("inf"), -float("inf"), -1.0]
+
+
+@pytest.mark.parametrize("tolerance", BAD_TOLERANCES)
+def test_unreadable_tolerances_are_refused(pd_game, tolerance):
+    target = ActionProfile.all_cooperate(2)
+    for call in (lambda: classify_dilemma(pd_game, tolerance),
+                 lambda: check_dominance(pd_game, target, tolerance),
+                 lambda: pure_nash_equilibria(pd_game, tolerance),
+                 lambda: social_optima(pd_game, tolerance)):
+        with pytest.raises(ValueError, match="tolerance"):
+            call()
+
+
+def test_zero_tolerance_is_read(pd_game):
+    assert classify_dilemma(pd_game, 0.0).kind is DilemmaKind.STRICT
+    assert check_dominance(pd_game, ActionProfile.all_defect(2),
+                           0.0).strictly_dominant
+    assert social_optima(pd_game, 0.0) == {ActionProfile.all_cooperate(2)}

@@ -18,7 +18,7 @@ from reward_transfer.dilemmas import (BaseGame, BaseGameParams,
                                       FunctionalParams, GraphKind,
                                       build_functional, build_graphical,
                                       scaled_prisoners_dilemma, too_many_cooks)
-from reward_transfer.game import deviation_gains
+from reward_transfer.game import deviation_gains, transferred_payoffs
 from reward_transfer.levels import binding_constraints
 
 from conftest import make_strict_dilemma, pool_dilemma
@@ -106,7 +106,7 @@ SCALED_TESTS = {
     "above": (lambda s: 1e-12 * s, lambda v, s: v > 1e-12 * s),
     "below": (lambda s: -1e-12 * s, lambda v, s: v < -1e-12 * s),
     "empty": (lambda s: 0.25 + 1e-12 * s, lambda v, s: v > 0.25 + 1e-12 * s),
-    "binding": (lambda s: 1e-7 * s, lambda v, s: np.abs(v) <= 1e-7 * s),
+    "binding": (lambda s: 1e-9 * s, lambda v, s: np.abs(v) <= 1e-9 * s),
 }
 
 
@@ -274,6 +274,10 @@ def _old_mismatch(game, perm):
     return np.abs(table[mapped][:, perm] - table).max()
 
 
+def _check_symmetry(game, perm, tolerance=1e-9):
+    levels._check_symmetry(game, perm, tolerance, levels._Scale(game))
+
+
 class TestCheckSymmetry:
     def cyclic_game(self):
         params = BaseGameParams(BaseGame.PRISONERS_DILEMMA, 3.0, 1.0)
@@ -283,16 +287,28 @@ class TestCheckSymmetry:
         game = self.cyclic_game()
         perm = np.roll(np.arange(5), -1)
         tolerance = 1e-9
-        levels._check_symmetry(game, perm, tolerance)
-        scale = 1.0 + float(np.abs(game.payoffs).max())
+        _check_symmetry(game, perm, tolerance)
+        scale = levels._scale(game)
         table = game.payoffs.copy()
         table[11, 3] += 10 * tolerance * scale
         with pytest.raises(ValueError,
                            match="not symmetric under the generator"):
-            levels._check_symmetry(NormalFormGame(table), perm, tolerance)
+            _check_symmetry(NormalFormGame(table), perm, tolerance)
         # within the tolerance the game still counts as symmetric
         table[11, 3] = game.payoffs[11, 3] + 0.5 * tolerance * scale
-        levels._check_symmetry(NormalFormGame(table), perm, tolerance)
+        _check_symmetry(NormalFormGame(table), perm, tolerance)
+
+    def test_mismatch_is_read_against_the_deviation_scale(self):
+        # this game's deviation scale is 2.5 and 1 + max|table| is 7: a
+        # mismatch of twice tolerance * s lies between the two
+        game = self.cyclic_game()
+        perm = np.roll(np.arange(5), -1)
+        scale = levels._scale(game)
+        assert scale == 2.5 and 1.0 + np.abs(game.payoffs).max() == 7.0
+        table = game.payoffs.copy()
+        table[11, 3] += 2 * 1e-9 * scale
+        with pytest.raises(ValueError, match="not symmetric"):
+            _check_symmetry(NormalFormGame(table), perm)
 
     def test_mismatch_matches_the_permuted_table(self):
         rng = np.random.default_rng(8)
@@ -302,10 +318,10 @@ class TestCheckSymmetry:
                 perm = rng.permutation(n)
                 expected = _old_mismatch(game, perm)
                 if expected == 0.0:  # the identity permutation
-                    levels._check_symmetry(game, perm)
+                    _check_symmetry(game, perm)
                     continue
                 with pytest.raises(ValueError, match=f"{expected:.3g}"):
-                    levels._check_symmetry(game, perm)
+                    _check_symmetry(game, perm)
 
 
 def _old_symmetrical_level(game, target, tolerance=1e-9):
@@ -695,3 +711,83 @@ class TestSimplexBreakdownInstances:
         assert abs(result.level - expected) <= 1e-9
         assert verify_resolution(game, result.matrix,
                                  result.target).weakly_dominant
+
+
+@pytest.mark.filterwarnings("ignore")
+class TestOneTolerance:
+    """Every test a search makes reads its one ``tolerance``: the binding
+    test is |gain after transfer| <= tolerance * s in every mode, with s
+    the game's deviation scale, and ``binding_constraints`` recomputes
+    exactly that."""
+
+    SCALED_PD = (1e-7, 1.53e-7, 1e-6, 1e-5)
+
+    def test_binding_constraints_agree_with_every_mode(self):
+        for eps in self.SCALED_PD:
+            game = scaled_prisoners_dilemma(eps)
+            for search in _EVERY_SEARCH:
+                result = search(game)
+                assert binding_constraints(game, result) == \
+                    sorted(result.binding), (eps, search)
+        for graph in GraphKind:
+            searches = _EVERY_SEARCH
+            if graph is not GraphKind.TYCOON:
+                searches += (_FASTPATH,)
+            for base in BaseGame:
+                for n in range(3, 8):
+                    game = build_graphical(graph, BaseGameParams(base, 3.0, 1.0), n)
+                    for search in searches:
+                        result = search(game)
+                        assert binding_constraints(game, result) == \
+                            sorted(result.binding), (graph, base, n, search)
+
+    def test_general_and_even_split_agree_on_scaled_pd(self):
+        # the two searches return the same matrix here; row (0, 0)'s gain
+        # after transfer, -7.65e-8 at eps = 1.53e-7, lies between 1e-9 * s
+        # (s = 10) and 1e-7, so one rule for both is what makes them agree
+        for eps in (1e-7, 1.53e-7):
+            game = scaled_prisoners_dilemma(eps)
+            general, even = _GENERAL(game), _SYMMETRIC(game)
+            assert np.array_equal(general.matrix.entries, even.matrix.entries)
+            assert general.binding == even.binding == ((0, 1),)
+
+    def test_the_gate_reads_the_tolerance(self):
+        # a prisoner's dilemma whose smallest welfare gain, player 1
+        # turning to C against a cooperator, is 5e-7: between 1e-9 and 1e-6
+        game = NormalFormGame([[3.0, 3.0], [6.0 - 5e-7, 0.0],
+                               [0.0, 4.0], [1.0, 1.0]])
+        assert classify_dilemma(game).kind is DilemmaKind.STRICT
+        symmetrical_level(game)
+        general_level(game)
+        for search in (symmetrical_level, general_level):
+            with pytest.raises(NotADilemmaError) as info:
+                search(game, tolerance=1e-6)
+            assert info.value.classification == \
+                classify_dilemma(game, tolerance=1e-6)
+
+    @pytest.mark.parametrize("tolerance", [1e-9, 1e-6])
+    def test_general_binding_mask_is_the_scaled_rule(self, tolerance):
+        rng = np.random.default_rng(15)
+        for n in (2, 3, 4, 5, 6) * 3:
+            game = make_strict_dilemma(rng, n)
+            result = general_level(game, tolerance=tolerance)
+            gains = deviation_gains(
+                transferred_payoffs(game.payoffs, result.matrix.entries),
+                result.target)
+            expected = np.abs(gains) <= tolerance * levels._scale(game)
+            assert np.array_equal(result.binding_mask, expected)
+
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1.0])
+    def test_unreadable_tolerances_are_refused(self, pd_game, tolerance):
+        result = general_level(pd_game)
+        for call in (lambda: symmetrical_level(pd_game, tolerance=tolerance),
+                     lambda: general_level(pd_game, tolerance=tolerance),
+                     lambda: general_level_symmetric_fastpath(
+                         pd_game, tolerance=tolerance),
+                     lambda: binding_constraints(pd_game, result, tolerance)):
+            with pytest.raises(ValueError, match="tolerance"):
+                call()
+
+    def test_refine_diagonal_refuses_excess(self, pd_game):
+        with pytest.raises(ValueError, match="refine_diagonal"):
+            general_level(pd_game, allow_excess=True, refine_diagonal=True)

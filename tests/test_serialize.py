@@ -12,6 +12,7 @@ from reward_transfer import (ActionProfile, BaseGame, BaseGameParams,
                              exchange_matrix, excess_report,
                              general_level, general_level_symmetric_fastpath,
                              symmetrical_level)
+from reward_transfer import levels
 from reward_transfer.game import coplayer_string, insert_bit
 from reward_transfer.serialize import (FormatError, _table_by_item,
                                        dumps_game, dumps_matrix,
@@ -183,6 +184,21 @@ class TestBlockedGameDump:
                                      BaseGameParams(BaseGame.PRISONERS_DILEMMA,
                                                     2.9731, 1.0123), n)):
             assert dumps_game(game) == _rowwise_dumps_game(game)
+
+
+class TestParsedLayout:
+    @pytest.mark.parametrize("n", [2, 3, 5, 9])
+    def test_payoffs_are_column_major_read_only_and_unchanged(self, n):
+        game = build_functional(FunctionalParams(n, 3.07))
+        text = dumps_game(game)
+        payoffs = parse_game(text).payoffs
+        assert payoffs.flags.f_contiguous
+        assert not payoffs.flags.writeable
+        assert np.array_equal(payoffs, game.payoffs)
+        # the per-item reader, which words the errors, builds the same
+        by_item = _table_by_item(json.loads(text)["payoffs"], n)
+        assert by_item.flags.f_contiguous
+        assert np.array_equal(by_item, game.payoffs)
 
 
 class TestMemoizedFloatParse:
@@ -438,7 +454,8 @@ class TestBindingMask:
                                BaseGameParams(BaseGame.CHICKEN, 3.0, 1.0), 5)
         for result in (general_level(game),
                        general_level_symmetric_fastpath(game)):
-            expected = brute_force_binding(game, result, 1e-7)
+            expected = brute_force_binding(game, result,
+                                           1e-9 * levels._scale(game))
             assert expected
             assert result.binding == expected
             assert all(type(p) is int and type(m) is int
@@ -446,8 +463,8 @@ class TestBindingMask:
 
     def test_general_with_target(self, arbitrary_game):
         result = general_level(arbitrary_game, ActionProfile.from_string("CCC"))
-        assert result.binding == brute_force_binding(arbitrary_game, result,
-                                                     1e-7)
+        assert result.binding == brute_force_binding(
+            arbitrary_game, result, 1e-9 * levels._scale(arbitrary_game))
 
     def test_symmetric(self, arbitrary_game):
         result = symmetrical_level(arbitrary_game)

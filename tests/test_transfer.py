@@ -188,3 +188,26 @@ class TestVerifyResolution:
             game = strict_dilemma_factory(rng, int(rng.integers(2, 5)))
             report = verify_resolution(game, exchange_matrix(game.n, 1.0 / game.n))
             assert report.weakly_dominant
+
+
+@pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1.0])
+def test_unreadable_tolerances_are_refused(tolerance):
+    # every comparison with NaN is false, so a NaN tolerance would pass
+    # the identity contract on cyclical PD as resolving
+    from reward_transfer import (BaseGame, BaseGameParams, GraphKind,
+                                 build_graphical)
+    game = build_graphical(GraphKind.CYCLICAL,
+                           BaseGameParams(BaseGame.PRISONERS_DILEMMA, 3.0, 1.0),
+                           3)
+    identity = TransferMatrix.identity(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="tolerance"):
+            verify_resolution(game, identity, tolerance=tolerance)
+        with pytest.raises(ValueError, match="tolerance"):
+            conservation_check(game, identity, tolerance)
+        with pytest.raises(ValueError, match="tolerance"):
+            identity.is_conserving(tolerance)
+        # a NaN ``tol`` would let any share and any row sum through
+        with pytest.raises(ValueError, match="tolerance"):
+            TransferMatrix([[2.0, 0.0], [0.0, 1.0]], tol=tolerance)
