@@ -15,13 +15,15 @@ profits by deviating from the target against any co-profile.
 the entries of a circulant T, constant along the game's player cycle,
 onto the n shares of one row.  Restricting T to matrices that commute
 with a symmetry of the game keeps the optimum (Bödi, Herr & Joswig
-2013).
+2013).  Any map works: every coefficient is added onto its variable,
+so a variable that holds several entries counts each of them.
 
 ``symmetrical_level`` restricts contracts to the one-parameter family
 where everyone keeps s and splits the rest evenly.  Its optimum has a
-closed form (an interval intersection).  The same family run as a
-2-variable program gives the same answers but is several times slower
-at small n, so the closed form stays.
+closed form (an interval intersection).  The same family is the map
+``1 - eye(n)`` through the LP, with the same levels and binding masks,
+but that costs ~0.8 ms more per search at n <= 6, so the closed form
+stays.
 
 Deviation constraints number n * 2**(n-1), so they are generated
 lazily from the first solve on, whatever the game's size: solve on a
@@ -55,7 +57,7 @@ import numpy as np
 from .game import (ActionProfile, DilemmaClassification, DilemmaKind,  # noqa: F401
                    NormalFormGame, _check_tolerance, _is_social_optimum,
                    classify_dilemma, deviation_gains, deviation_pairs,
-                   social_optima, transferred_payoffs)
+                   insert_bit, social_optima, transferred_payoffs)
 from .lp import LinearProgram, LpStatus, solve_lp
 from .transfer import (ExcessReport, TransferMatrix, exchange_matrix,
                        excess_report)
@@ -198,19 +200,20 @@ class _Scale:
 def _admit(game, target, force, tolerance, stacklevel=3) -> ActionProfile:
     """The target a search works for (all-cooperate when None), after
     the dilemma gate, which refuses a non-dilemma unless ``force`` is
-    given, and a warning if the target is not a social optimum.  Both
-    read ``tolerance`` unscaled, as ``classify_dilemma`` and
-    ``social_optima`` define it."""
+    given (and is skipped then), and a warning if the target is not a
+    social optimum.  Both read ``tolerance`` unscaled, as
+    ``classify_dilemma`` and ``social_optima`` define it."""
     if target is None:
         target = ActionProfile.all_cooperate(game.n)
     if target.n != game.n:
         raise ValueError("target profile size does not match the game")
-    classification = classify_dilemma(game, tolerance)
-    if classification.kind is DilemmaKind.NOT_DILEMMA and not force:
-        first = classification.witnesses[0].describe(game.n)
-        raise NotADilemmaError(
-            f"not a social dilemma ({first}); pass force=True to search anyway",
-            classification)
+    if not force:
+        classification = classify_dilemma(game, tolerance)
+        if classification.kind is DilemmaKind.NOT_DILEMMA:
+            first = classification.witnesses[0].describe(game.n)
+            raise NotADilemmaError(
+                f"not a social dilemma ({first}); pass force=True to search "
+                "anyway", classification)
     if not _is_social_optimum(game, target, tolerance):
         warnings.warn(
             f"target {target} is not a social optimum of the game",
@@ -294,18 +297,16 @@ def _deviation_block(table, target, mask, var, width) -> np.ndarray:
     """LP rows of the deviation constraints set in ``mask``, an (n,
     2**(n-1)) boolean array, player by player and masks ascending.
     Player i's row for mask m reads sum_j delta[m, j] * T[j, i] <= 0,
-    with T[j, i] held by LP variable var[j, i]; delta is sliced straight
-    from the payoff rows.  The row is filled by assignment, so no
-    variable may repeat within a column of ``var``."""
-    blocks = []
-    for i in range(target.n):
-        keep, leave = deviation_pairs(table, target, i)
-        picked = np.flatnonzero(mask[i])
-        at = (picked >> i, picked & ((1 << i) - 1))
-        block = np.zeros((picked.size, width))
-        block[:, var[:, i]] = leave[at] - keep[at]
-        blocks.append(block)
-    return np.vstack(blocks)
+    with T[j, i] held by LP variable var[j, i]; delta is gathered from
+    the payoff rows of the profiles where i keeps and leaves the target.
+    Each coefficient is added onto its variable, so a variable that
+    holds several entries of a column collects all of them."""
+    players, masks = np.nonzero(mask)
+    keep = insert_bit(masks, players, (target.bits >> players) & 1)
+    delta = table[keep ^ (1 << players)] - table[keep]
+    at = np.arange(players.size)[:, None] * width + var[:, players].T
+    return np.bincount(at.ravel(), weights=delta.ravel(),
+                       minlength=players.size * width).reshape(-1, width)
 
 
 def _lazy_solve(lp, var, table, target, working, scale, tolerance):
@@ -319,7 +320,7 @@ def _lazy_solve(lp, var, table, target, working, scale, tolerance):
     (a ``_Scale``).  Returns the last program and its solution."""
     sol = None
     for _ in range(_MAX_ROUNDS):
-        sol = solve_lp(lp, feas_tol=tolerance, opt_tol=tolerance, start=sol)
+        sol = solve_lp(lp, tolerance, start=sol)
         if sol.status is LpStatus.INFEASIBLE:
             return lp, sol
         if sol.status is LpStatus.UNBOUNDED:
@@ -351,14 +352,16 @@ def _level_lp(table, target, var, working, allow_excess) -> LinearProgram:
     T sums to one (at most one with ``allow_excess``)."""
     nv = int(var.max()) + 2
     # a map that shares variables repeats diagonal variables and rows of
-    # T; each distinct one gets one row, in order of first appearance
+    # T; each distinct one gets one row, in order of first appearance,
+    # and a row sum counts every entry a variable holds
     diagonal = list(dict.fromkeys(np.diag(var).tolist()))
-    sums = list(dict.fromkeys(tuple(sorted(row)) for row in var.tolist()))
+    sums = np.array(list(dict.fromkeys(tuple(sorted(row))
+                                       for row in var.tolist())))
     level_rows = np.zeros((len(diagonal), nv))
     level_rows[:, -1] = 1.0
     level_rows[np.arange(len(diagonal)), diagonal] = -1.0
     row_sums = np.zeros((len(sums), nv))
-    row_sums[np.arange(len(sums))[:, None], sums] = 1.0
+    np.add.at(row_sums, (np.arange(len(sums))[:, None], sums), 1.0)
     c = np.zeros(nv)
     c[-1] = 1.0
 
@@ -424,9 +427,9 @@ def _search(game, target, var, scale, *, force, tolerance,
         # paid out, or maximizes the diagonal sum
         c = np.zeros(lp.n_variables)
         if allow_excess:
-            c[var] = -1.0
+            np.add.at(c, var, -1.0)
         else:
-            c[np.diag(var)] = 1.0
+            np.add.at(c, np.diag(var), 1.0)
         floor = np.zeros(lp.n_variables)
         floor[-1] = level
         second = LinearProgram(c, a_ub=lp.a_ub, b_ub=lp.b_ub, a_eq=lp.a_eq,

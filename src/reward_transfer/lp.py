@@ -15,17 +15,23 @@ other side of a box, is written as an inequality row.
 Pivoting.  A cold solve runs phase 1 on artificial variables, then
 phase 2.  The entering column has the most negative reduced cost.  The
 leaving row comes from Harris's two-pass ratio test: pass 1 finds the
-longest step that keeps every basic value above ``-feas_tol``, pass 2
+longest step that keeps every basic value above ``-tolerance``, pass 2
 takes the largest pivot among the rows whose own step fits in it, then
 the lowest basis index.  No pivot smaller than ``_PIVOT_TOL`` times the
 largest positive entry of its column (or of its row in the dual), or
-than ``_PIVOT_TOL`` itself when that entry is below 1, is taken; the
-tolerance only narrows the choice, so a column is called unbounded (a
-dual row infeasible) only when none of its entries exceeds it.  A
-pivot whose step is below the tolerance is degenerate; after
+than ``_PIVOT_TOL`` itself when that entry is below 1, is taken; that
+bound only narrows the choice, so a column is called unbounded (a dual
+row infeasible) only when none of its entries exceeds it.  A pivot
+whose step is below ``tolerance`` is degenerate; after
 ``_STALL_LIMIT`` of them in a row Bland's smallest-index rule takes
 over until a step moves the vertex, so degenerate stretches cannot
 cycle.
+
+One ``tolerance`` serves every test of a solve: basic values and
+steps (the primal side), reduced costs (optimality, the dual side),
+and the phase-1 residual, which may reach tolerance * (1 + the largest
+|rhs|).  A solve that takes more than 200 + 25 * (rows + columns)
+pivots (``_cap``) raises RuntimeError.
 
 Warm starts.  ``solve_lp(lp, start=previous)`` re-optimizes the optimal
 tableau of ``previous`` when ``lp`` is its program with inequality rows
@@ -170,7 +176,7 @@ def _harris(values, pivots, rank, tol, bland) -> int:
     return int(near[0])
 
 
-def _run_simplex(tableau, basis, n_cols, feas_tol, opt_tol, cap):
+def _run_simplex(tableau, basis, n_cols, tol, cap):
     """Primal simplex: iterate until the bottom row prices out."""
     m = tableau.shape[0] - 1
     iterations = 0
@@ -179,25 +185,25 @@ def _run_simplex(tableau, basis, n_cols, feas_tol, opt_tol, cap):
         reduced = tableau[-1, :n_cols]
         bland = stalled >= _STALL_LIMIT
         if bland:
-            improving = np.flatnonzero(reduced < -opt_tol)
+            improving = np.flatnonzero(reduced < -tol)
             if improving.size == 0:
                 return "optimal", iterations
             enter = int(improving[0])
         else:
             enter = int(np.argmin(reduced))
-            if reduced[enter] >= -opt_tol:
+            if reduced[enter] >= -tol:
                 return "optimal", iterations
         column = tableau[:m, enter]
         rows = _pivotable(column)
         if rows.size == 0:
             return "unbounded", iterations
         leave = int(rows[_harris(tableau[rows, -1], column[rows], basis[rows],
-                                 feas_tol, bland)])
+                                 tol, bland)])
         # a basic value Harris let dip below zero leaves at zero, so no
         # step goes backwards
         tableau[leave, -1] = max(tableau[leave, -1], 0.0)
         step = tableau[leave, -1] / column[leave]
-        stalled = stalled + 1 if step <= feas_tol else 0
+        stalled = stalled + 1 if step <= tol else 0
         _pivot(tableau, leave, enter)
         basis[leave] = enter
         iterations += 1
@@ -207,11 +213,10 @@ def _run_simplex(tableau, basis, n_cols, feas_tol, opt_tol, cap):
                 "degenerate beyond what this solver is meant for")
 
 
-def _run_dual_simplex(tableau, basis, n_cols, feas_tol, opt_tol, cap, scale):
+def _run_dual_simplex(tableau, basis, n_cols, tol, cap, scale):
     """Dual simplex from a dual-feasible tableau: iterate until every
-    basic value is above -feas_tol, or a row proves the program
-    infeasible by more than feas_tol * scale, the residual a cold
-    phase 1 accepts."""
+    basic value is above -tol, or a row proves the program infeasible
+    by more than tol * scale, the residual a cold phase 1 accepts."""
     m = tableau.shape[0] - 1
     if m == 0:
         return "feasible", 0
@@ -221,26 +226,26 @@ def _run_dual_simplex(tableau, basis, n_cols, feas_tol, opt_tol, cap, scale):
         values = tableau[:m, -1]
         bland = stalled >= _STALL_LIMIT
         if bland:
-            short = (values < -feas_tol).nonzero()[0]
+            short = (values < -tol).nonzero()[0]
             if short.size == 0:
                 return "feasible", iterations
             leave = int(short[basis[short].argmin()])
         else:
             leave = int(values.argmin())
-            if values[leave] >= -feas_tol:
+            if values[leave] >= -tol:
                 return "feasible", iterations
         row = -tableau[leave, :n_cols]
         cols = _pivotable(row)
         if cols.size == 0:
-            if values[leave] < -feas_tol * scale:
+            if values[leave] < -tol * scale:
                 return "infeasible", iterations
             tableau[leave, -1] = 0.0  # no pivot lifts it; close enough
             continue
         enter = int(cols[_harris(tableau[-1, cols], row[cols], cols,
-                                 opt_tol, bland)])
+                                 tol, bland)])
         tableau[-1, enter] = max(tableau[-1, enter], 0.0)
         step = tableau[-1, enter] / row[enter]
-        stalled = stalled + 1 if step <= opt_tol else 0
+        stalled = stalled + 1 if step <= tol else 0
         _pivot(tableau, leave, enter)
         basis[leave] = enter
         iterations += 1
@@ -250,14 +255,23 @@ def _run_dual_simplex(tableau, basis, n_cols, feas_tol, opt_tol, cap, scale):
                 "degenerate beyond what this solver is meant for")
 
 
+def _cap(rows: int, cols: int) -> int:
+    """The most pivots a solve over a tableau of ``rows`` constraint rows
+    and ``cols`` columns may take before it is called degenerate."""
+    return 200 + 25 * (rows + cols)
+
+
 def solve_lp(lp: LinearProgram,
-             feas_tol: float = 1e-9,
-             opt_tol: float = 1e-9,
-             max_iterations: Optional[int] = None,
+             tolerance: float = 1e-9,
              start: Optional[LpSolution] = None) -> LpSolution:
     """Solve the program.  Returns a status rather than raising:
     INFEASIBLE and UNBOUNDED are ordinary outcomes (``x`` is NaN for
     both).  Identical inputs produce bit-identical solutions.
+
+    ``tolerance`` is the one tolerance of the solve: on basic values
+    (feasibility, the ratio test), on reduced costs (optimality) and on
+    the phase-1 residual, scaled there by 1 + the largest |rhs|.  A
+    solve that exceeds its iteration cap raises RuntimeError.
 
     ``start`` is an OPTIMAL solution of a program that ``lp`` extends:
     the same objective, bounds and equalities, with ``start``'s
@@ -265,51 +279,36 @@ def solve_lp(lp: LinearProgram,
     re-optimized over the new rows instead of solving from scratch;
     ``iterations`` then counts only the pivots of this solve."""
     if start is not None:
-        return _resolve(lp, start, feas_tol, opt_tol, max_iterations)
+        return _resolve(lp, start, tolerance)
     nvar = lp.n_variables
     m_ub, m_eq = lp.a_ub.shape[0], lp.a_eq.shape[0]
     m = m_ub + m_eq
 
     # assemble [A | slack | artificial | rhs] in y = x - lower, with all
-    # rhs >= 0
+    # rhs >= 0; a row negated for that, and every equality, starts on an
+    # artificial, and every other inequality on its slack
     rows = np.vstack([lp.a_ub, lp.a_eq])
     rhs = np.concatenate([lp.b_ub - lp.a_ub @ lp.lower,
                           lp.b_eq - lp.a_eq @ lp.lower])
-    slack_sign = np.zeros(m)
-    slack_sign[:m_ub] = 1.0
     negate = rhs < 0
     rows[negate] *= -1.0
     rhs[negate] = -rhs[negate]
-    slack_sign[negate[:m_ub].nonzero()[0]] = -1.0
-
-    needs_artificial = np.ones(m, dtype=bool)
-    needs_artificial[:m_ub] = slack_sign[:m_ub] < 0
-    art_rows = np.flatnonzero(needs_artificial)
+    art_rows = np.flatnonzero(np.concatenate([negate[:m_ub],
+                                              np.ones(m_eq, dtype=bool)]))
     n_art = art_rows.size
-
-    slack_block = np.zeros((m, m_ub))
-    for k in range(m_ub):
-        slack_block[k, k] = slack_sign[k]
-    art_block = np.zeros((m, n_art))
-    for a, r in enumerate(art_rows):
-        art_block[r, a] = 1.0
-
     first_art = nvar + m_ub
     n_total = first_art + n_art
-    tableau = np.zeros((m + 1, n_total + 1))
-    if m:
-        tableau[:m, :nvar] = rows
-        tableau[:m, nvar:first_art] = slack_block
-        tableau[:m, first_art:n_total] = art_block
-        tableau[:m, -1] = rhs
+    slacks = np.arange(m_ub)
+    arts = first_art + np.arange(n_art)
 
-    basis = np.zeros(m, dtype=int)
-    for k in range(m_ub):
-        basis[k] = nvar + k if slack_sign[k] > 0 else 0
-    next_art = first_art
-    for r in art_rows:
-        basis[r] = next_art
-        next_art += 1
+    tableau = np.zeros((m + 1, n_total + 1))
+    tableau[:m, :nvar] = rows
+    tableau[slacks, nvar + slacks] = np.where(negate[:m_ub], -1.0, 1.0)
+    tableau[art_rows, arts] = 1.0
+    tableau[:m, -1] = rhs
+    basis = np.empty(m, dtype=int)
+    basis[:m_ub] = nvar + slacks
+    basis[art_rows] = arts
 
     # untouched copy of the system; long pivot runs smear roundoff
     # across the tableau, so the final vertex is recomputed from these
@@ -320,43 +319,37 @@ def solve_lp(lp: LinearProgram,
     log.debug("LP: %d structural, %d slack, %d artificial, %d rows",
               nvar, m_ub, n_art, m)
 
-    cap = max_iterations or (200 + 25 * (m + n_total))
+    cap = _cap(m, n_total)
     iterations = 0
     scale = 1.0 + (float(np.abs(rhs).max()) if m else 0.0)
 
     if n_art:
-        # phase 1: maximize minus the artificial total
+        # phase 1: maximize minus the artificial total; each artificial
+        # column holds one 1, so its reduced cost comes out exactly 0
         tableau[-1, first_art:n_total] = 1.0
-        for r in art_rows:
-            tableau[-1] -= tableau[r]
-        outcome, used = _run_simplex(tableau, basis, n_total, feas_tol,
-                                     opt_tol, cap)
+        tableau[-1] -= tableau[art_rows].sum(axis=0)
+        outcome, used = _run_simplex(tableau, basis, n_total, tolerance, cap)
         iterations += used
         if outcome == "unbounded":
             raise RuntimeError("phase 1 reported unbounded; cannot happen")
-        residual = sum(tableau[r, -1] for r in range(m) if basis[r] >= first_art)
-        if residual > feas_tol * scale:
+        # summed one row at a time, in row order
+        residual = sum(tableau[:m, -1][basis >= first_art])
+        if residual > tolerance * scale:
             log.debug("phase 1 residual %.3e, infeasible", residual)
             bad = np.full(lp.n_variables, np.nan)
             return LpSolution(LpStatus.INFEASIBLE, bad, float("nan"), iterations)
-        # drive leftover (zero-valued) artificials out of the basis
-        drop = []
-        for r in range(m):
-            if basis[r] < first_art:
-                continue
+        # drive leftover (zero-valued) artificials out of the basis; a
+        # row with no entry to pivot on is redundant and goes
+        for r in np.flatnonzero(basis >= first_art):
             candidates = np.flatnonzero(np.abs(tableau[r, :first_art]) > _DRIVE_TOL)
             if candidates.size:
                 _pivot(tableau, r, int(candidates[0]))
-                basis[r] = int(candidates[0])
-            else:
-                drop.append(r)  # redundant row
-        if drop:
-            keep = [r for r in range(m) if r not in set(drop)]
-            tableau = tableau[keep + [m]]
-            basis = basis[keep]
-            rows0 = rows0[keep]
-            rhs0 = rhs0[keep]
-            m = len(keep)
+                basis[r] = candidates[0]
+        kept = basis < first_art
+        if not kept.all():
+            tableau = tableau[np.append(kept, True)]
+            basis, rows0, rhs0 = basis[kept], rows0[kept], rhs0[kept]
+            m = basis.size
         tableau = np.hstack([tableau[:, :first_art], tableau[:, -1:]])
         tableau[-1, :] = 0.0
 
@@ -365,22 +358,18 @@ def solve_lp(lp: LinearProgram,
     c_ext = np.zeros(n_cols)
     c_ext[:nvar] = lp.objective
     tableau[-1, :n_cols] = -c_ext
-    tableau[-1, -1] = 0.0
-    for r in range(m):
-        cb = c_ext[basis[r]]
-        if cb != 0.0:
-            tableau[-1] += cb * tableau[r]
-    outcome, used = _run_simplex(tableau, basis, n_cols, feas_tol, opt_tol,
-                                 cap)
+    for r in np.flatnonzero(c_ext[basis]):
+        tableau[-1] += c_ext[basis[r]] * tableau[r]
+    outcome, used = _run_simplex(tableau, basis, n_cols, tolerance, cap)
     iterations += used
     if outcome == "unbounded":
         bad = np.full(lp.n_variables, np.nan)
         return LpSolution(LpStatus.UNBOUNDED, bad, float("inf"), iterations)
     return _finish(_Tableau(lp, tableau, basis, rows0, rhs0), iterations,
-                   feas_tol)
+                   tolerance)
 
 
-def _resolve(lp, start, feas_tol, opt_tol, max_iterations) -> LpSolution:
+def _resolve(lp, start, tol) -> LpSolution:
     """Warm solve: append ``lp``'s new inequality rows to ``start``'s
     optimal tableau, then run the dual simplex and a primal pass."""
     prev = start.tableau
@@ -420,24 +409,22 @@ def _resolve(lp, start, feas_tol, opt_tol, max_iterations) -> LpSolution:
     basis = np.concatenate([prev.basis, width + np.arange(add)])
     log.debug("warm start: %d rows appended to %d", add, m)
 
-    cap = max_iterations or (200 + 25 * (m + add + n_cols))
+    cap = _cap(m + add, n_cols)
     scale = 1.0 + (float(np.abs(rhs0).max()) if rhs0.size else 0.0)
-    outcome, iterations = _run_dual_simplex(
-        table, basis, n_cols, feas_tol, opt_tol, cap, scale)
+    outcome, iterations = _run_dual_simplex(table, basis, n_cols, tol, cap,
+                                            scale)
     if outcome == "infeasible":
         bad = np.full(lp.n_variables, np.nan)
         return LpSolution(LpStatus.INFEASIBLE, bad, float("nan"), iterations)
-    outcome, used = _run_simplex(table, basis, n_cols, feas_tol, opt_tol,
-                                 cap - iterations)
+    outcome, used = _run_simplex(table, basis, n_cols, tol, cap - iterations)
     iterations += used
     if outcome == "unbounded":
         bad = np.full(lp.n_variables, np.nan)
         return LpSolution(LpStatus.UNBOUNDED, bad, float("inf"), iterations)
-    return _finish(_Tableau(lp, table, basis, rows0, rhs0), iterations,
-                   feas_tol)
+    return _finish(_Tableau(lp, table, basis, rows0, rhs0), iterations, tol)
 
 
-def _finish(tab: _Tableau, iterations: int, feas_tol: float) -> LpSolution:
+def _finish(tab: _Tableau, iterations: int, tol: float) -> LpSolution:
     """Read the vertex off an optimal tableau, refined against the
     untouched rows, and store it back as the tableau's basic values."""
     table, basis, rows0, rhs0 = tab.table, tab.basis, tab.rows0, tab.rhs0
@@ -461,7 +448,7 @@ def _finish(tab: _Tableau, iterations: int, feas_tol: float) -> LpSolution:
             pass
         scale = 1.0 + float(np.abs(rhs0).max())
         if refined is not None and np.isfinite(refined).all() \
-                and refined.min() > -feas_tol * scale:
+                and refined.min() > -tol * scale:
             candidate = np.maximum(refined, 0.0)
             if residual(candidate) < residual(basic_values):
                 basic_values = candidate
@@ -475,21 +462,21 @@ def _finish(tab: _Tableau, iterations: int, feas_tol: float) -> LpSolution:
     return LpSolution(LpStatus.OPTIMAL, x, value, iterations, tab)
 
 
-def check_feasible(lp: LinearProgram, x, feas_tol: float = 1e-9) -> list:
+def check_feasible(lp: LinearProgram, x, tolerance: float = 1e-9) -> list:
     """All constraints a point violates, as (kind, index, amount) triples
     with amount > 0.  Empty list means feasible within tolerance."""
     point = np.asarray(x, dtype=float).ravel()
     if point.shape != (lp.n_variables,):
         raise ValueError("point has the wrong number of variables")
     violations = []
-    for j in np.flatnonzero(point < lp.lower - feas_tol):
+    for j in np.flatnonzero(point < lp.lower - tolerance):
         violations.append(("lower-bound", int(j), float(lp.lower[j] - point[j])))
     if lp.a_ub.shape[0]:
         resid = lp.a_ub @ point - lp.b_ub
-        for k in np.flatnonzero(resid > feas_tol):
+        for k in np.flatnonzero(resid > tolerance):
             violations.append(("inequality", int(k), float(resid[k])))
     if lp.a_eq.shape[0]:
         resid = np.abs(lp.a_eq @ point - lp.b_eq)
-        for k in np.flatnonzero(resid > feas_tol):
+        for k in np.flatnonzero(resid > tolerance):
             violations.append(("equality", int(k), float(resid[k])))
     return violations

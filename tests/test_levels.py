@@ -18,7 +18,8 @@ from reward_transfer.dilemmas import (BaseGame, BaseGameParams,
                                       FunctionalParams, GraphKind,
                                       build_functional, build_graphical,
                                       scaled_prisoners_dilemma, too_many_cooks)
-from reward_transfer.game import deviation_gains, transferred_payoffs
+from reward_transfer.game import (deviation_gains, deviation_pairs,
+                                  transferred_payoffs)
 from reward_transfer.levels import binding_constraints
 
 from conftest import make_strict_dilemma, pool_dilemma
@@ -791,3 +792,144 @@ class TestOneTolerance:
     def test_refine_diagonal_refuses_excess(self, pd_game):
         with pytest.raises(ValueError, match="refine_diagonal"):
             general_level(pd_game, allow_excess=True, refine_diagonal=True)
+
+
+def _per_player_block(table, target, mask, var, width):
+    """The per-player builder the one gather replaced: each player's rows
+    sliced from ``deviation_pairs`` and filled by assignment, which is
+    exact only while no variable repeats within a column of ``var``."""
+    blocks = []
+    for i in range(target.n):
+        keep, leave = deviation_pairs(table, target, i)
+        picked = np.flatnonzero(mask[i])
+        at = (picked >> i, picked & ((1 << i) - 1))
+        block = np.zeros((picked.size, width))
+        block[:, var[:, i]] = leave[at] - keep[at]
+        blocks.append(block)
+    return np.vstack(blocks)
+
+
+def _circulant_map(n):
+    # the fastpath's map for the default generator i -> i + 1
+    return (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
+
+
+def _even_split_map(n):
+    # every player keeps variable 0 and hands each other player variable 1
+    return 1 - np.eye(n, dtype=int)
+
+
+def _random_block_case(rng, n):
+    game = NormalFormGame(rng.uniform(-10.0, 10.0, size=(1 << n, n)))
+    target = ActionProfile(int(rng.integers(1 << n)), n)
+    mask = rng.random((n, 1 << (n - 1))) < 0.3
+    mask[:, 0] = True
+    return game, target, mask
+
+
+class TestRowBuilders:
+    """The deviation rows and row sums of the level LP, for any variable
+    map: a variable that holds several entries of T collects the
+    coefficient of each."""
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    @pytest.mark.parametrize("make_map", [
+        lambda n: np.arange(n * n).reshape(n, n), _circulant_map],
+        ids=["general", "circulant"])
+    def test_gather_equals_the_per_player_loop(self, n, make_map):
+        rng = np.random.default_rng(n)
+        var = make_map(n)
+        width = int(var.max()) + 2
+        for _ in range(3):
+            game, target, mask = _random_block_case(rng, n)
+            rows = levels._deviation_block(game.payoffs, target, mask, var,
+                                           width)
+            reference = _per_player_block(game.payoffs, target, mask, var,
+                                          width)
+            assert rows.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_repeated_variables_collect_every_coefficient(self, n):
+        rng = np.random.default_rng(100 + n)
+        maps = [_even_split_map(n)] + [rng.integers(0, 3, size=(n, n))
+                                       for _ in range(3)]
+        for var in maps:
+            width = int(var.max()) + 2
+            game, target, mask = _random_block_case(rng, n)
+            rows = levels._deviation_block(game.payoffs, target, mask, var,
+                                           width)
+            expected = []
+            for i in range(n):
+                spread = np.zeros((n, width))
+                np.add.at(spread, (np.arange(n), var[:, i]), 1.0)
+                delta = deviation_deltas(game, target, i)
+                expected.append(delta[mask[i]] @ spread)
+            expected = np.vstack(expected)
+            assert rows.shape == expected.shape
+            assert np.abs(rows - expected).max() <= \
+                1e-12 * max(1.0, np.abs(expected).max())
+
+    @pytest.mark.parametrize("allow_excess", [False, True])
+    def test_even_split_row_sum_counts_each_entry(self, allow_excess):
+        n = 5
+        game = build_graphical(GraphKind.CIRCULAR, PD, n)
+        working = np.zeros((n, 1 << (n - 1)), dtype=bool)
+        working[:, [0, -1]] = True
+        lp = levels._level_lp(game.payoffs, ActionProfile.all_cooperate(n),
+                              _even_split_map(n), working, allow_excess)
+        # v0 + (n - 1) v1 = 1 (at most 1 with excess); z is not in it
+        row = lp.a_ub[-1] if allow_excess else lp.a_eq[0]
+        assert row.tolist() == [1.0, n - 1.0, 0.0]
+        if not allow_excess:
+            assert lp.a_eq.shape[0] == 1 and lp.b_eq.tolist() == [1.0]
+
+    @staticmethod
+    def _even_split_games():
+        for n in range(3, 9):
+            for graph in GraphKind:
+                for base in BaseGame:
+                    yield build_graphical(graph, BaseGameParams(base, 3.0, 1.0),
+                                          n)
+            yield make_strict_dilemma(np.random.default_rng(n), n)
+            yield build_functional(FunctionalParams(n, 3.0))
+
+    @pytest.mark.filterwarnings("ignore")
+    def test_search_over_the_even_split_map_is_the_closed_form(self):
+        games = list(self._even_split_games())
+        assert len(games) == 84
+        for k, game in enumerate(games):
+            closed = symmetrical_level(game, force=True)
+            searched = levels._search(game, None, _even_split_map(game.n),
+                                      levels._Scale(game), force=True,
+                                      tolerance=1e-9)
+            assert abs(searched.level - closed.level) <= 1e-12, k
+            assert np.array_equal(searched.binding_mask,
+                                  closed.binding_mask), k
+
+
+class TestForcedSearchSkipsTheGate:
+    """A forced search never reads the dilemma classification, so it does
+    not compute one; an unforced search still refuses a non-dilemma."""
+
+    @pytest.mark.filterwarnings("ignore")
+    def test_force_never_classifies(self, tmc_game, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("classify_dilemma called")
+
+        monkeypatch.setattr(levels, "classify_dilemma", refuse)
+        symmetrical_level(tmc_game, force=True)
+        general_level(tmc_game, force=True)
+        general_level(tmc_game, force=True, allow_excess=True)
+        general_level_symmetric_fastpath(tmc_game, force=True)
+
+    def test_unforced_non_dilemma_is_refused_as_before(self, tmc_game):
+        classification = classify_dilemma(tmc_game)
+        first = classification.witnesses[0].describe(tmc_game.n)
+        for search in (symmetrical_level, general_level,
+                       general_level_symmetric_fastpath):
+            with pytest.raises(NotADilemmaError) as info:
+                search(tmc_game)
+            assert str(info.value) == (
+                f"not a social dilemma ({first}); pass force=True to search "
+                "anyway")
+            assert info.value.classification == classification

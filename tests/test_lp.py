@@ -8,6 +8,7 @@ import itertools
 import numpy as np
 import pytest
 
+from reward_transfer import lp as lp_module
 from reward_transfer.lp import (LinearProgram, LpStatus, check_feasible,
                                 solve_lp)
 
@@ -162,10 +163,23 @@ class TestValidation:
         with pytest.raises(TypeError):
             LinearProgram([1.0], upper=[1.0])
 
-    def test_iteration_cap(self):
+    def test_iteration_cap(self, monkeypatch):
         lp = LinearProgram([1.0], a_ub=[[1.0]], b_ub=[1.0])
+        start = solve_lp(lp)
+        cut = LinearProgram([1.0], a_ub=[[1.0], [1.0]], b_ub=[1.0, 0.5])
+        # one pivot reaches a cap of 1, cold and warm
+        monkeypatch.setattr(lp_module, "_cap", lambda rows, cols: 1)
         with pytest.raises(RuntimeError, match="iterations"):
-            solve_lp(lp, max_iterations=1)
+            solve_lp(lp)
+        with pytest.raises(RuntimeError, match="iterations"):
+            solve_lp(cut, start=start)
+
+    @pytest.mark.parametrize("keyword", ["feas_tol", "opt_tol",
+                                         "max_iterations"])
+    def test_one_tolerance_and_no_cap_knob(self, keyword):
+        lp = LinearProgram([1.0], a_ub=[[1.0]], b_ub=[1.0])
+        with pytest.raises(TypeError):
+            solve_lp(lp, **{keyword: 1e-9})
 
 
 class TestDeterminism:
@@ -266,7 +280,7 @@ class TestWarmStart:
                 scale = 1.0 + float(np.abs(b[:k]).max())
                 assert abs(warm.objective_value - cold.objective_value) \
                     <= 1e-9 * scale, f"trial {trial}, rows {k}"
-                assert not check_feasible(lp, warm.x, feas_tol=1e-9 * scale)
+                assert not check_feasible(lp, warm.x, tolerance=1e-9 * scale)
                 checked += 1
         assert checked > 100 and infeasible > 10
 
@@ -285,7 +299,7 @@ class TestWarmStart:
 
     def test_status_at_the_feasibility_tolerance(self):
         # x <= 1 and x >= 1 + gap: a cold phase 1 accepts a residual up
-        # to feas_tol * (1 + max |rhs|), and so must the dual simplex
+        # to tolerance * (1 + max |rhs|), and so must the dual simplex
         start = solve_lp(LinearProgram([1.0], a_ub=[[1.0]], b_ub=[1.0]))
         for gap in (1.5e-9, 5e-9):
             cut = LinearProgram([1.0], a_ub=[[1.0], [-1.0]],
@@ -402,7 +416,7 @@ class TestAgainstVertexEnumeration:
             assert expected is not None
             assert sol.objective_value == pytest.approx(expected[0], abs=1e-7), \
                 f"trial {trial}"
-            assert not check_feasible(lp, sol.x, feas_tol=1e-7)
+            assert not check_feasible(lp, sol.x, tolerance=1e-7)
 
     def test_random_with_equalities(self):
         # fold one equality into the oracle as a pair of inequalities
@@ -426,7 +440,7 @@ class TestAgainstVertexEnumeration:
             expected = brute_force_max(c, stacked, rhs, np.zeros(n), hi)
             assert expected is not None
             assert sol.objective_value == pytest.approx(expected[0], abs=1e-7)
-            assert not check_feasible(lp, sol.x, feas_tol=1e-7)
+            assert not check_feasible(lp, sol.x, tolerance=1e-7)
 
 
 class TestCheckFeasible:
