@@ -143,8 +143,7 @@ def _graph_weights(graph: GraphKind, n: int) -> np.ndarray:
 
 def build_graphical(graph: GraphKind,
                     params: BaseGameParams,
-                    n: int,
-                    labels: Optional[list] = None) -> NormalFormGame:
+                    n: int) -> NormalFormGame:
     """Assemble the payoff table of a graphical dilemma with n players."""
     if n < 2:
         raise ValueError("a graphical dilemma needs at least two players")
@@ -163,7 +162,7 @@ def build_graphical(graph: GraphKind,
         if start:
             actions = _action_table(n, start, start + step)
         _graphical_block(table[:, start:start + step], actions, w, deg, params)
-    return NormalFormGame._adopt(table.T, labels=labels)
+    return NormalFormGame._adopt(table.T)
 
 
 def _graphical_block(out, actions, w, deg, params) -> None:

@@ -31,7 +31,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -214,21 +214,20 @@ class NormalFormGame:
     the level searches read one player at a time.
     """
 
-    def __init__(self, payoffs, labels: Optional[Sequence[str]] = None):
-        self._hold(np.array(payoffs, dtype=float, order="F"), labels)
+    def __init__(self, payoffs):
+        self._hold(np.array(payoffs, dtype=float, order="F"))
 
     @classmethod
-    def _adopt(cls, table: np.ndarray,
-               labels: Optional[Sequence[str]] = None) -> "NormalFormGame":
+    def _adopt(cls, table: np.ndarray) -> "NormalFormGame":
         """A game over ``table``, a column-major float64 array the
         library has just made and hands over: validated and frozen in
         place, not copied, so a builder or a transfer holds one table
         where a copy would hold two."""
         game = cls.__new__(cls)
-        game._hold(np.asfortranarray(table, dtype=float), labels)
+        game._hold(np.asfortranarray(table, dtype=float))
         return game
 
-    def _hold(self, table: np.ndarray, labels) -> None:
+    def _hold(self, table: np.ndarray) -> None:
         if table.ndim != 2:
             raise ValueError("payoffs must be a 2-d table: profiles by players")
         n_profiles, n = table.shape
@@ -242,11 +241,6 @@ class NormalFormGame:
         table.setflags(write=False)
         self._table = table
         self.n = n
-        if labels is not None:
-            labels = tuple(labels)
-            if len(labels) != n:
-                raise ValueError("one label per player")
-        self.labels = labels
 
     @property
     def payoffs(self) -> np.ndarray:
@@ -313,16 +307,8 @@ class DilemmaClassification:
         return self.kind is not DilemmaKind.NOT_DILEMMA
 
 
-def _profile_welfare(game: NormalFormGame,
-                     welfare: Optional[Callable] = None) -> np.ndarray:
-    if welfare is None:
-        return game.payoffs.sum(axis=1)
-    return np.array([welfare(row) for row in game.payoffs], dtype=float)
-
-
 def classify_dilemma(game: NormalFormGame,
-                     tolerance: float = 1e-9,
-                     welfare: Optional[Callable] = None) -> DilemmaClassification:
+                     tolerance: float = 1e-9) -> DilemmaClassification:
     """Decide whether a game is a strict dilemma, a partial one, or none.
 
     Strict: every unilateral switch to cooperation strictly raises group
@@ -330,16 +316,14 @@ def classify_dilemma(game: NormalFormGame,
     every co-profile, and everyone strictly prefers all-C to all-D.
     Partial keeps the welfare and all-C conditions but only asks that
     each player has *some* co-profile where defection strictly pays.
-
-    ``welfare`` overrides the utilitarian aggregate (it receives one
-    reward vector and returns a number).  Strictness is judged against
+    Group welfare is the sum of rewards.  Strictness is judged against
     ``tolerance``: differences within it count as ties, and ties break
     the strict inequalities.
     """
     _check_tolerance(tolerance)
     table = game.payoffs
     n = game.n
-    sw = _profile_welfare(game, welfare)
+    sw = table.sum(axis=1)
     witnesses: list[ConditionWitness] = []
 
     everyone_cooperates = ActionProfile.all_cooperate(n)
@@ -427,16 +411,16 @@ def _is_social_optimum(game: NormalFormGame, target: ActionProfile,
                        tolerance: float = 1e-9) -> bool:
     """``target in social_optima(game, tolerance)``, without building
     the set of every optimal profile."""
-    sw = _profile_welfare(game)
+    sw = game.payoffs.sum(axis=1)
     return bool(sw[target.bits] >= sw.max() - tolerance)
 
 
 def social_optima(game: NormalFormGame,
-                  tolerance: float = 1e-9,
-                  welfare: Optional[Callable] = None) -> frozenset[ActionProfile]:
-    """Profiles whose group welfare is within ``tolerance`` of the best."""
+                  tolerance: float = 1e-9) -> frozenset[ActionProfile]:
+    """Profiles whose group welfare (the sum of rewards) is within
+    ``tolerance`` of the best."""
     _check_tolerance(tolerance)
-    sw = _profile_welfare(game, welfare)
+    sw = game.payoffs.sum(axis=1)
     best = sw.max()
     return frozenset(
         ActionProfile(int(bits), game.n)

@@ -21,9 +21,10 @@ so a variable that holds several entries counts each of them.
 ``symmetrical_level`` restricts contracts to the one-parameter family
 where everyone keeps s and splits the rest evenly.  Its optimum has a
 closed form (an interval intersection).  The same family is the map
-``1 - eye(n)`` through the LP, with the same levels and binding masks,
-but that costs ~0.8 ms more per search at n <= 6, so the closed form
-stays.
+``1 - eye(n)`` through the LP, with the same levels and binding masks.
+On one Xeon core with one BLAS thread the LP took 2-4 times as long
+per search at n <= 6 (0.57-0.59 ms against 0.14-0.25 ms) and less at
+n = 14-16 (14.5 against 23.4 ms at n = 16); the closed form stays.
 
 Deviation constraints number n * 2**(n-1), so they are generated
 lazily from the first solve on, whatever the game's size: solve on a
@@ -341,7 +342,7 @@ def _lazy_solve(lp, var, table, target, working, scale, tolerance):
         rows = _deviation_block(table, target, fresh, var, lp.n_variables)
         lp = LinearProgram(lp.objective, a_ub=np.vstack([lp.a_ub, rows]),
                            b_ub=np.concatenate([lp.b_ub, np.zeros(len(rows))]),
-                           a_eq=lp.a_eq, b_eq=lp.b_eq, lower=lp.lower)
+                           a_eq=lp.a_eq, b_eq=lp.b_eq)
     raise RuntimeError("constraint generation did not converge")
 
 
@@ -352,11 +353,13 @@ def _level_lp(table, target, var, working, allow_excess) -> LinearProgram:
     T sums to one (at most one with ``allow_excess``)."""
     nv = int(var.max()) + 2
     # a map that shares variables repeats diagonal variables and rows of
-    # T; each distinct one gets one row, in order of first appearance,
-    # and a row sum counts every entry a variable holds
-    diagonal = list(dict.fromkeys(np.diag(var).tolist()))
-    sums = np.array(list(dict.fromkeys(tuple(sorted(row))
-                                       for row in var.tolist())))
+    # T; each distinct one gets one row, in sorted order, and a row sum
+    # counts every entry a variable holds.  (np.unique would import
+    # numpy.ma, ~17 ms of every process's start-up.)
+    diagonal = np.flatnonzero(np.bincount(np.diag(var)))
+    rows = np.sort(var, axis=1)
+    rows = rows[np.lexsort(rows.T[::-1])]
+    sums = rows[np.append(True, (rows[1:] != rows[:-1]).any(axis=1))]
     level_rows = np.zeros((len(diagonal), nv))
     level_rows[:, -1] = 1.0
     level_rows[np.arange(len(diagonal)), diagonal] = -1.0
@@ -424,16 +427,17 @@ def _search(game, target, var, scale, *, force, tolerance,
 
     if allow_excess or refine_diagonal:
         # stage 2 holds the level at its optimum and minimizes the total
-        # paid out, or maximizes the diagonal sum
+        # paid out, or maximizes the diagonal sum.  Its last variable is
+        # z - level >= 0, so the level rows' right-hand sides shift by
+        # level; z has no cost here, and only the entries of T are read
         c = np.zeros(lp.n_variables)
         if allow_excess:
             np.add.at(c, var, -1.0)
         else:
             np.add.at(c, np.diag(var), 1.0)
-        floor = np.zeros(lp.n_variables)
-        floor[-1] = level
-        second = LinearProgram(c, a_ub=lp.a_ub, b_ub=lp.b_ub, a_eq=lp.a_eq,
-                               b_eq=lp.b_eq, lower=floor)
+        second = LinearProgram(c, a_ub=lp.a_ub,
+                               b_ub=lp.b_ub - lp.a_ub[:, -1] * level,
+                               a_eq=lp.a_eq, b_eq=lp.b_eq)
         _, refined = _lazy_solve(second, var, table, target, working, scale,
                                  tolerance)
         if refined.status is LpStatus.OPTIMAL:
@@ -559,5 +563,7 @@ def binding_constraints(game: NormalFormGame,
     """Recompute which deviation constraints are tight for a result, by
     the searches' rule: a gain after transfer within tolerance * s of 0."""
     _check_tolerance(tolerance)
+    if result.matrix.n != game.n or result.target.n != game.n:
+        raise ValueError("result size does not match the game")
     return _mask_pairs(_binding(game, result.target, result.matrix, tolerance,
                                 _Scale(game)))

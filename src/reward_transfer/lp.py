@@ -7,10 +7,8 @@ bit-identical answers (fixed pivoting order, no randomization, no
 degeneracy perturbation).
 
 Conventions: ``maximize c @ x`` subject to ``a_ub @ x <= b_ub``,
-``a_eq @ x == b_eq`` and ``x >= lower``, a finite bound that defaults to
-0.  The tableau holds y = x - lower >= 0, so the rows are the caller's
-rows with ``b - A @ lower`` on the right.  A bound from above, or any
-other side of a box, is written as an inequality row.
+``a_eq @ x == b_eq`` and x >= 0 (standard form).  Any other bound is
+written as an inequality row, or as a shift of its variable.
 
 Pivoting.  A cold solve runs phase 1 on artificial variables, then
 phase 2.  The entering column has the most negative reduced cost.  The
@@ -75,8 +73,7 @@ class LpStatus(enum.Enum):
 class LinearProgram:
     """An immutable LP instance (maximization form)."""
 
-    def __init__(self, objective, a_ub=None, b_ub=None, a_eq=None, b_eq=None,
-                 lower=None):
+    def __init__(self, objective, a_ub=None, b_ub=None, a_eq=None, b_eq=None):
         c = np.array(objective, dtype=float).ravel()
         if c.size == 0:
             raise ValueError("objective must have at least one variable")
@@ -86,17 +83,8 @@ class LinearProgram:
 
         self.a_ub, self.b_ub = self._check_system(a_ub, b_ub, nvar, "a_ub")
         self.a_eq, self.b_eq = self._check_system(a_eq, b_eq, nvar, "a_eq")
-
-        lo = np.zeros(nvar) if lower is None else np.array(lower, dtype=float).ravel()
-        if lo.shape != (nvar,):
-            raise ValueError("bounds must have one entry per variable")
-        if not np.isfinite(lo).all():
-            raise ValueError("lower bounds must be finite")
-
-        for arr in (c, lo):
-            arr.setflags(write=False)
+        c.setflags(write=False)
         self.objective = c
-        self.lower = lo
         self.n_variables = nvar
 
     @staticmethod
@@ -274,7 +262,7 @@ def solve_lp(lp: LinearProgram,
     solve that exceeds its iteration cap raises RuntimeError.
 
     ``start`` is an OPTIMAL solution of a program that ``lp`` extends:
-    the same objective, bounds and equalities, with ``start``'s
+    the same objective and equalities, with ``start``'s
     inequality rows first and unchanged, then new ones.  Its tableau is
     re-optimized over the new rows instead of solving from scratch;
     ``iterations`` then counts only the pivots of this solve."""
@@ -284,12 +272,11 @@ def solve_lp(lp: LinearProgram,
     m_ub, m_eq = lp.a_ub.shape[0], lp.a_eq.shape[0]
     m = m_ub + m_eq
 
-    # assemble [A | slack | artificial | rhs] in y = x - lower, with all
-    # rhs >= 0; a row negated for that, and every equality, starts on an
-    # artificial, and every other inequality on its slack
+    # assemble [A | slack | artificial | rhs] with all rhs >= 0; a row
+    # negated for that, and every equality, starts on an artificial, and
+    # every other inequality on its slack
     rows = np.vstack([lp.a_ub, lp.a_eq])
-    rhs = np.concatenate([lp.b_ub - lp.a_ub @ lp.lower,
-                          lp.b_eq - lp.a_eq @ lp.lower])
+    rhs = np.concatenate([lp.b_ub, lp.b_eq])
     negate = rhs < 0
     rows[negate] *= -1.0
     rhs[negate] = -rhs[negate]
@@ -379,7 +366,7 @@ def _resolve(lp, start, tol) -> LpSolution:
     k = old.a_ub.shape[0]
     pairs = ((lp.a_ub[:k], old.a_ub), (lp.b_ub[:k], old.b_ub),
              (lp.a_eq, old.a_eq), (lp.b_eq, old.b_eq),
-             (lp.objective, old.objective), (lp.lower, old.lower))
+             (lp.objective, old.objective))
     if lp.a_ub.shape[0] < k or not all(np.array_equal(p, q) for p, q in pairs):
         raise ValueError("a warm start needs the start's program with "
                          "inequality rows appended")
@@ -393,12 +380,12 @@ def _resolve(lp, start, tol) -> LpSolution:
     table[:m, :width] = prev.table[:m, :width]
     table[:m, -1] = prev.table[:m, -1]
     table[-1, :width] = prev.table[-1, :width]
-    # row a @ y + s = b, less the multiples of the rows its basic
+    # row a @ x + s = b, less the multiples of the rows its basic
     # columns are basic in; each new slack starts basic
     fresh = table[m:m + add]
     fresh[:, :nvar] = new
     fresh[:, width:n_cols] = np.eye(add)
-    fresh[:, -1] = lp.b_ub[k:] - new @ lp.lower
+    fresh[:, -1] = lp.b_ub[k:]
     rows0 = np.zeros((m + add, n_cols))
     rows0[:m, :width] = prev.rows0
     rows0[m:] = fresh[:, :-1]
@@ -455,7 +442,7 @@ def _finish(tab: _Tableau, iterations: int, tol: float) -> LpSolution:
     table[:m, -1] = basic_values
     y = np.zeros(n_cols)
     y[basis] = basic_values
-    x = y[:tab.lp.n_variables] + tab.lp.lower
+    x = y[:tab.lp.n_variables]
     value = float(tab.lp.objective @ x)
     log.debug("optimal after %d iterations, objective %.12g",
               iterations, value)
@@ -469,8 +456,8 @@ def check_feasible(lp: LinearProgram, x, tolerance: float = 1e-9) -> list:
     if point.shape != (lp.n_variables,):
         raise ValueError("point has the wrong number of variables")
     violations = []
-    for j in np.flatnonzero(point < lp.lower - tolerance):
-        violations.append(("lower-bound", int(j), float(lp.lower[j] - point[j])))
+    for j in np.flatnonzero(point < -tolerance):
+        violations.append(("lower-bound", int(j), float(-point[j])))
     if lp.a_ub.shape[0]:
         resid = lp.a_ub @ point - lp.b_ub
         for k in np.flatnonzero(resid > tolerance):

@@ -28,12 +28,12 @@ from .game import (ActionProfile, DominanceReport, NormalFormGame,  # noqa: F401
 class TransferMatrix:
     """A validated, immutable matrix of reward shares.
 
-    Entries must lie in [0, 1] up to ``tol`` (they are clamped back in)
-    and every row must sum to at most 1 + ``tol``.
+    Entries must lie in [0, 1] up to 1e-12 (they are clamped back in)
+    and every row must sum to at most 1 + 1e-12.
     """
 
-    def __init__(self, entries, tol: float = 1e-12):
-        _check_tolerance(tol)
+    def __init__(self, entries):
+        tol = 1e-12
         m = np.array(entries, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("a transfer matrix must be square")
@@ -109,7 +109,7 @@ def apply_transfers(game: NormalFormGame, matrix: TransferMatrix) -> NormalFormG
     if matrix.n != game.n:
         raise ValueError("matrix size does not match the game")
     return NormalFormGame._adopt(
-        transferred_payoffs(game.payoffs, matrix.entries), labels=game.labels)
+        transferred_payoffs(game.payoffs, matrix.entries))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """tools/compare_outputs.py, the output-identity check, on one workload:
-a recording diffs clean against itself, and one changed search fails."""
+a recording holds searches, verdicts and classifications, diffs clean
+against itself, and one changed search fails."""
 
 import json
 import subprocess
@@ -23,7 +24,15 @@ def test_sweep_small_recording_diffs_against_itself(tmp_path):
     assert run.returncode == 0, run.stderr
     searches = json.loads(recording.read_text())["searches"]
     assert {entry["search"] for entry in searches.values()} == \
-        {"general", "general+excess", "symmetric", "fastpath"}
+        {"general", "general+excess", "symmetric", "fastpath", "classify"}
+    # every sweep-small op classifies its game, and every search that
+    # returns a contract has it verified
+    classified = [entry for entry in searches.values()
+                  if entry["search"] == "classify"]
+    assert classified and all("kind" in entry and "witnesses" in entry
+                              for entry in classified)
+    assert all(len(entry["verified"]) == 3 for entry in searches.values()
+               if "level" in entry)
 
     same = _tool("diff", recording, recording)
     assert same.returncode == 0, same.stdout + same.stderr

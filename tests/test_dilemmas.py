@@ -188,9 +188,9 @@ class TestGraphicalTables:
                 assert kind is expected, (graph, params.kind)
 
     def test_labels(self):
-        game = build_graphical(GraphKind.CYCLICAL, PD, 3,
-                               labels=["a", "b", "c"])
-        assert game.labels == ("a", "b", "c")
+        # players are numbered, not labelled
+        with pytest.raises(TypeError):
+            build_graphical(GraphKind.CYCLICAL, PD, 3, labels=["a", "b", "c"])
 
 
 class TestFunctional:

@@ -109,8 +109,11 @@ class TestNormalFormGame:
             NormalFormGame([[1.0], [2.0]])  # single player
         with pytest.raises(ValueError):
             NormalFormGame(np.full((4, 2), np.nan))
-        with pytest.raises(ValueError):
-            NormalFormGame(np.zeros((4, 2)), labels=["a"])
+
+    def test_players_have_no_labels(self, pd_game):
+        with pytest.raises(TypeError):
+            NormalFormGame(np.zeros((4, 2)), labels=["a", "b"])
+        assert not hasattr(pd_game, "labels")
 
     def test_table_is_frozen(self, pd_game):
         with pytest.raises(ValueError):
@@ -273,11 +276,12 @@ class TestClassify:
         text = witness.describe(3)
         assert "player 1" in text and "CC" in text
 
-    def test_welfare_hook(self, pd_game):
-        # under a worst-off aggregate the PD stops being a dilemma:
-        # cooperating against a defector does not raise min reward
-        rawlsian = classify_dilemma(pd_game, welfare=lambda r: float(min(r)))
-        assert rawlsian.kind is DilemmaKind.NOT_DILEMMA
+    def test_welfare_is_utilitarian(self, pd_game):
+        # the sum of rewards is the only aggregate; a worst-off one
+        # (under which the PD is no dilemma) cannot be passed in
+        with pytest.raises(TypeError):
+            classify_dilemma(pd_game, welfare=lambda r: float(min(r)))
+        assert classify_dilemma(pd_game).kind is DilemmaKind.STRICT
 
     def test_tolerance_counts_near_ties(self, pd_game):
         # with a huge tolerance every strict gain collapses into a tie
@@ -394,9 +398,10 @@ def test_social_optima_tolerance(pd_game):
     assert len(social_optima(pd_game, tolerance=2.5)) == 3
 
 
-def test_social_optima_welfare_hook(pd_game):
-    optima = social_optima(pd_game, welfare=lambda r: -float(np.sum(r)))
-    assert optima == frozenset({ActionProfile.all_defect(2)})
+def test_social_optima_welfare_is_utilitarian(pd_game):
+    with pytest.raises(TypeError):
+        social_optima(pd_game, welfare=lambda r: -float(np.sum(r)))
+    assert social_optima(pd_game) == frozenset({ActionProfile.all_cooperate(2)})
 
 
 @pytest.mark.parametrize("tolerance", [0.0, 1e-9, 0.5, 2.5])

@@ -933,3 +933,60 @@ class TestForcedSearchSkipsTheGate:
                 f"not a social dilemma ({first}); pass force=True to search "
                 "anyway")
             assert info.value.classification == classification
+
+
+_STAGE_TWO_GAMES = (
+    [pytest.param(functools.partial(build_graphical, graph,
+                                    BaseGameParams(base, 3.0, 1.0), n),
+                  id=f"{graph.value}-{base.value}-{n}")
+     for graph in GraphKind for base in BaseGame for n in range(3, 8)]
+    + [pytest.param(functools.partial(build_functional,
+                                      FunctionalParams(n, 3.0)),
+                    id=f"functional-{n}") for n in range(3, 8)]
+    + [pytest.param(functools.partial(scaled_prisoners_dilemma, eps),
+                    id=f"scaled-pd-{eps:g}") for eps in (1e-7, 1e-6, 1e-5)])
+
+
+@pytest.mark.filterwarnings("ignore")
+class TestStageTwoHoldsTheLevel:
+    """The second pass (burning with ``allow_excess``, the diagonal with
+    ``refine_diagonal``) holds the level z at stage 1's optimum through a
+    shift of the level rows' right-hand sides: its matrix keeps every
+    diagonal share at the level, and refining only raises the trace."""
+
+    @pytest.mark.parametrize("build", _STAGE_TWO_GAMES)
+    def test_second_pass_keeps_the_level(self, build):
+        game = build()
+        excess = _EXCESS(game)
+        assert excess.level - excess.matrix.min_retained() <= 1e-12
+        try:
+            plain = _GENERAL(game)
+        except NotResolvableError:
+            return  # no conserving contract, so nothing to refine
+        refined = _REFINE(game)
+        assert refined.level == plain.level
+        assert refined.level - refined.matrix.min_retained() <= 1e-12
+        assert np.trace(refined.matrix.entries) >= \
+            np.trace(plain.matrix.entries) - 1e-9
+
+
+class TestBindingConstraintsChecksSizes:
+    def test_result_for_another_game_is_refused(self):
+        small = build_graphical(GraphKind.CYCLICAL, PD, 3)
+        large = build_graphical(GraphKind.CYCLICAL, PD, 4)
+        result = general_level(small)
+        with pytest.raises(ValueError,
+                           match="^result size does not match the game$"):
+            binding_constraints(large, result)
+
+    def test_target_for_another_game_is_refused(self):
+        game = build_graphical(GraphKind.CYCLICAL, PD, 3)
+        result = general_level(game)
+        other = levels.SelfInterestResult(
+            level=result.level, matrix=result.matrix,
+            target=ActionProfile.all_cooperate(4),
+            binding_mask=result.binding_mask, excess=result.excess,
+            mode=result.mode)
+        with pytest.raises(ValueError,
+                           match="^result size does not match the game$"):
+            binding_constraints(game, other)

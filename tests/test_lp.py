@@ -1,7 +1,8 @@
 """The simplex core gets the heaviest scrutiny here because every level
 computation sits on top of it.  Random bounded instances are checked
-against brute-force vertex enumeration.  The solver takes only lower
-bounds, so a box's upper sides are written as rows ``vstack([eye, a])``."""
+against brute-force vertex enumeration.  The solver works over x >= 0,
+so a box's upper sides are written as rows ``vstack([eye, a])``, and a
+lower bound other than zero as a shift of its variable or as a row."""
 
 import itertools
 
@@ -91,8 +92,9 @@ class TestStatuses:
         assert np.isnan(sol.objective_value)
 
     def test_infeasible_bounds_vs_rows(self):
-        lp = LinearProgram([1.0, 0.0], a_ub=[[1.0, 1.0]], b_ub=[1.0],
-                           lower=[2.0, 0.0])
+        # x0 >= 2 as the row -x0 <= -2, which starts on an artificial
+        lp = LinearProgram([1.0, 0.0], a_ub=[[1.0, 1.0], [-1.0, 0.0]],
+                           b_ub=[1.0, -2.0])
         assert solve_lp(lp).status is LpStatus.INFEASIBLE
 
     def test_unbounded(self):
@@ -112,22 +114,24 @@ class TestStatuses:
 
 class TestBounds:
     def test_shifted_lower_bound(self):
-        # max -x with x >= -3 should park x at the bound
-        lp = LinearProgram([-1.0], lower=[-3.0])
+        # max -x with -3 <= x <= 1 parks x at its lower bound; over
+        # u = x + 3 >= 0 the row reads u <= 4
+        lp = LinearProgram([-1.0], a_ub=[[1.0]], b_ub=[4.0])
         sol = solve_lp(lp)
-        assert sol.x[0] == pytest.approx(-3.0)
+        assert sol.x[0] - 3.0 == pytest.approx(-3.0)
 
     def test_negative_box(self):
-        # -2 <= x <= -1 and -4 <= y <= 5, the upper sides as rows
-        lp = LinearProgram([1.0, -1.0], a_ub=np.eye(2), b_ub=[-1.0, 5.0],
-                           lower=[-2.0, -4.0])
+        # -2 <= x <= -1 and -4 <= y <= 5 over u = x + 2 and v = y + 4,
+        # the upper sides as rows
+        lp = LinearProgram([1.0, -1.0], a_ub=np.eye(2), b_ub=[1.0, 9.0])
         sol = solve_lp(lp)
-        assert np.allclose(sol.x, [-1.0, -4.0], atol=1e-9)
+        assert np.allclose(sol.x - [2.0, 4.0], [-1.0, -4.0], atol=1e-9)
 
     def test_fixed_variable(self):
-        # x = 2 from its lower bound and the row x <= 2
-        lp = LinearProgram([1.0, 1.0], a_ub=[[1.0, 0.0], [1.0, 1.0]],
-                           b_ub=[2.0, 5.0], lower=[2.0, 0.0])
+        # x = 2 from the rows -x <= -2 and x <= 2
+        lp = LinearProgram([1.0, 1.0],
+                           a_ub=[[-1.0, 0.0], [1.0, 0.0], [1.0, 1.0]],
+                           b_ub=[-2.0, 2.0, 5.0])
         sol = solve_lp(lp)
         assert sol.x[0] == pytest.approx(2.0)
         assert sol.objective_value == pytest.approx(5.0)
@@ -155,11 +159,9 @@ class TestValidation:
             LinearProgram([1.0], a_ub=[[np.nan]], b_ub=[1.0])
 
     def test_bad_bounds(self):
-        for bound in (np.inf, -np.inf, np.nan):
-            with pytest.raises(ValueError, match="finite"):
-                LinearProgram([1.0], lower=[bound])
-        with pytest.raises(ValueError, match="one entry per"):
-            LinearProgram([1.0, 1.0], lower=[0.0])
+        # every variable is >= 0; any other bound is a row
+        with pytest.raises(TypeError):
+            LinearProgram([1.0], lower=[1.0])
         with pytest.raises(TypeError):
             LinearProgram([1.0], upper=[1.0])
 
@@ -322,7 +324,7 @@ class TestWarmStart:
             assert np.allclose(sol.x, [0.5, 0.0], atol=1e-12)
 
     def test_program_without_rows(self):
-        for lp in (LinearProgram([-1.0]), LinearProgram([-1.0], lower=[2.0])):
+        for lp in (LinearProgram([-1.0]), LinearProgram([-1.0, 0.0, -2.0])):
             cold = solve_lp(lp)
             warm = solve_lp(lp, start=cold)
             assert warm.status is LpStatus.OPTIMAL
@@ -384,7 +386,7 @@ class TestWarmStart:
         for other in (LinearProgram([1.0, 0.0], a_ub=[[1.0, 1.0]], b_ub=[2.0]),
                       LinearProgram([1.0, 1.0], a_ub=[[1.0, 2.0]], b_ub=[2.0]),
                       LinearProgram([1.0, 1.0], a_ub=[[1.0, 1.0]], b_ub=[2.0],
-                                    lower=[0.5, 0.0]),
+                                    a_eq=[[1.0, 0.0]], b_eq=[0.5]),
                       LinearProgram([1.0, 1.0])):
             with pytest.raises(ValueError, match="appended"):
                 solve_lp(other, start=start)
@@ -447,21 +449,21 @@ class TestCheckFeasible:
     def test_reports_each_kind(self):
         lp = LinearProgram([1.0, 1.0],
                            a_ub=[[1.0, 0.0]], b_ub=[1.0],
-                           a_eq=[[0.0, 1.0]], b_eq=[2.0],
-                           lower=[0.0, 5.0])
-        found = check_feasible(lp, [2.0, 4.0])
+                           a_eq=[[0.0, 1.0]], b_eq=[2.0])
+        found = check_feasible(lp, [2.0, -1.0])
         kinds = {(kind, idx) for kind, idx, _ in found}
         assert kinds == {("lower-bound", 1), ("inequality", 0),
                          ("equality", 0)}
         amounts = {kind: amt for kind, _, amt in found}
         assert amounts["lower-bound"] == pytest.approx(1.0)
         assert amounts["inequality"] == pytest.approx(1.0)
-        assert amounts["equality"] == pytest.approx(2.0)
+        assert amounts["equality"] == pytest.approx(3.0)
 
     def test_lower_bound_violation(self):
-        lp = LinearProgram([1.0], lower=[1.0])
-        found = check_feasible(lp, [0.5])
+        lp = LinearProgram([1.0])
+        found = check_feasible(lp, [-0.5])
         assert found == [("lower-bound", 0, 0.5)]
+        assert check_feasible(lp, [-0.5e-9]) == []
 
     def test_feasible_point_is_clean(self):
         lp = LinearProgram([1.0, 1.0], a_ub=[[1, 1]], b_ub=[2])

@@ -8,12 +8,16 @@ workloads returns, and compare two recordings.
 three benchmark workloads (``perfbench/workloads.py``, imported and not
 changed) at each seed.  For each search it stores the result's mode and
 level, the matrix bytes, the binding mask (its count of set entries and
-a digest), or the type and message of the exception the search raised.
-``--workloads`` narrows the recording to some of the workloads.
+a digest) and ``verify_resolution``'s verdict on the matrix (weakly
+dominant, strictly dominant, violation count), or the type and message
+of the exception the search raised.  For each game an op classifies, it
+stores ``classify_dilemma``'s kind and witnesses under the mode
+``classify``.  ``--workloads`` narrows the recording to some of the
+workloads.
 
-``diff`` prints, per search mode, how many searches are identical and
-how many differ, and exits 1 on any difference, including a search that
-only one recording holds.
+``diff`` prints, per mode, how many entries are identical and how many
+differ, and exits 1 on any difference, including an entry that only one
+recording holds.
 
 Run it from the root of a checkout: the package is imported from
 ``src/`` there.
@@ -34,12 +38,12 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import numpy as np  # noqa: E402
 import workloads  # noqa: E402
-from reward_transfer import game as rt_game, levels  # noqa: E402
+from reward_transfer import game as rt_game, levels, transfer  # noqa: E402
 
-# the mode column of ``diff``, by perfbench search key
+# the mode column of ``diff``, by perfbench search key (or ``classify``)
 MODES = {"general": "general", "general+excess": "excess",
          "general+refine": "refine", "symmetric": "symmetric",
-         "fastpath": "fastpath"}
+         "fastpath": "fastpath", "classify": "classify"}
 
 
 def _run(game, target, search, force):
@@ -57,6 +61,7 @@ def _outcome(game, target, search, force) -> dict:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             result = _run(game, target, search, force)
+            report = transfer.verify_resolution(game, result.matrix, target)
     except Exception as exc:  # noqa: BLE001 - the outcome being recorded
         return {"error": type(exc).__name__, "message": str(exc)}
     mask = result.binding_mask
@@ -64,12 +69,22 @@ def _outcome(game, target, search, force) -> dict:
             "level": float(result.level).hex(),
             "matrix": result.matrix.entries.tobytes().hex(),
             "binding": [int(mask.sum()),
-                        hashlib.sha256(np.packbits(mask)).hexdigest()]}
+                        hashlib.sha256(np.packbits(mask)).hexdigest()],
+            "verified": [report.weakly_dominant, report.strictly_dominant,
+                         len(report.violations)]}
+
+
+def _classification(game) -> dict:
+    found = rt_game.classify_dilemma(game)
+    return {"search": "classify", "kind": found.kind.value,
+            "witnesses": [[w.condition, w.player, w.coplayers]
+                          for w in found.witnesses]}
 
 
 def record(names, seeds) -> dict:
     """Every distinct search of the named workloads' op lists at each
-    seed, keyed by game, search, target and force."""
+    seed, keyed by game, search, target and force, and the classification
+    of every game an op classifies, keyed by game."""
     searches = {}
     for name in names:
         for seed in seeds:
@@ -78,9 +93,13 @@ def record(names, seeds) -> dict:
                 keys = [f"{op.game.key}|{search.key}@{op.target}"
                         + ("|force" if op.force else "")
                         for search in op.searches]
-                if all(key in searches for key in keys):
+                classify = [f"{op.game.key}|classify"] if op.classify else []
+                if all(key in searches for key in keys + classify):
                     continue
                 game = workloads.build_game(op.game, tables)
+                for key in classify:
+                    if key not in searches:
+                        searches[key] = _classification(game)
                 target = rt_game.ActionProfile.from_string(op.target)
                 for key, search in zip(keys, op.searches):
                     if key not in searches:
@@ -135,7 +154,7 @@ def main(argv=None) -> int:
         with open(args.out, "w", encoding="utf-8") as handle:
             json.dump({"workloads": args.workloads, "seeds": seeds,
                        "searches": searches}, handle, sort_keys=True)
-        print(f"{len(searches)} searches recorded to {args.out}")
+        print(f"{len(searches)} entries recorded to {args.out}")
         return 0
     loaded = []
     for path in (args.first, args.second):
