@@ -7,14 +7,12 @@ documents from the serialize module, so outputs feed back in as inputs
 
 Exit codes: 0 success, 1 the game is not a social dilemma, 2 no
 contract achieves the goal (or verification failed), 3 malformed input
-or arguments.  Set REWARD_TRANSFER_LOG=debug for solver chatter.
+or arguments.
 """
 
 from __future__ import annotations
 
 import argparse
-import logging
-import os
 import sys
 from typing import Iterable, Optional
 
@@ -261,15 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _setup_logging() -> None:
-    wanted = os.environ.get("REWARD_TRANSFER_LOG")
-    if wanted:
-        level = getattr(logging, wanted.upper(), logging.INFO)
-        logging.basicConfig(level=level)
-
-
 def main(argv=None) -> int:
-    _setup_logging()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -324,14 +324,16 @@ def classify_dilemma(game: NormalFormGame,
     table = game.payoffs
     n = game.n
     sw = table.sum(axis=1)
-    witnesses: list[ConditionWitness] = []
-
     everyone_cooperates = ActionProfile.all_cooperate(n)
-    for i in range(n):
-        cooperate, defect = deviation_pairs(sw, everyone_cooperates, i)
-        welfare_gain = (cooperate - defect).ravel()
-        for mask in np.flatnonzero(welfare_gain <= tolerance):
-            witnesses.append(ConditionWitness(WELFARE_CONDITION, i, int(mask)))
+    # the welfare change of each switch from cooperating to defecting,
+    # read as the gains of a table whose every column is the welfare;
+    # the switch back fails to raise welfare by more than tolerance
+    # exactly where the change is at least -tolerance
+    fails = deviation_gains(np.broadcast_to(sw[:, None], table.shape),
+                            everyone_cooperates) >= -tolerance
+    witnesses = [ConditionWitness(WELFARE_CONDITION, i, mask)
+                 for i, masks in enumerate(fails)
+                 for mask in np.flatnonzero(masks).tolist()]
 
     tempted = deviation_gains(table, everyone_cooperates) > tolerance
     for i in np.flatnonzero(~tempted.any(axis=1)):

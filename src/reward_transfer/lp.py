@@ -47,13 +47,10 @@ rows better than the pivoted tableau does.
 from __future__ import annotations
 
 import enum
-import logging
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-
-log = logging.getLogger(__name__)
 
 # smallest ratio-test pivot, relative to the largest positive entry of
 # its column (or row), or absolute when that entry is below 1
@@ -303,9 +300,6 @@ def solve_lp(lp: LinearProgram,
     rows0 = tableau[:m, :first_art].copy()
     rhs0 = tableau[:m, -1].copy()
 
-    log.debug("LP: %d structural, %d slack, %d artificial, %d rows",
-              nvar, m_ub, n_art, m)
-
     cap = _cap(m, n_total)
     iterations = 0
     scale = 1.0 + (float(np.abs(rhs).max()) if m else 0.0)
@@ -322,7 +316,6 @@ def solve_lp(lp: LinearProgram,
         # summed one row at a time, in row order
         residual = sum(tableau[:m, -1][basis >= first_art])
         if residual > tolerance * scale:
-            log.debug("phase 1 residual %.3e, infeasible", residual)
             bad = np.full(lp.n_variables, np.nan)
             return LpSolution(LpStatus.INFEASIBLE, bad, float("nan"), iterations)
         # drive leftover (zero-valued) artificials out of the basis; a
@@ -394,7 +387,6 @@ def _resolve(lp, start, tol) -> LpSolution:
     fresh -= new[:, prev.basis[structural]] @ table[structural]
     fresh[:, prev.basis] = 0.0
     basis = np.concatenate([prev.basis, width + np.arange(add)])
-    log.debug("warm start: %d rows appended to %d", add, m)
 
     cap = _cap(m + add, n_cols)
     scale = 1.0 + (float(np.abs(rhs0).max()) if rhs0.size else 0.0)
@@ -444,8 +436,6 @@ def _finish(tab: _Tableau, iterations: int, tol: float) -> LpSolution:
     y[basis] = basic_values
     x = y[:tab.lp.n_variables]
     value = float(tab.lp.objective @ x)
-    log.debug("optimal after %d iterations, objective %.12g",
-              iterations, value)
     return LpSolution(LpStatus.OPTIMAL, x, value, iterations, tab)
 
 

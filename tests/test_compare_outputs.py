@@ -1,6 +1,7 @@
 """tools/compare_outputs.py, the output-identity check, on one workload:
-a recording holds searches, verdicts and classifications, diffs clean
-against itself, and one changed search fails."""
+a recording holds searches, verdicts, binding checks and
+classifications, diffs clean against itself, and one changed search
+fails."""
 
 import json
 import subprocess
@@ -32,6 +33,8 @@ def test_sweep_small_recording_diffs_against_itself(tmp_path):
     assert classified and all("kind" in entry and "witnesses" in entry
                               for entry in classified)
     assert all(len(entry["verified"]) == 3 for entry in searches.values()
+               if "level" in entry)
+    assert all(entry["binding_agrees"] is True for entry in searches.values()
                if "level" in entry)
 
     same = _tool("diff", recording, recording)

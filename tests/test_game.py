@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from reward_transfer.game import (MUTUAL_CONDITION, TEMPTATION_CONDITION,
                                   _is_social_optimum,
                                   WELFARE_CONDITION, ActionProfile,
-                                  DilemmaKind, NormalFormGame,
+                                  ConditionWitness, DilemmaKind, NormalFormGame,
                                   check_dominance, classify_dilemma,
                                   coplayer_string, deviation_pairs,
                                   drop_bit, insert_bit, pure_nash_equilibria,
@@ -300,6 +300,41 @@ class TestClassify:
         game = NormalFormGame(table)
         scaled = NormalFormGame(a * table + b)
         assert classify_dilemma(game).kind is classify_dilemma(scaled).kind
+
+
+def _per_player_welfare_witnesses(game, tolerance=1e-9):
+    """The welfare witnesses as classify_dilemma found them one player
+    at a time, from the welfare pairs of ``deviation_pairs``."""
+    sw = game.payoffs.sum(axis=1)
+    everyone_cooperates = ActionProfile.all_cooperate(game.n)
+    witnesses = []
+    for i in range(game.n):
+        cooperate, defect = deviation_pairs(sw, everyone_cooperates, i)
+        for mask in np.flatnonzero((cooperate - defect).ravel() <= tolerance):
+            witnesses.append(ConditionWitness(WELFARE_CONDITION, i, int(mask)))
+    return witnesses
+
+
+class TestWelfareWitnessesInOnePass:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_equal_the_per_player_loop(self, n):
+        rng = np.random.default_rng(700 + n)
+        for draw in range(6):
+            # small integers make exact welfare ties; a coarse tolerance
+            # also counts near ties
+            table = rng.integers(-3, 4, size=(1 << n, n)).astype(float)
+            if draw % 2:
+                table += rng.normal(scale=1e-3, size=table.shape)
+            game = NormalFormGame(table)
+            for tolerance in (0.0, 1e-9, 0.5):
+                found = classify_dilemma(game, tolerance)
+                assert found.kind is DilemmaKind.NOT_DILEMMA
+                welfare = [w for w in found.witnesses
+                           if w.condition == WELFARE_CONDITION]
+                expected = _per_player_welfare_witnesses(game, tolerance)
+                assert expected and welfare == expected
+                # the welfare witnesses come first
+                assert found.witnesses[:len(welfare)] == tuple(welfare)
 
 
 class TestDominance:

@@ -353,6 +353,10 @@ def _old_symmetrical_level(game, target, tolerance=1e-9):
 
 
 class TestSymmetricalLevelFromWelfare:
+    """The even split against its per-player reference, and its binding
+    set against the one ``binding_constraints`` recomputes from the
+    returned matrix."""
+
     @staticmethod
     def check(game):
         target = ActionProfile.all_cooperate(game.n)
@@ -366,6 +370,7 @@ class TestSymmetricalLevelFromWelfare:
             result = symmetrical_level(game, force=True)
         assert abs(result.level - expected[0]) <= 1e-12
         assert np.array_equal(result.binding_mask, expected[1])
+        assert binding_constraints(game, result) == list(result.binding)
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_graphical(self, n):

@@ -1,16 +1,15 @@
-"""Working memory of the whole-table passes, and the blocks and chunks
-that bound it.
+"""Working memory of the whole-table passes, and the blocks that bound
+it.
 
 A pass over a game's payoff table keeps alive at most the table, one
-transferred table and one gains array (half a table).  The bounds below
-are peaks traced while one call runs at n = 14, above what was held
-before it, in multiples of the payoff table's bytes.  The blocked
-builder and the player-chunked even split must give the bits the
-one-shot formulas give.
+transferred table and one gains array (half a table); the even split
+keeps two gains arrays and one buffer of the same size.  The bounds
+below are peaks traced while one call runs at n = 14, above what was
+held before it, in multiples of the payoff table's bytes.  The blocked
+builder must give the bits the one-shot formula gives.
 """
 
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -21,9 +20,7 @@ from reward_transfer import (BaseGame, BaseGameParams,
                              build_functional, build_graphical,
                              exchange_matrix, general_level,
                              symmetrical_level, verify_resolution)
-from reward_transfer import dilemmas, levels
-
-from conftest import make_strict_dilemma
+from reward_transfer import dilemmas
 
 N = 14
 TABLE_BYTES = N * (1 << N) * 8
@@ -124,35 +121,9 @@ class TestBlockedBuild:
         assert table.dtype == np.float64
 
 
-def _games_up_to_ten():
-    rng = np.random.default_rng(13)
-    for n in range(3, 11):
-        for graph in GraphKind:
-            for kind in BaseGame:
-                yield build_graphical(graph, BaseGameParams(kind, *STAKES), n)
-        yield make_strict_dilemma(rng, n)
-
-
-def _outcome(game):
-    try:
-        result = symmetrical_level(game, force=True)
-    except NotResolvableError as exc:
-        return str(exc)
-    return result.level, result.binding_mask.tobytes()
-
-
-class TestChunkedEvenSplit:
-    def test_one_player_per_chunk_gives_the_one_chunk_results(self, monkeypatch):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            games = list(_games_up_to_ten())
-            one_chunk = [_outcome(game) for game in games]
-            monkeypatch.setattr(levels, "_CHUNK_FLOATS", 1)
-            per_player = [_outcome(game) for game in games]
-        assert per_player == one_chunk
-
+class TestEvenSplitErrors:
     @pytest.mark.filterwarnings("ignore:target CCCCC is not a social optimum")
-    def test_immune_error_names_the_lowest_immune_player(self, monkeypatch):
+    def test_immune_error_names_the_lowest_immune_player(self):
         # players 3 and 4 (of 5) gain g by leaving the target at one
         # co-profile each while everyone else gains g too, so their
         # gains are the same under every even split
@@ -161,12 +132,8 @@ class TestChunkedEvenSplit:
             keep = 0b00001
             table[keep | (1 << player)] = table[keep] + 1.0
         game = NormalFormGame(table)
-        with pytest.raises(NotResolvableError, match=r"immune.*\(player 3\)") as whole:
+        with pytest.raises(NotResolvableError, match=r"immune.*\(player 3\)"):
             symmetrical_level(game, force=True)
-        monkeypatch.setattr(levels, "_CHUNK_FLOATS", 1)
-        with pytest.raises(NotResolvableError, match=r"\(player 3\)") as chunked:
-            symmetrical_level(game, force=True)
-        assert str(chunked.value) == str(whole.value)
 
 
 class TestAdoptedTables:

@@ -8,12 +8,12 @@ workloads returns, and compare two recordings.
 three benchmark workloads (``perfbench/workloads.py``, imported and not
 changed) at each seed.  For each search it stores the result's mode and
 level, the matrix bytes, the binding mask (its count of set entries and
-a digest) and ``verify_resolution``'s verdict on the matrix (weakly
-dominant, strictly dominant, violation count), or the type and message
-of the exception the search raised.  For each game an op classifies, it
-stores ``classify_dilemma``'s kind and witnesses under the mode
-``classify``.  ``--workloads`` narrows the recording to some of the
-workloads.
+a digest), whether ``binding_constraints`` recomputes that mask, and
+``verify_resolution``'s verdict on the matrix (weakly dominant, strictly
+dominant, violation count), or the type and message of the exception
+the search raised.  For each game an op classifies, it stores
+``classify_dilemma``'s kind and witnesses under the mode ``classify``.
+``--workloads`` narrows the recording to some of the workloads.
 
 ``diff`` prints, per mode, how many entries are identical and how many
 differ, and exits 1 on any difference, including an entry that only one
@@ -70,6 +70,8 @@ def _outcome(game, target, search, force) -> dict:
             "matrix": result.matrix.entries.tobytes().hex(),
             "binding": [int(mask.sum()),
                         hashlib.sha256(np.packbits(mask)).hexdigest()],
+            "binding_agrees": (levels.binding_constraints(game, result)
+                               == list(result.binding)),
             "verified": [report.weakly_dominant, report.strictly_dominant,
                          len(report.violations)]}
 
