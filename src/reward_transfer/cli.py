@@ -80,6 +80,13 @@ def _parse_target(game, text: Optional[str]):
     return target
 
 
+def _print_capped(items, describe) -> None:
+    for item in items[:_WITNESS_CAP]:
+        print("  " + describe(item))
+    if len(items) > _WITNESS_CAP:
+        print(f"  ... and {len(items) - _WITNESS_CAP} more")
+
+
 def cmd_classify(args) -> int:
     game = _read_game(args.game)
     result = classify_dilemma(game, tolerance=args.tolerance)
@@ -90,11 +97,7 @@ def cmd_classify(args) -> int:
         print("partial dilemma (defection pays only against some co-profiles)")
         return EXIT_OK
     print("not a dilemma")
-    for witness in result.witnesses[:_WITNESS_CAP]:
-        print("  " + witness.describe(game.n))
-    hidden = len(result.witnesses) - _WITNESS_CAP
-    if hidden > 0:
-        print(f"  ... and {hidden} more")
+    _print_capped(result.witnesses, lambda witness: witness.describe(game.n))
     return EXIT_NOT_DILEMMA
 
 
@@ -159,13 +162,12 @@ def cmd_verify(args) -> int:
         print(f"target {name} is {kind} dominant after transfers")
         return EXIT_OK
     print(f"target {name} is NOT weakly dominant after transfers")
-    for player, mask, gap in report.violations[:_WITNESS_CAP]:
-        against = coplayer_string(mask, game.n, player)
-        print(f"  player {player + 1} gains {gap:.6g} by deviating "
-              f"against co-players {against}")
-    hidden = len(report.violations) - _WITNESS_CAP
-    if hidden > 0:
-        print(f"  ... and {hidden} more")
+
+    def describe(violation):
+        player, mask, gap = violation
+        return (f"player {player + 1} gains {gap:.6g} by deviating against "
+                f"co-players {coplayer_string(mask, game.n, player)}")
+    _print_capped(report.violations, describe)
     return EXIT_UNRESOLVABLE
 
 

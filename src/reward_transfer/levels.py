@@ -30,9 +30,11 @@ n = 14-16 (14.5 against 23.4 ms at n = 16); the closed form stays.
 
 Deviation constraints number n * 2**(n-1), so they are generated
 lazily from the first solve on, whatever the game's size: solve on a
-working set that starts from the two extreme co-profiles, scan the full
-set for violations, add the worst offenders, repeat.  The relaxation
-optimum only ever over-estimates, so a violation-free solution is exact.
+working set that starts from the two extreme co-profiles, read the
+contract off the solution, scan its every deviation for violations, add
+the worst offenders, repeat.  The relaxation optimum only ever
+over-estimates, so a violation-free contract is exact; the search
+returns it with the binding set of that same scan.
 
 Every test a search makes reads its one ``tolerance``: the simplex, the
 dilemma gate and the social-optimum warning as it is, and every test on
@@ -247,39 +249,35 @@ def symmetrical_level(game: NormalFormGame,
     base = np.divide(others, n - 1, out=others)
     coef = np.subtract(own, base, out=own)
     np.negative(base, out=base)
+    above = scale.decide(lambda s: coef > 1e-12 * s)
+    below = scale.decide(lambda s: coef < -1e-12 * s)
+    sloped = above | below
     # a conjunction of tests is not monotone in the scale: decide each
-    immune = (scale.decide(lambda s: np.abs(coef) <= 1e-12 * s)
-              & scale.decide(lambda s: base < -1e-12 * s)).any(axis=1)
+    immune = (~sloped & scale.decide(lambda s: base < -1e-12 * s)).any(axis=1)
     if immune.any():
         player = int(np.flatnonzero(immune)[0])
         raise NotResolvableError(
             "deviation gains are immune to symmetrical transfers "
             f"(player {player + 1}); no exchange share resolves {target}")
-    above = scale.decide(lambda s: coef > 1e-12 * s)
-    below = scale.decide(lambda s: coef < -1e-12 * s)
-    ratio = np.divide(base, coef, out=np.empty_like(coef),
-                      where=above | below)
-    hi = float(np.min(ratio, where=above, initial=1.0))
+    ratio = np.divide(base, coef, out=np.empty_like(coef), where=sloped)
+    level = float(np.min(ratio, where=above, initial=1.0))
     lo = float(np.max(ratio, where=below, initial=0.0))
     # freed, so that the binding test's masks do not come on top of it
     del ratio
-    if scale.decide(lambda s: lo > hi + 1e-12 * s):
+    if scale.decide(lambda s: lo > level + 1e-12 * s):
         raise NotResolvableError(
             f"no exchange share makes {target} weakly dominant "
-            f"(feasible interval [{lo:.6g}, {hi:.6g}] is empty)")
+            f"(feasible interval [{lo:.6g}, {level:.6g}] is empty)")
 
-    level = hi
     matrix = exchange_matrix(n, level)
     # the gain after transfer, level * coef - base, in place of coef
     gain = np.multiply(coef, level, out=coef)
     gain -= base
-    np.abs(gain, out=gain)
-    binding = scale.decide(lambda s: gain <= tolerance * s)
     return SelfInterestResult(
         level=level,
         matrix=matrix,
         target=target,
-        binding_mask=binding,
+        binding_mask=_binding(gain, tolerance, scale),
         excess=excess_report(matrix),
         mode=SolveMode.SYMMETRIC,
     )
@@ -301,25 +299,32 @@ def _deviation_block(table, target, mask, var, width) -> np.ndarray:
                        minlength=players.size * width).reshape(-1, width)
 
 
-def _lazy_solve(lp, var, table, target, working, scale, tolerance):
-    """Solve ``lp``, whose deviation rows are those set in ``working``
-    (an (n, 2**(n-1)) boolean mask, grown in place), scan every
-    deviation of the resulting matrix T (entry [j, i] is LP variable
-    var[j, i]) and append each player's worst missing violations as new
-    rows; repeat until none is left.  Each round after the first
-    re-optimizes the tableau of the round before.  A violation is a gain
-    above ``tolerance`` times the game's scale, decided through ``scale``
-    (a ``_Scale``).  Returns the last program and its solution."""
+def _lazy_solve(lp, var, table, target, working, scale, tolerance,
+                conserving):
+    """Solve ``lp``, whose deviation rows are those set in ``working`` (an
+    (n, 2**(n-1)) boolean mask, grown in place), read the contract T off
+    the solution (T[j, i] is LP variable var[j, i]), scan its every
+    deviation and append each player's worst missing violations as rows;
+    repeat until none is left, each round re-optimizing the last one's
+    tableau.  A violation is a gain above ``tolerance`` times the game's
+    scale, decided through ``scale`` (a ``_Scale``).  Returns the last
+    program, its level, the last T and that scan's binding mask, or None
+    when a round is infeasible."""
     sol = None
     for _ in range(_MAX_ROUNDS):
         sol = solve_lp(lp, tolerance, start=sol)
         if sol.status is LpStatus.INFEASIBLE:
-            return lp, sol
+            return None
         if sol.status is LpStatus.UNBOUNDED:
             raise RuntimeError("level search reported unbounded; the level "
                                "is capped by construction, so this is a bug")
-        gains = deviation_gains(transferred_payoffs(table, sol.x[var]), target)
+        matrix = _matrix_from_solution(sol.x[var], conserving)
+        gains = deviation_gains(transferred_payoffs(table, matrix.entries),
+                                target)
         fresh = scale.decide(lambda s: gains > tolerance * s) & ~working
+        if not fresh.any():
+            binding = _binding(gains, tolerance, scale)
+            return lp, sol.objective_value, matrix, binding
         # each player keeps their worst violations, ties to the lower mask
         for i in np.flatnonzero(fresh.sum(axis=1) > _ROWS_PER_ROUND):
             picked = np.flatnonzero(fresh[i])
@@ -327,8 +332,6 @@ def _lazy_solve(lp, var, table, target, working, scale, tolerance):
             fresh[i, picked[order[_ROWS_PER_ROUND:]]] = False
         # the next round's product is formed without this round's gains
         del gains
-        if not fresh.any():
-            return lp, sol
         working |= fresh
         rows = _deviation_block(table, target, fresh, var, lp.n_variables)
         lp = LinearProgram(lp.objective, a_ub=np.vstack([lp.a_ub, rows]),
@@ -372,21 +375,15 @@ def _level_lp(table, target, var, working, allow_excess) -> LinearProgram:
 def _matrix_from_solution(t, conserving) -> TransferMatrix:
     t[np.abs(t) < 1e-12] = 0.0
     np.clip(t, 0.0, 1.0, out=t)
+    # each row is scaled to sum to one, or at most one with excess
     sums = t.sum(axis=1)
-    if conserving:
-        t /= sums[:, None]
-    else:
-        over = sums > 1.0
-        if over.any():
-            t[over] /= sums[over, None]
+    t /= np.where(conserving | (sums > 1.0), sums, 1.0)[:, None]
     return TransferMatrix(t)
 
 
-def _binding(game, target, matrix, tolerance, scale) -> np.ndarray:
-    """The deviation constraints whose gain after transfer under
-    ``matrix`` is within tolerance * s of zero, decided through ``scale``."""
-    gains = deviation_gains(transferred_payoffs(game.payoffs, matrix.entries),
-                            target)
+def _binding(gains, tolerance, scale) -> np.ndarray:
+    """The binding rule: |gain after transfer| <= tolerance * s, decided
+    through ``scale``.  ``gains`` is overwritten with its absolute values."""
     np.abs(gains, out=gains)
     return scale.decide(lambda s: gains <= tolerance * s)
 
@@ -396,49 +393,45 @@ def _search(game, target, var, scale, *, force, tolerance,
     """The level search over transfer matrices whose entry [j, i] is LP
     variable var[j, i]: one variable per entry searches every matrix,
     and a map that shares variables searches the matrices it describes.
+    The matrix and binding mask returned are those of the last lazy scan.
     ``scale`` is the game's ``_Scale``; see ``general_level`` for the rest."""
     target = _admit(game, target, force, tolerance, stacklevel=4)
-    n = game.n
     table = game.payoffs
     # every player's working set starts from the two extreme co-profiles:
     # all co-players cooperate, all defect
-    working = np.zeros((n, 1 << (n - 1)), dtype=bool)
+    working = np.zeros((game.n, 1 << (game.n - 1)), dtype=bool)
     working[:, [0, -1]] = True
 
-    lp, sol = _lazy_solve(_level_lp(table, target, var, working, allow_excess),
-                          var, table, target, working, scale, tolerance)
-    if sol.status is LpStatus.INFEASIBLE:
+    solved = _lazy_solve(_level_lp(table, target, var, working, allow_excess),
+                         var, table, target, working, scale, tolerance,
+                         not allow_excess)
+    if solved is None:
         raise NotResolvableError(
             f"no transfer contract makes {target} weakly dominant")
-    level = float(sol.objective_value)
-    # stage 2 starts cold, so stage 1's tableau is not kept beside it
-    x = sol.x
-    del sol
+    lp, level, matrix, binding = solved
 
     if allow_excess or refine_diagonal:
         # stage 2 holds the level at its optimum and minimizes the total
         # paid out, or maximizes the diagonal sum.  Its last variable is
         # z - level >= 0, so the level rows' right-hand sides shift by
-        # level; z has no cost here, and only the entries of T are read
+        # level; z has no cost here, and only the entries of T are read.
+        # Stage 1's contract stands when stage 2 finds no optimum
         c = np.zeros(lp.n_variables)
-        if allow_excess:
-            np.add.at(c, var, -1.0)
-        else:
-            np.add.at(c, np.diag(var), 1.0)
+        counted, weight = (var, -1.0) if allow_excess else (np.diag(var), 1.0)
+        np.add.at(c, counted, weight)
         second = LinearProgram(c, a_ub=lp.a_ub,
                                b_ub=lp.b_ub - lp.a_ub[:, -1] * level,
                                a_eq=lp.a_eq, b_eq=lp.b_eq)
-        _, refined = _lazy_solve(second, var, table, target, working, scale,
-                                 tolerance)
-        if refined.status is LpStatus.OPTIMAL:
-            x = refined.x
+        refined = _lazy_solve(second, var, table, target, working, scale,
+                              tolerance, not allow_excess)
+        if refined is not None:
+            _, _, matrix, binding = refined
 
-    matrix = _matrix_from_solution(x[var], conserving=not allow_excess)
     return SelfInterestResult(
         level=level,
         matrix=matrix,
         target=target,
-        binding_mask=_binding(game, target, matrix, tolerance, scale),
+        binding_mask=binding,
         excess=excess_report(matrix),
         mode=SolveMode.GENERAL_WITH_EXCESS if allow_excess else SolveMode.GENERAL,
     )
@@ -492,9 +485,7 @@ def _check_symmetry(game, perm, tolerance, scale):
     n = game.n
     table = game.payoffs
     cubes = table.T.reshape((n,) + (2,) * n)
-    axes = [0] * n
-    for i in range(n):
-        axes[n - 1 - i] = n - 1 - int(perm[i])
+    axes = (n - 1 - perm[::-1]).tolist()
     diff = np.empty((2,) * n)
     worst = 0.0
     for k in range(n):
@@ -555,5 +546,6 @@ def binding_constraints(game: NormalFormGame,
     _check_tolerance(tolerance)
     if result.matrix.n != game.n or result.target.n != game.n:
         raise ValueError("result size does not match the game")
-    return _mask_pairs(_binding(game, result.target, result.matrix, tolerance,
-                                _Scale(game)))
+    gains = deviation_gains(
+        transferred_payoffs(game.payoffs, result.matrix.entries), result.target)
+    return _mask_pairs(_binding(gains, tolerance, _Scale(game)))

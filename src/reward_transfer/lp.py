@@ -316,8 +316,7 @@ def solve_lp(lp: LinearProgram,
         # summed one row at a time, in row order
         residual = sum(tableau[:m, -1][basis >= first_art])
         if residual > tolerance * scale:
-            bad = np.full(lp.n_variables, np.nan)
-            return LpSolution(LpStatus.INFEASIBLE, bad, float("nan"), iterations)
+            return _no_solution(lp, LpStatus.INFEASIBLE, iterations)
         # drive leftover (zero-valued) artificials out of the basis; a
         # row with no entry to pivot on is redundant and goes
         for r in np.flatnonzero(basis >= first_art):
@@ -340,11 +339,11 @@ def solve_lp(lp: LinearProgram,
     tableau[-1, :n_cols] = -c_ext
     for r in np.flatnonzero(c_ext[basis]):
         tableau[-1] += c_ext[basis[r]] * tableau[r]
-    outcome, used = _run_simplex(tableau, basis, n_cols, tolerance, cap)
+    outcome, used = _run_simplex(tableau, basis, n_cols, tolerance,
+                                 cap - iterations)
     iterations += used
     if outcome == "unbounded":
-        bad = np.full(lp.n_variables, np.nan)
-        return LpSolution(LpStatus.UNBOUNDED, bad, float("inf"), iterations)
+        return _no_solution(lp, LpStatus.UNBOUNDED, iterations)
     return _finish(_Tableau(lp, tableau, basis, rows0, rhs0), iterations,
                    tolerance)
 
@@ -393,14 +392,19 @@ def _resolve(lp, start, tol) -> LpSolution:
     outcome, iterations = _run_dual_simplex(table, basis, n_cols, tol, cap,
                                             scale)
     if outcome == "infeasible":
-        bad = np.full(lp.n_variables, np.nan)
-        return LpSolution(LpStatus.INFEASIBLE, bad, float("nan"), iterations)
+        return _no_solution(lp, LpStatus.INFEASIBLE, iterations)
     outcome, used = _run_simplex(table, basis, n_cols, tol, cap - iterations)
     iterations += used
     if outcome == "unbounded":
-        bad = np.full(lp.n_variables, np.nan)
-        return LpSolution(LpStatus.UNBOUNDED, bad, float("inf"), iterations)
+        return _no_solution(lp, LpStatus.UNBOUNDED, iterations)
     return _finish(_Tableau(lp, table, basis, rows0, rhs0), iterations, tol)
+
+
+def _no_solution(lp, status, iterations) -> LpSolution:
+    """INFEASIBLE or UNBOUNDED: x is NaN, the value NaN or +inf."""
+    value = float("inf") if status is LpStatus.UNBOUNDED else float("nan")
+    return LpSolution(status, np.full(lp.n_variables, np.nan), value,
+                      iterations)
 
 
 def _finish(tab: _Tableau, iterations: int, tol: float) -> LpSolution:

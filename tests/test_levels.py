@@ -728,13 +728,22 @@ class TestOneTolerance:
 
     SCALED_PD = (1e-7, 1.53e-7, 1e-6, 1e-5)
 
+    @staticmethod
+    def agrees(game, result, label):
+        assert binding_constraints(game, result) == \
+            sorted(result.binding), label
+        # the search's own scan checked the very matrix it returns: no
+        # deviation gains more than tolerance * s after transfer
+        gains = deviation_gains(
+            transferred_payoffs(game.payoffs, result.matrix.entries),
+            result.target)
+        assert gains.max() <= 1e-9 * levels._scale(game), label
+
     def test_binding_constraints_agree_with_every_mode(self):
         for eps in self.SCALED_PD:
             game = scaled_prisoners_dilemma(eps)
             for search in _EVERY_SEARCH:
-                result = search(game)
-                assert binding_constraints(game, result) == \
-                    sorted(result.binding), (eps, search)
+                self.agrees(game, search(game), (eps, search))
         for graph in GraphKind:
             searches = _EVERY_SEARCH
             if graph is not GraphKind.TYCOON:
@@ -743,9 +752,7 @@ class TestOneTolerance:
                 for n in range(3, 8):
                     game = build_graphical(graph, BaseGameParams(base, 3.0, 1.0), n)
                     for search in searches:
-                        result = search(game)
-                        assert binding_constraints(game, result) == \
-                            sorted(result.binding), (graph, base, n, search)
+                        self.agrees(game, search(game), (graph, base, n, search))
 
     def test_general_and_even_split_agree_on_scaled_pd(self):
         # the two searches return the same matrix here; row (0, 0)'s gain
@@ -973,6 +980,61 @@ class TestStageTwoHoldsTheLevel:
         assert refined.level - refined.matrix.min_retained() <= 1e-12
         assert np.trace(refined.matrix.entries) >= \
             np.trace(plain.matrix.entries) - 1e-9
+
+
+_CYCLIC_GAMES = {
+    "circular-pd-6": functools.partial(build_graphical, GraphKind.CIRCULAR,
+                                       PD, 6),
+    "cyclical-chicken-5": functools.partial(
+        build_graphical, GraphKind.CYCLICAL,
+        BaseGameParams(BaseGame.CHICKEN, 3.0, 1.0), 5)}
+_OTHER_GAMES = {
+    "tycoon-pd-5": functools.partial(build_graphical, GraphKind.TYCOON, PD, 5),
+    "functional-5": functools.partial(build_functional,
+                                      FunctionalParams(5, 3.0)),
+    "pool-8": functools.partial(pool_dilemma, 8),
+    # not a dilemma: the conserving searches end on an infeasible round
+    "normal-6": lambda: NormalFormGame(
+        np.random.default_rng(3).normal(size=(64, 6)))}
+_PRODUCT_CASES = (
+    [pytest.param(build, search, id=f"{game}-{mode}")
+     for game, build in {**_CYCLIC_GAMES, **_OTHER_GAMES}.items()
+     for mode, search in (("general", _GENERAL), ("excess", _EXCESS),
+                          ("refine", _REFINE))]
+    + [pytest.param(build, _FASTPATH, id=f"{game}-fastpath")
+       for game, build in _CYCLIC_GAMES.items()])
+
+
+@pytest.mark.filterwarnings("ignore")
+class TestOneProductPerSolve:
+    """A search forms the transferred table once for each optimal solve,
+    to scan the contract read off it, and takes the returned matrix and
+    binding mask from the last scan: no product follows it."""
+
+    @pytest.mark.parametrize("build, search", _PRODUCT_CASES)
+    def test_one_product_per_optimal_solve(self, monkeypatch, build, search):
+        events = []
+        solve_lp, product = levels.solve_lp, levels.transferred_payoffs
+
+        def counted_solve(*args, **kwargs):
+            solution = solve_lp(*args, **kwargs)
+            events.append(solution.status.value)
+            return solution
+
+        def counted_product(*args):
+            events.append("product")
+            return product(*args)
+
+        monkeypatch.setattr(levels, "solve_lp", counted_solve)
+        monkeypatch.setattr(levels, "transferred_payoffs", counted_product)
+        try:
+            search(build())
+        except NotResolvableError:
+            pass  # a conserving search of normal-6
+        assert "optimal" in events
+        # each product comes right after its optimal solve, and only then
+        for before, event in zip(["start"] + events, events):
+            assert (event == "product") == (before == "optimal"), events
 
 
 class TestBindingConstraintsChecksSizes:

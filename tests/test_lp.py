@@ -176,6 +176,23 @@ class TestValidation:
         with pytest.raises(RuntimeError, match="iterations"):
             solve_lp(cut, start=start)
 
+    def test_iteration_cap_spans_both_phases(self, monkeypatch):
+        # three phase-1 pivots lift x off its lower bounds, then two
+        # phase-2 pivots reach the optimum (1, 5, 4)
+        lp = LinearProgram([1.0, 2.0, 3.0],
+                           a_ub=[[-1, 0, 0], [0, -1, 0], [0, 0, -1],
+                                 [1, 1, 1], [0, 0, 1]],
+                           b_ub=[-1, -1, -1, 10, 4])
+        monkeypatch.setattr(lp_module, "_cap", lambda rows, cols: 6)
+        solved = solve_lp(lp)
+        assert solved.iterations == 5
+        assert solved.x.tolist() == [1.0, 5.0, 4.0]
+        # either phase alone fits a cap of 4 or 5; the solve does not
+        for cap in (4, 5):
+            monkeypatch.setattr(lp_module, "_cap", lambda rows, cols: cap)
+            with pytest.raises(RuntimeError, match="iterations"):
+                solve_lp(lp)
+
     @pytest.mark.parametrize("keyword", ["feas_tol", "opt_tol",
                                          "max_iterations"])
     def test_one_tolerance_and_no_cap_knob(self, keyword):
