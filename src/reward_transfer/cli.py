@@ -13,6 +13,7 @@ or arguments.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from typing import Iterable, Optional
 
@@ -80,11 +81,11 @@ def _parse_target(game, text: Optional[str]):
     return target
 
 
-def _print_capped(items, describe) -> None:
-    for item in items[:_WITNESS_CAP]:
+def _print_capped(items, count, describe) -> None:
+    for item in itertools.islice(items, _WITNESS_CAP):
         print("  " + describe(item))
-    if len(items) > _WITNESS_CAP:
-        print(f"  ... and {len(items) - _WITNESS_CAP} more")
+    if count > _WITNESS_CAP:
+        print(f"  ... and {count - _WITNESS_CAP} more")
 
 
 def cmd_classify(args) -> int:
@@ -97,7 +98,8 @@ def cmd_classify(args) -> int:
         print("partial dilemma (defection pays only against some co-profiles)")
         return EXIT_OK
     print("not a dilemma")
-    _print_capped(result.witnesses, lambda witness: witness.describe(game.n))
+    _print_capped(result.iter_witnesses(), result.witness_count,
+                  lambda witness: witness.describe(game.n))
     return EXIT_NOT_DILEMMA
 
 
@@ -167,7 +169,7 @@ def cmd_verify(args) -> int:
         player, mask, gap = violation
         return (f"player {player + 1} gains {gap:.6g} by deviating against "
                 f"co-players {coplayer_string(mask, game.n, player)}")
-    _print_capped(report.violations, describe)
+    _print_capped(report.violations, len(report.violations), describe)
     return EXIT_UNRESOLVABLE
 
 

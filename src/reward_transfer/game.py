@@ -24,11 +24,17 @@ A game is a social dilemma when three things hold at once:
 
 ``classify_dilemma`` checks these conditions and reports witnesses for
 the ones that fail.
+
+A game is immutable, so its facts are computed on first use (never at
+construction) and kept: its welfare column, its classification at each
+tolerance and the scale bounds of ``levels._Scale``.  None refers back
+to the game, so a game is freed as soon as its last reference goes.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
@@ -241,6 +247,15 @@ class NormalFormGame:
         table.setflags(write=False)
         self._table = table
         self.n = n
+        self._classified = {}
+        self._scale_bounds = None
+
+    @functools.cached_property
+    def _welfare_column(self) -> np.ndarray:
+        """Group welfare at every profile (the row sums), read-only."""
+        sums = self._table.sum(axis=1)
+        sums.setflags(write=False)
+        return sums
 
     @property
     def payoffs(self) -> np.ndarray:
@@ -299,12 +314,41 @@ class ConditionWitness:
 
 @dataclass(frozen=True)
 class DilemmaClassification:
+    """The verdict of ``classify_dilemma`` and its failures, compactly:
+    ``welfare_fails`` holds per player (none if no switch fails) a byte
+    per co-profile mask, set where switching to cooperation fails to
+    raise welfare; then the untempted players, and those not preferring
+    all-C to all-D.  ``witnesses`` is built on each read (524,320 for a
+    constant n=16 game), so nothing keeps it alive; ``iter_witnesses``
+    and ``witness_count`` read a few and count all without the rest."""
+
     kind: DilemmaKind
-    witnesses: tuple[ConditionWitness, ...] = ()
+    welfare_fails: tuple[bytes, ...] = ()
+    untempted: tuple[int, ...] = ()
+    no_mutual_gain: tuple[int, ...] = ()
 
     @property
     def is_dilemma(self) -> bool:
         return self.kind is not DilemmaKind.NOT_DILEMMA
+
+    def iter_witnesses(self) -> Iterator[ConditionWitness]:
+        """Welfare failures by player and mask, then the other two."""
+        for player, fails in enumerate(self.welfare_fails):
+            for mask in np.flatnonzero(np.frombuffer(fails, bool)).tolist():
+                yield ConditionWitness(WELFARE_CONDITION, player, mask)
+        for player in self.untempted:
+            yield ConditionWitness(TEMPTATION_CONDITION, player)
+        for player in self.no_mutual_gain:
+            yield ConditionWitness(MUTUAL_CONDITION, player)
+
+    @property
+    def witnesses(self) -> tuple[ConditionWitness, ...]:
+        return tuple(self.iter_witnesses())
+
+    @property
+    def witness_count(self) -> int:
+        return (sum(fails.count(1) for fails in self.welfare_fails)
+                + len(self.untempted) + len(self.no_mutual_gain))
 
 
 def classify_dilemma(game: NormalFormGame,
@@ -319,32 +363,35 @@ def classify_dilemma(game: NormalFormGame,
     Group welfare is the sum of rewards.  Strictness is judged against
     ``tolerance``: differences within it count as ties, and ties break
     the strict inequalities.
+
+    The verdict is computed once per tolerance and kept on the game: a
+    repeated call returns the same (immutable) object.
     """
     _check_tolerance(tolerance)
+    if tolerance not in game._classified:
+        game._classified[tolerance] = _classify(game, tolerance)
+    return game._classified[tolerance]
+
+
+def _classify(game, tolerance) -> DilemmaClassification:
     table = game.payoffs
-    n = game.n
-    sw = table.sum(axis=1)
-    everyone_cooperates = ActionProfile.all_cooperate(n)
+    everyone_cooperates = ActionProfile.all_cooperate(game.n)
     # the welfare change of each switch from cooperating to defecting,
     # read as the gains of a table whose every column is the welfare;
     # the switch back fails to raise welfare by more than tolerance
     # exactly where the change is at least -tolerance
-    fails = deviation_gains(np.broadcast_to(sw[:, None], table.shape),
-                            everyone_cooperates) >= -tolerance
-    witnesses = [ConditionWitness(WELFARE_CONDITION, i, mask)
-                 for i, masks in enumerate(fails)
-                 for mask in np.flatnonzero(masks).tolist()]
-
+    welfare = np.broadcast_to(game._welfare_column[:, None], table.shape)
+    fails = deviation_gains(welfare, everyone_cooperates) >= -tolerance
     tempted = deviation_gains(table, everyone_cooperates) > tolerance
-    for i in np.flatnonzero(~tempted.any(axis=1)):
-        witnesses.append(ConditionWitness(TEMPTATION_CONDITION, int(i)))
+    untempted = tuple(np.flatnonzero(~tempted.any(axis=1)).tolist())
+    no_mutual_gain = tuple(
+        np.flatnonzero(table[0] - table[-1] <= tolerance).tolist())
 
-    mutual_gain = table[0] - table[-1]
-    for i in np.flatnonzero(mutual_gain <= tolerance):
-        witnesses.append(ConditionWitness(MUTUAL_CONDITION, int(i)))
-
-    if witnesses:
-        return DilemmaClassification(DilemmaKind.NOT_DILEMMA, tuple(witnesses))
+    welfare_fails = (tuple(row.tobytes() for row in fails)
+                     if fails.any() else ())
+    if welfare_fails or untempted or no_mutual_gain:
+        return DilemmaClassification(DilemmaKind.NOT_DILEMMA, welfare_fails,
+                                     untempted, no_mutual_gain)
     if tempted.all():
         return DilemmaClassification(DilemmaKind.STRICT)
     return DilemmaClassification(DilemmaKind.PARTIAL)
@@ -413,7 +460,7 @@ def _is_social_optimum(game: NormalFormGame, target: ActionProfile,
                        tolerance: float = 1e-9) -> bool:
     """``target in social_optima(game, tolerance)``, without building
     the set of every optimal profile."""
-    sw = game.payoffs.sum(axis=1)
+    sw = game._welfare_column
     return bool(sw[target.bits] >= sw.max() - tolerance)
 
 
@@ -422,7 +469,7 @@ def social_optima(game: NormalFormGame,
     """Profiles whose group welfare (the sum of rewards) is within
     ``tolerance`` of the best."""
     _check_tolerance(tolerance)
-    sw = game.payoffs.sum(axis=1)
+    sw = game._welfare_column
     best = sw.max()
     return frozenset(
         ActionProfile(int(bits), game.n)

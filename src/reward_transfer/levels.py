@@ -40,10 +40,12 @@ Every test a search makes reads its one ``tolerance``: the simplex, the
 dilemma gate and the social-optimum warning as it is, and every test on
 reward changes (a violation, a binding constraint, the symmetry check)
 as value vs tolerance * s, where s is 1 + the largest reward change of
-any single deviation.  Computing s exactly costs O(n**2 * 2**n), so each
-search decides its tests from cheap bounds on it, [1, 1 + the widest
-column range], and runs the exact pass only when a test falls between
+any single deviation.  Computing s exactly costs O(n**2 * 2**n), so the
+searches decide their tests from cheap bounds on it, [1, 1 + the widest
+column range], and run the exact pass only when a test falls between
 them (``_Scale``).  The decisions are the exact scale's, bit for bit.
+Every search and check of a game shares its one ``_Scale``
+(``_scale_of``), so the exact pass runs at most once per game.
 """
 
 from __future__ import annotations
@@ -136,7 +138,7 @@ def deviation_deltas(game: NormalFormGame,
     while the co-players play m.
 
     A reference for tests and tracing: no search calls it.  The largest
-    |delta| over every player is ``_scale(game)`` - 1.
+    |delta| over every player is ``_scale(game.payoffs)`` - 1.
     """
     if target.n != game.n:
         raise ValueError("target profile size does not match the game")
@@ -144,7 +146,7 @@ def deviation_deltas(game: NormalFormGame,
     return (leave - keep).reshape(-1, game.n)
 
 
-def _scale(game) -> float:
+def _scale(table) -> float:
     """1 + the largest reward change any single deviation causes: the
     scale of every tolerance test on reward changes.
 
@@ -152,14 +154,14 @@ def _scale(game) -> float:
     over every player's rewards.  It does not depend on the target, as
     |a - b| = |b - a|, and a max of exact differences is the same in any
     order, so this equals 1 + max_i |deviation_deltas(game, target, i)|
-    bit for bit.  One plain pass over the contiguous player rows of
-    ``payoffs.T``, bit by bit, into one reused buffer of 2**(n-1)
+    bit for bit.  One plain pass over the contiguous player rows of the
+    payoff ``table.T``, bit by bit, into one reused buffer of 2**(n-1)
     differences.
     """
-    n = game.n
+    n = table.shape[1]
     diff = np.empty(1 << (n - 1))
     peak = 0.0
-    for rewards in game.payoffs.T:
+    for rewards in table.T:
         for i in range(n):
             pairs = rewards.reshape(-1, 2, 1 << i)
             out = np.subtract(pairs[:, 1], pairs[:, 0],
@@ -169,30 +171,38 @@ def _scale(game) -> float:
 
 
 class _Scale:
-    """Bounds [lo, hi] on ``_scale(game)`` that decide scaled tolerance
+    """Bounds [lo, hi] on ``_scale(table)`` that decide scaled tolerance
     tests without the O(n**2 * 2**n) pass.
 
     Every one-bit difference lies within its column's range and rounding
-    is monotone, so lo = 1 <= _scale(game) <= 1 + the widest column
+    is monotone, so lo = 1 <= _scale(table) <= 1 + the widest column
     range holds bit for bit.  ``decide(test)`` takes a test as a
     function of the scale, monotone in it (element by element for an
     array), and evaluates it at both bounds: where the answers agree,
     they are the answer at the exact scale too.  Otherwise it runs
     ``_scale`` once, collapses both bounds onto it and evaluates the
     test there, so every decision is the one the exact scale gives.
+    It holds the table, not the game that keeps it: no reference cycle.
     """
 
-    def __init__(self, game):
-        self._game = game
+    def __init__(self, table):
+        self._table = table
         self.lo = 1.0
-        self.hi = 1.0 + float(np.ptp(game.payoffs, axis=0).max())
+        self.hi = 1.0 + float(np.ptp(table, axis=0).max())
 
     def decide(self, test):
         at_lo, at_hi = test(self.lo), test(self.hi)
         if np.array_equal(at_lo, at_hi):
             return at_hi
-        self.lo = self.hi = _scale(self._game)
+        self.lo = self.hi = _scale(self._table)
         return test(self.hi)
+
+
+def _scale_of(game) -> _Scale:
+    """The game's ``_Scale``, made on first use and kept on the game."""
+    if game._scale_bounds is None:
+        game._scale_bounds = _Scale(game.payoffs)
+    return game._scale_bounds
 
 
 def _admit(game, target, force, tolerance, stacklevel=3) -> ActionProfile:
@@ -208,7 +218,7 @@ def _admit(game, target, force, tolerance, stacklevel=3) -> ActionProfile:
     if not force:
         classification = classify_dilemma(game, tolerance)
         if classification.kind is DilemmaKind.NOT_DILEMMA:
-            first = classification.witnesses[0].describe(game.n)
+            first = next(classification.iter_witnesses()).describe(game.n)
             raise NotADilemmaError(
                 f"not a social dilemma ({first}); pass force=True to search "
                 "anyway", classification)
@@ -240,9 +250,9 @@ def symmetrical_level(game: NormalFormGame,
     # what the others gain: the welfare change of each deviation, read
     # as the gains of a table whose every column is the welfare
     others = deviation_gains(
-        np.broadcast_to(table.sum(axis=1)[:, None], table.shape), target)
+        np.broadcast_to(game._welfare_column[:, None], table.shape), target)
     others -= own
-    scale = _Scale(game)
+    scale = _scale_of(game)
 
     # s * own + (1 - s)/(n - 1) * others <= 0 reads s * coef <= base;
     # both are formed in place of the gains they come from
@@ -388,15 +398,16 @@ def _binding(gains, tolerance, scale) -> np.ndarray:
     return scale.decide(lambda s: gains <= tolerance * s)
 
 
-def _search(game, target, var, scale, *, force, tolerance,
+def _search(game, target, var, *, force, tolerance,
             allow_excess=False, refine_diagonal=False) -> SelfInterestResult:
     """The level search over transfer matrices whose entry [j, i] is LP
     variable var[j, i]: one variable per entry searches every matrix,
     and a map that shares variables searches the matrices it describes.
     The matrix and binding mask returned are those of the last lazy scan.
-    ``scale`` is the game's ``_Scale``; see ``general_level`` for the rest."""
+    See ``general_level`` for the rest."""
     target = _admit(game, target, force, tolerance, stacklevel=4)
     table = game.payoffs
+    scale = _scale_of(game)
     # every player's working set starts from the two extreme co-profiles:
     # all co-players cooperate, all defect
     working = np.zeros((game.n, 1 << (game.n - 1)), dtype=bool)
@@ -467,7 +478,7 @@ def general_level(game: NormalFormGame,
         raise ValueError("refine_diagonal applies to conserving searches "
                          "only; it cannot be combined with allow_excess")
     return _search(game, target, np.arange(game.n ** 2).reshape(game.n, game.n),
-                   _Scale(game), allow_excess=allow_excess, force=force,
+                   allow_excess=allow_excess, force=force,
                    tolerance=tolerance, refine_diagonal=refine_diagonal)
 
 
@@ -528,14 +539,13 @@ def general_level_symmetric_fastpath(game: NormalFormGame,
     if len(set(cycle)) != n:
         raise ValueError("generator must be a single cycle through all "
                          "players; its orbit of player 1 is shorter")
-    scale = _Scale(game)
-    _check_symmetry(game, perm, tolerance, scale)
+    _check_symmetry(game, perm, tolerance, _scale_of(game))
 
     # row cycle[k] of T is row 0 pushed k steps round the cycle, so
     # T[j, i] = T[0, cycle[pos[i] - pos[j]]], held by variable var[j, i]
     pos = np.argsort(cycle)
     var = np.array(cycle)[(pos[None, :] - pos[:, None]) % n]
-    return _search(game, None, var, scale, force=force, tolerance=tolerance)
+    return _search(game, None, var, force=force, tolerance=tolerance)
 
 
 def binding_constraints(game: NormalFormGame,
@@ -548,4 +558,4 @@ def binding_constraints(game: NormalFormGame,
         raise ValueError("result size does not match the game")
     gains = deviation_gains(
         transferred_payoffs(game.payoffs, result.matrix.entries), result.target)
-    return _mask_pairs(_binding(gains, tolerance, _Scale(game)))
+    return _mask_pairs(_binding(gains, tolerance, _scale_of(game)))

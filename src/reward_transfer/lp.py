@@ -28,8 +28,8 @@ cycle.
 One ``tolerance`` serves every test of a solve: basic values and
 steps (the primal side), reduced costs (optimality, the dual side),
 and the phase-1 residual, which may reach tolerance * (1 + the largest
-|rhs|).  A solve that takes more than 200 + 25 * (rows + columns)
-pivots (``_cap``) raises RuntimeError.
+|rhs|).  A solve whose pivots reach 200 + 25 * (rows + columns)
+(``_cap``) raises RuntimeError naming that cap and its pivot count.
 
 Warm starts.  ``solve_lp(lp, start=previous)`` re-optimizes the optimal
 tableau of ``previous`` when ``lp`` is its program with inequality rows
@@ -131,7 +131,7 @@ def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
     tableau[row] /= tableau[row, col]
     factors = tableau[:, col].copy()
     factors[row] = 0.0
-    tableau -= np.outer(factors, tableau[row])
+    tableau -= factors[:, None] * tableau[row]
     # keep the unit column exact; accumulated drift here breaks Bland's rule
     tableau[:, col] = 0.0
     tableau[row, col] = 1.0
@@ -161,8 +161,16 @@ def _harris(values, pivots, rank, tol, bland) -> int:
     return int(near[0])
 
 
-def _run_simplex(tableau, basis, n_cols, tol, cap):
-    """Primal simplex: iterate until the bottom row prices out."""
+def _cap_reached(taken, cap) -> RuntimeError:
+    return RuntimeError(
+        f"simplex took {taken} iterations, reaching this solve's cap of "
+        f"{cap}; the instance is likely degenerate beyond what this solver "
+        "is meant for")
+
+
+def _run_simplex(tableau, basis, n_cols, tol, cap, taken=0):
+    """Primal simplex: iterate until the bottom row prices out, after
+    ``taken`` pivots of the solve, which may take ``cap`` in all."""
     m = tableau.shape[0] - 1
     iterations = 0
     stalled = 0
@@ -192,10 +200,8 @@ def _run_simplex(tableau, basis, n_cols, tol, cap):
         _pivot(tableau, leave, enter)
         basis[leave] = enter
         iterations += 1
-        if iterations >= cap:
-            raise RuntimeError(
-                f"simplex exceeded {cap} iterations; the instance is likely "
-                "degenerate beyond what this solver is meant for")
+        if taken + iterations >= cap:
+            raise _cap_reached(taken + iterations, cap)
 
 
 def _run_dual_simplex(tableau, basis, n_cols, tol, cap, scale):
@@ -235,9 +241,7 @@ def _run_dual_simplex(tableau, basis, n_cols, tol, cap, scale):
         basis[leave] = enter
         iterations += 1
         if iterations >= cap:
-            raise RuntimeError(
-                f"simplex exceeded {cap} iterations; the instance is likely "
-                "degenerate beyond what this solver is meant for")
+            raise _cap_reached(iterations, cap)
 
 
 def _cap(rows: int, cols: int) -> int:
@@ -256,7 +260,7 @@ def solve_lp(lp: LinearProgram,
     ``tolerance`` is the one tolerance of the solve: on basic values
     (feasibility, the ratio test), on reduced costs (optimality) and on
     the phase-1 residual, scaled there by 1 + the largest |rhs|.  A
-    solve that exceeds its iteration cap raises RuntimeError.
+    solve whose pivots reach its iteration cap raises RuntimeError.
 
     ``start`` is an OPTIMAL solution of a program that ``lp`` extends:
     the same objective and equalities, with ``start``'s
@@ -339,8 +343,8 @@ def solve_lp(lp: LinearProgram,
     tableau[-1, :n_cols] = -c_ext
     for r in np.flatnonzero(c_ext[basis]):
         tableau[-1] += c_ext[basis[r]] * tableau[r]
-    outcome, used = _run_simplex(tableau, basis, n_cols, tolerance,
-                                 cap - iterations)
+    outcome, used = _run_simplex(tableau, basis, n_cols, tolerance, cap,
+                                 iterations)
     iterations += used
     if outcome == "unbounded":
         return _no_solution(lp, LpStatus.UNBOUNDED, iterations)
@@ -393,7 +397,7 @@ def _resolve(lp, start, tol) -> LpSolution:
                                             scale)
     if outcome == "infeasible":
         return _no_solution(lp, LpStatus.INFEASIBLE, iterations)
-    outcome, used = _run_simplex(table, basis, n_cols, tol, cap - iterations)
+    outcome, used = _run_simplex(table, basis, n_cols, tol, cap, iterations)
     iterations += used
     if outcome == "unbounded":
         return _no_solution(lp, LpStatus.UNBOUNDED, iterations)

@@ -141,7 +141,7 @@ def conservation_check(game: NormalFormGame,
     if not matrix.is_conserving(tolerance):
         raise ValueError(
             "matrix burns reward (rows sum below 1); conservation does not apply")
-    before = game.payoffs.sum(axis=1)
+    before = game._welfare_column
     after = transferred_payoffs(game.payoffs, matrix.entries).sum(axis=1)
     scale = max(1.0, float(np.abs(before).max()))
     return bool(np.abs(after - before).max() <= tolerance * scale)

@@ -93,6 +93,18 @@ class TestClassify:
         assert "not a dilemma" in out
         assert "player 1" in out
 
+    def test_not_dilemma_listing_is_capped(self, tmp_path, capsys):
+        # a constant 3-player game fails 18 times: twelve welfare
+        # switches, then every temptation and every all-C vs all-D
+        game = tmp_path / "flat3.json"
+        game.write_text(dumps_game(NormalFormGame(np.ones((8, 3)))))
+        assert main(["classify", str(game)]) == 1
+        welfare = [f"  player {i + 1}: cooperation-raises-welfare fails "
+                   f"against co-players {others}"
+                   for i in range(3) for others in ("CC", "DC", "CD", "DD")]
+        assert capsys.readouterr().out.splitlines() == (
+            ["not a dilemma"] + welfare[:10] + ["  ... and 8 more"])
+
     def test_tolerance_flag(self, pd_path, capsys):
         # an absurd tolerance flattens every strict inequality
         assert main(["classify", pd_path, "--tolerance", "10"]) == 1

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reward_transfer import game as game_module
 from reward_transfer.game import (MUTUAL_CONDITION, TEMPTATION_CONDITION,
                                   _is_social_optimum,
                                   WELFARE_CONDITION, ActionProfile,
@@ -335,6 +337,93 @@ class TestWelfareWitnessesInOnePass:
                 assert expected and welfare == expected
                 # the welfare witnesses come first
                 assert found.witnesses[:len(welfare)] == tuple(welfare)
+
+
+class TestFactsOncePerGame:
+    """A game's welfare column and its classification at each tolerance
+    are computed on first use, never at construction, and kept."""
+
+    def test_nothing_is_computed_at_construction(self, pd_game):
+        game = NormalFormGame(pd_game.payoffs)
+        assert game._classified == {} and game._scale_bounds is None
+        assert "_welfare_column" not in vars(game)
+
+    def test_repeated_classification_is_the_same_object(self, pd_game,
+                                                        monkeypatch):
+        computed = []
+        classify = game_module._classify
+        monkeypatch.setattr(game_module, "_classify",
+                            lambda game, tolerance: computed.append(tolerance)
+                            or classify(game, tolerance))
+        first = classify_dilemma(pd_game)
+        assert classify_dilemma(pd_game) is first
+        assert classify_dilemma(pd_game, 1e-9) is first
+        # another tolerance computes its own verdict, once
+        coarse = classify_dilemma(pd_game, 10.0)
+        assert coarse.kind is DilemmaKind.NOT_DILEMMA
+        assert first.kind is DilemmaKind.STRICT
+        assert classify_dilemma(pd_game, 10.0) is coarse
+        assert computed == [1e-9, 10.0]
+        # an equal game computes an equal verdict of its own
+        assert classify_dilemma(NormalFormGame(pd_game.payoffs)) == first
+        assert len(computed) == 3
+
+    def test_welfare_column(self, arbitrary_game):
+        column = arbitrary_game._welfare_column
+        assert column is arbitrary_game._welfare_column
+        assert np.array_equal(column, arbitrary_game.payoffs.sum(axis=1))
+        assert not column.flags.writeable
+        # the public per-profile welfare stays a method
+        for profile in arbitrary_game.profiles():
+            assert arbitrary_game.welfare(profile) == column[profile.bits]
+
+
+class TestWitnessesOnDemand:
+    """A non-dilemma keeps its failures compactly and builds the
+    witnesses, in order, when they are read."""
+
+    def test_constant_game_in_order(self):
+        found = classify_dilemma(NormalFormGame(np.ones((8, 3))))
+        expected = ([ConditionWitness(WELFARE_CONDITION, i, mask)
+                     for i in range(3) for mask in range(4)]
+                    + [ConditionWitness(TEMPTATION_CONDITION, i)
+                       for i in range(3)]
+                    + [ConditionWitness(MUTUAL_CONDITION, i)
+                       for i in range(3)])
+        assert found.witnesses == tuple(expected)
+        assert found.witness_count == 18
+        assert list(itertools.islice(found.iter_witnesses(), 5)) == \
+            expected[:5]
+        # built on each read, so nothing keeps the tuple alive
+        assert found.witnesses is not found.witnesses
+
+    def test_only_the_read_witnesses_are_built(self, monkeypatch):
+        built = []
+
+        def counted(*args):
+            built.append(ConditionWitness(*args))
+            return built[-1]
+
+        monkeypatch.setattr(game_module, "ConditionWitness", counted)
+        found = classify_dilemma(NormalFormGame(np.ones((1 << 8, 8))))
+        assert built == []
+        assert found.witness_count == 8 * 128 + 8 + 8
+        first = list(itertools.islice(found.iter_witnesses(), 3))
+        assert built == first
+
+    def test_dilemma_keeps_no_failures(self, pd_game, chicken_game):
+        for game in (pd_game, chicken_game):
+            found = classify_dilemma(game)
+            assert found.welfare_fails == ()
+            assert found.witness_count == 0 and found.witnesses == ()
+
+    def test_failures_without_a_welfare_one(self, pd_game):
+        # every welfare switch still pays under this tolerance, but no
+        # defection tempts by more than it
+        found = classify_dilemma(pd_game, 1.5)
+        assert found.welfare_fails == ()
+        assert found.witnesses == tuple(
+            ConditionWitness(TEMPTATION_CONDITION, i) for i in range(2))
 
 
 class TestDominance:

@@ -1,6 +1,9 @@
 import functools
+import gc
 import itertools
+import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -13,7 +16,7 @@ from reward_transfer import (ActionProfile, DilemmaKind, NormalFormGame,
                              deviation_deltas, exchange_matrix, general_level,
                              general_level_symmetric_fastpath,
                              symmetrical_level, verify_resolution)
-from reward_transfer import levels
+from reward_transfer import game as game_module, levels
 from reward_transfer.dilemmas import (BaseGame, BaseGameParams,
                                       FunctionalParams, GraphKind,
                                       build_functional, build_graphical,
@@ -21,6 +24,7 @@ from reward_transfer.dilemmas import (BaseGame, BaseGameParams,
 from reward_transfer.game import (deviation_gains, deviation_pairs,
                                   transferred_payoffs)
 from reward_transfer.levels import binding_constraints
+from reward_transfer.transfer import conservation_check
 
 from conftest import make_strict_dilemma, pool_dilemma
 
@@ -92,7 +96,7 @@ class TestScale:
             game = _random_magnitude_game(rng, n)
             targets = {0, (1 << n) - 1, int(rng.integers(0, 1 << n))}
             for bits in targets:
-                assert levels._scale(game) == \
+                assert levels._scale(game.payoffs) == \
                     self.reference(game, ActionProfile(bits, n))
 
 
@@ -125,15 +129,15 @@ class TestScaleBounds:
         rng = np.random.default_rng(100 + n)
         for game in (_random_magnitude_game(rng, n),
                      build_graphical(GraphKind.CIRCULAR, PD, n)):
-            bounds = levels._Scale(game)
-            assert bounds.lo <= levels._scale(game) <= bounds.hi
+            bounds = levels._Scale(game.payoffs)
+            assert bounds.lo <= levels._scale(game.payoffs) <= bounds.hi
 
     @pytest.mark.parametrize("name", sorted(SCALED_TESTS))
     def test_planted_values_decide_as_the_exact_scale(self, name, monkeypatch):
         threshold, test = SCALED_TESTS[name]
         game = build_graphical(GraphKind.CIRCULAR, PD, 6)
-        exact = levels._scale(game)
-        bounds = levels._Scale(game)
+        exact = levels._scale(game.payoffs)
+        bounds = levels._Scale(game.payoffs)
         lo, hi = bounds.lo, bounds.hi
         assert lo < exact < hi
         # thresholds at scales in (lo, hi], and at scales outside it
@@ -146,23 +150,23 @@ class TestScaleBounds:
                                       for v in inside + outside
                                       for side in (-np.inf, np.inf)]
         for v in planted + [np.array(planted)]:
-            decided = levels._Scale(game).decide(lambda s: test(v, s))
+            decided = levels._Scale(game.payoffs).decide(lambda s: test(v, s))
             assert np.array_equal(decided, test(v, exact))
 
         # the values outside the band never need the exact pass
         monkeypatch.setattr(levels, "_scale", _refuse_exact_scale)
-        bounds = levels._Scale(game)
+        bounds = levels._Scale(game.payoffs)
         for v in outside + [np.array(outside)]:
             assert np.array_equal(bounds.decide(lambda s: test(v, s)),
                                   test(v, exact))
 
     def test_fallback_collapses_the_bounds_once(self, monkeypatch):
         game = build_graphical(GraphKind.CIRCULAR, PD, 6)
-        exact = levels._scale(game)
+        exact = levels._scale(game.payoffs)
         calls = []
         monkeypatch.setattr(levels, "_scale",
                             lambda g: calls.append(g) or exact)
-        bounds = levels._Scale(game)
+        bounds = levels._Scale(game.payoffs)
         between = 1e-9 * (1.0 + exact) / 2
         assert bounds.decide(lambda s: between > 1e-9 * s) == \
             (between > 1e-9 * exact)
@@ -189,9 +193,9 @@ class TestScaleBounds:
 class _ExactScale(levels._Scale):
     """The bounds collapsed onto the exact scale from the start."""
 
-    def __init__(self, game):
-        super().__init__(game)
-        self.lo = self.hi = levels._scale(game)
+    def __init__(self, table):
+        super().__init__(table)
+        self.lo = self.hi = levels._scale(table)
 
 
 def _outcome(search, game):
@@ -219,20 +223,23 @@ class TestScaleFilterDifferential:
     @staticmethod
     def fallbacks(monkeypatch, games, searches):
         """Assert the two agree on every game and search; return how
-        many times the filtered runs computed the exact scale."""
+        many times the filtered runs computed the exact scale.  A game
+        keeps the scale of its first search, so the exact runs search
+        fresh copies of the games."""
         calls = []
         exact = levels._scale
 
-        def counted(game):
-            calls.append(game)
-            return exact(game)
+        def counted(table):
+            calls.append(table)
+            return exact(table)
 
         with monkeypatch.context() as patch:
             patch.setattr(levels, "_scale", counted)
             filtered = [_outcome(s, g) for g in games for s in searches]
+        copies = [NormalFormGame(g.payoffs) for g in games]
         with monkeypatch.context() as patch:
             patch.setattr(levels, "_Scale", _ExactScale)
-            assert [_outcome(s, g) for g in games for s in searches] == filtered
+            assert [_outcome(s, g) for g in copies for s in searches] == filtered
         return len(calls)
 
     @pytest.mark.parametrize("graph", list(GraphKind))
@@ -276,7 +283,7 @@ def _old_mismatch(game, perm):
 
 
 def _check_symmetry(game, perm, tolerance=1e-9):
-    levels._check_symmetry(game, perm, tolerance, levels._Scale(game))
+    levels._check_symmetry(game, perm, tolerance, levels._Scale(game.payoffs))
 
 
 class TestCheckSymmetry:
@@ -289,7 +296,7 @@ class TestCheckSymmetry:
         perm = np.roll(np.arange(5), -1)
         tolerance = 1e-9
         _check_symmetry(game, perm, tolerance)
-        scale = levels._scale(game)
+        scale = levels._scale(game.payoffs)
         table = game.payoffs.copy()
         table[11, 3] += 10 * tolerance * scale
         with pytest.raises(ValueError,
@@ -304,7 +311,7 @@ class TestCheckSymmetry:
         # mismatch of twice tolerance * s lies between the two
         game = self.cyclic_game()
         perm = np.roll(np.arange(5), -1)
-        scale = levels._scale(game)
+        scale = levels._scale(game.payoffs)
         assert scale == 2.5 and 1.0 + np.abs(game.payoffs).max() == 7.0
         table = game.payoffs.copy()
         table[11, 3] += 2 * 1e-9 * scale
@@ -737,7 +744,7 @@ class TestOneTolerance:
         gains = deviation_gains(
             transferred_payoffs(game.payoffs, result.matrix.entries),
             result.target)
-        assert gains.max() <= 1e-9 * levels._scale(game), label
+        assert gains.max() <= 1e-9 * levels._scale(game.payoffs), label
 
     def test_binding_constraints_agree_with_every_mode(self):
         for eps in self.SCALED_PD:
@@ -787,7 +794,7 @@ class TestOneTolerance:
             gains = deviation_gains(
                 transferred_payoffs(game.payoffs, result.matrix.entries),
                 result.target)
-            expected = np.abs(gains) <= tolerance * levels._scale(game)
+            expected = np.abs(gains) <= tolerance * levels._scale(game.payoffs)
             assert np.array_equal(result.binding_mask, expected)
 
     @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1.0])
@@ -912,8 +919,7 @@ class TestRowBuilders:
         for k, game in enumerate(games):
             closed = symmetrical_level(game, force=True)
             searched = levels._search(game, None, _even_split_map(game.n),
-                                      levels._Scale(game), force=True,
-                                      tolerance=1e-9)
+                                      force=True, tolerance=1e-9)
             assert abs(searched.level - closed.level) <= 1e-12, k
             assert np.array_equal(searched.binding_mask,
                                   closed.binding_mask), k
@@ -945,6 +951,91 @@ class TestForcedSearchSkipsTheGate:
                 f"not a social dilemma ({first}); pass force=True to search "
                 "anyway")
             assert info.value.classification == classification
+
+
+class TestFactsOncePerGame:
+    """Every search and check reads the game's facts, computed once per
+    game: its classification at the gate's tolerance, its welfare
+    column and its ``_Scale``, none of which refers back to the game."""
+
+    @staticmethod
+    def every_search(game):
+        return [symmetrical_level(game), general_level(game),
+                general_level(game, allow_excess=True),
+                general_level(game, refine_diagonal=True),
+                general_level_symmetric_fastpath(game)]
+
+    def test_search_on_a_classified_game_makes_no_classification_pass(
+            self, monkeypatch):
+        game = build_graphical(GraphKind.CYCLICAL, PD, 4)
+        calls = []
+        gains = game_module.deviation_gains
+
+        def counted(*args):
+            calls.append(args)
+            return gains(*args)
+
+        # classify_dilemma reads the gains through the game module
+        monkeypatch.setattr(game_module, "deviation_gains", counted)
+        classify_dilemma(game)
+        assert len(calls) == 2
+        self.every_search(game)
+        assert len(calls) == 2
+
+    def test_every_search_shares_one_scale(self, monkeypatch):
+        # this dilemma's searches fall between the scale bounds
+        calls = []
+        exact = levels._scale
+        monkeypatch.setattr(levels, "_scale",
+                            lambda table: calls.append(table) or exact(table))
+        game = pool_dilemma(11, 1)
+        bounds = levels._scale_of(game)
+        general_level(game)
+        result = general_level(game, allow_excess=True)
+        symmetrical_level(game)
+        binding_constraints(game, result)
+        assert levels._scale_of(game) is bounds
+        assert len(calls) == 1
+        assert bounds.lo == bounds.hi == exact(game.payoffs)
+
+    @pytest.mark.filterwarnings("ignore")
+    def test_games_leave_no_reference_cycle(self):
+        game = build_graphical(GraphKind.CYCLICAL, PD, 4)
+        classify_dilemma(game)
+        results = self.every_search(game)
+        for result in results:
+            verify_resolution(game, result.matrix)
+            binding_constraints(game, result)
+        conservation_check(game, results[1].matrix)
+        assert game._scale_bounds is not None and game._classified
+        alive = weakref.ref(game)
+        gc.disable()
+        try:
+            del game
+            assert alive() is None
+        finally:
+            gc.enable()
+
+    def test_gate_builds_only_the_witness_it_prints(self):
+        # a constant game fails every condition: 114,716 witnesses at
+        # n = 14, of which the message reads the first
+        n = 14
+        game = NormalFormGame(np.ones((1 << n, n)))
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            with pytest.raises(NotADilemmaError) as info:
+                general_level(game)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == (
+            "not a social dilemma (player 1: cooperation-raises-welfare "
+            f"fails against co-players {'C' * (n - 1)}); pass force=True "
+            "to search anyway")
+        assert peak - before < game.payoffs.nbytes
+        assert info.value.classification.witness_count == \
+            n * (1 << (n - 1)) + 2 * n
 
 
 _STAGE_TWO_GAMES = (

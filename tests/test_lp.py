@@ -193,6 +193,19 @@ class TestValidation:
             with pytest.raises(RuntimeError, match="iterations"):
                 solve_lp(lp)
 
+    def test_cap_message_names_the_cap_and_the_pivots_taken(self,
+                                                            monkeypatch):
+        # three phase-1 pivots, then phase 2 reaches the cap on its first
+        lp = LinearProgram([1.0, 2.0, 3.0],
+                           a_ub=[[-1, 0, 0], [0, -1, 0], [0, 0, -1],
+                                 [1, 1, 1], [0, 0, 1]],
+                           b_ub=[-1, -1, -1, 10, 4])
+        monkeypatch.setattr(lp_module, "_cap", lambda rows, cols: 4)
+        with pytest.raises(RuntimeError,
+                           match="took 4 iterations, reaching this solve's "
+                                 "cap of 4;"):
+            solve_lp(lp)
+
     @pytest.mark.parametrize("keyword", ["feas_tol", "opt_tol",
                                          "max_iterations"])
     def test_one_tolerance_and_no_cap_knob(self, keyword):

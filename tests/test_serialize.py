@@ -455,7 +455,7 @@ class TestBindingMask:
         for result in (general_level(game),
                        general_level_symmetric_fastpath(game)):
             expected = brute_force_binding(game, result,
-                                           1e-9 * levels._scale(game))
+                                           1e-9 * levels._scale(game.payoffs))
             assert expected
             assert result.binding == expected
             assert all(type(p) is int and type(m) is int
@@ -463,8 +463,9 @@ class TestBindingMask:
 
     def test_general_with_target(self, arbitrary_game):
         result = general_level(arbitrary_game, ActionProfile.from_string("CCC"))
+        scale = levels._scale(arbitrary_game.payoffs)
         assert result.binding == brute_force_binding(
-            arbitrary_game, result, 1e-9 * levels._scale(arbitrary_game))
+            arbitrary_game, result, 1e-9 * scale)
 
     def test_symmetric(self, arbitrary_game):
         result = symmetrical_level(arbitrary_game)
