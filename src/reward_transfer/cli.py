@@ -244,7 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("game")
     p.add_argument("matrix", help="matrix JSON (or a result JSON)")
     p.add_argument("--target", help="overrides a result file's target")
-    p.add_argument("--tolerance", type=float, default=1e-9)
+    p.add_argument("--tolerance", type=float, default=1e-9,
+                   help="largest deviation gain still accepted, relative to "
+                        "the game's reward scale (default 1e-9)")
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("analytic", help="closed-form level for a "

@@ -27,8 +27,9 @@ the ones that fail.
 
 A game is immutable, so its facts are computed on first use (never at
 construction) and kept: its welfare column, its classification at each
-tolerance and the scale bounds of ``levels._Scale``.  None refers back
-to the game, so a game is freed as soon as its last reference goes.
+tolerance and its reward scale s (``_Scale``), which every tolerance
+test on a deviation gain reads as value vs tolerance * s.  None refers
+back to the game, so a game is freed as soon as its last reference goes.
 """
 
 from __future__ import annotations
@@ -208,6 +209,50 @@ def deviation_gains(table, target: ActionProfile) -> np.ndarray:
     return gains
 
 
+def _scale(table) -> float:
+    """The reward scale s of every tolerance test on a deviation gain:
+    1 + the largest |difference| between two profiles one bit apart,
+    over every player's rewards.  It does not depend on the target, and
+    a max of exact differences is the same in any order, so it equals
+    1 + max_i |levels.deviation_deltas(game, target, i)| bit for bit.
+    One pass over the contiguous player rows of ``table.T``, bit by bit,
+    into one reused buffer of 2**(n-1) differences."""
+    n = table.shape[1]
+    diff = np.empty(1 << (n - 1))
+    peak = 0.0
+    for rewards in table.T:
+        for i in range(n):
+            pairs = rewards.reshape(-1, 2, 1 << i)
+            out = np.subtract(pairs[:, 1], pairs[:, 0],
+                              out=diff.reshape(-1, 1 << i))
+            peak = max(peak, np.abs(out, out=out).max())
+    return 1.0 + float(peak)
+
+
+class _Scale:
+    """Bounds [lo, hi] on ``_scale(table)`` that decide scaled tolerance
+    tests without its O(n**2 * 2**n) pass: lo = 1 <= _scale(table) <= 1 +
+    the widest column range holds bit for bit, as every one-bit
+    difference lies within its column's range and rounding is monotone.
+    ``decide(test)`` evaluates a test monotone in the scale (element by
+    element for an array) at both bounds: where they agree, that is the
+    exact scale's answer.  Otherwise it runs ``_scale`` once, collapses
+    both bounds onto it and evaluates the test there.  It holds the
+    table, not the game: no reference cycle."""
+
+    def __init__(self, table):
+        self._table = table
+        self.lo = 1.0
+        self.hi = 1.0 + float(np.ptp(table, axis=0).max())
+
+    def decide(self, test):
+        at_lo, at_hi = test(self.lo), test(self.hi)
+        if np.array_equal(at_lo, at_hi):
+            return at_hi
+        self.lo = self.hi = _scale(self._table)
+        return test(self.hi)
+
+
 class NormalFormGame:
     """An n-player binary-action game held as a dense payoff table.
 
@@ -248,7 +293,6 @@ class NormalFormGame:
         self._table = table
         self.n = n
         self._classified = {}
-        self._scale_bounds = None
 
     @functools.cached_property
     def _welfare_column(self) -> np.ndarray:
@@ -256,6 +300,11 @@ class NormalFormGame:
         sums = self._table.sum(axis=1)
         sums.setflags(write=False)
         return sums
+
+    @functools.cached_property
+    def _gain_scale(self) -> _Scale:
+        """The ``_Scale`` of every tolerance test on a one-bit reward change."""
+        return _Scale(self._table)
 
     @property
     def payoffs(self) -> np.ndarray:
@@ -402,8 +451,8 @@ class DominanceReport:
     """Whether a target profile is (weakly/strictly) dominant.
 
     ``violations`` lists (player, co-profile mask, gap) triples where the
-    player strictly prefers deviating from the target action; the gap is
-    by how much.
+    player gains more than tolerance * s by deviating from the target
+    action, s the game's reward scale; the gap is the gain.
     """
 
     target: ActionProfile
@@ -417,30 +466,36 @@ def check_dominance(game: NormalFormGame,
                     tolerance: float = 1e-9) -> DominanceReport:
     """Check whether each player's target action is a dominant choice.
 
-    Weak dominance: no player can strictly gain (beyond ``tolerance``)
-    by deviating from their target action, whatever the others do.
-    Strict dominance additionally requires every deviation to strictly
-    lose.
+    With s the game's reward scale (``_Scale``): weak dominance holds
+    when no deviation from a target action gains more than tolerance * s,
+    whatever the others do; strict dominance when every deviation loses
+    more than tolerance * s.
     """
     _check_tolerance(tolerance)
     if target.n != game.n:
         raise ValueError("target profile size does not match the game")
-    gains = deviation_gains(game.payoffs, target)
-    players, masks = np.nonzero(gains > tolerance)
-    violations = tuple(zip(players.tolist(), masks.tolist(),
-                           gains[players, masks].tolist()))
-    return DominanceReport(
-        target=target,
-        strictly_dominant=bool((gains < -tolerance).all()),
-        weakly_dominant=not violations,
-        violations=violations,
-    )
+    return _dominance(game.payoffs, target, tolerance, game._gain_scale)
+
+
+def _dominance(table, target, tolerance, scale) -> DominanceReport:
+    """``check_dominance`` on the reward ``table``, deciding its tests
+    through ``scale``: both verdicts read the largest gain alone."""
+    gains = deviation_gains(table, target)
+    worst = float(gains.max())
+    violations = ()
+    if not scale.decide(lambda s: worst <= tolerance * s):
+        players, masks = np.nonzero(
+            scale.decide(lambda s: gains > tolerance * s))
+        violations = tuple(zip(players.tolist(), masks.tolist(),
+                               gains[players, masks].tolist()))
+    strict = scale.decide(lambda s: worst < -tolerance * s)
+    return DominanceReport(target, strict, not violations, violations)
 
 
 def pure_nash_equilibria(game: NormalFormGame,
                          tolerance: float = 1e-9) -> frozenset[ActionProfile]:
-    """All profiles where no single player gains more than ``tolerance``
-    by deviating."""
+    """All profiles where no single player gains more than tolerance * s
+    by deviating, s the game's reward scale."""
     _check_tolerance(tolerance)
     table = game.payoffs
     everyone_cooperates = ActionProfile.all_cooperate(game.n)
@@ -450,8 +505,9 @@ def pure_nash_equilibria(game: NormalFormGame,
         # paired by co-profile in the table and in ``stable`` alike
         cooperate, defect = deviation_pairs(table[:, i], everyone_cooperates, i)
         at_c, at_d = deviation_pairs(stable, everyone_cooperates, i)
-        at_c &= defect - cooperate <= tolerance
-        at_d &= cooperate - defect <= tolerance
+        gain = defect - cooperate
+        at_c &= game._gain_scale.decide(lambda s: gain <= tolerance * s)
+        at_d &= game._gain_scale.decide(lambda s: -gain <= tolerance * s)
     return frozenset(
         ActionProfile(int(bits), game.n) for bits in np.flatnonzero(stable))
 

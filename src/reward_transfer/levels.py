@@ -38,14 +38,10 @@ returns it with the binding set of that same scan.
 
 Every test a search makes reads its one ``tolerance``: the simplex, the
 dilemma gate and the social-optimum warning as it is, and every test on
-reward changes (a violation, a binding constraint, the symmetry check)
-as value vs tolerance * s, where s is 1 + the largest reward change of
-any single deviation.  Computing s exactly costs O(n**2 * 2**n), so the
-searches decide their tests from cheap bounds on it, [1, 1 + the widest
-column range], and run the exact pass only when a test falls between
-them (``_Scale``).  The decisions are the exact scale's, bit for bit.
-Every search and check of a game shares its one ``_Scale``
-(``_scale_of``), so the exact pass runs at most once per game.
+reward changes (a violation, a binding constraint, the symmetry check,
+the even split's interval) as value vs tolerance * s, where s is 1 +
+the largest reward change of any single deviation, decided through the
+game's one ``_Scale`` (game.py), as ``verify_resolution`` decides it.
 """
 
 from __future__ import annotations
@@ -138,71 +134,12 @@ def deviation_deltas(game: NormalFormGame,
     while the co-players play m.
 
     A reference for tests and tracing: no search calls it.  The largest
-    |delta| over every player is ``_scale(game.payoffs)`` - 1.
+    |delta| over every player is game.py's ``_scale(game.payoffs)`` - 1.
     """
     if target.n != game.n:
         raise ValueError("target profile size does not match the game")
     keep, leave = deviation_pairs(game.payoffs, target, player)
     return (leave - keep).reshape(-1, game.n)
-
-
-def _scale(table) -> float:
-    """1 + the largest reward change any single deviation causes: the
-    scale of every tolerance test on reward changes.
-
-    That is the largest |difference| between two profiles one bit apart,
-    over every player's rewards.  It does not depend on the target, as
-    |a - b| = |b - a|, and a max of exact differences is the same in any
-    order, so this equals 1 + max_i |deviation_deltas(game, target, i)|
-    bit for bit.  One plain pass over the contiguous player rows of the
-    payoff ``table.T``, bit by bit, into one reused buffer of 2**(n-1)
-    differences.
-    """
-    n = table.shape[1]
-    diff = np.empty(1 << (n - 1))
-    peak = 0.0
-    for rewards in table.T:
-        for i in range(n):
-            pairs = rewards.reshape(-1, 2, 1 << i)
-            out = np.subtract(pairs[:, 1], pairs[:, 0],
-                              out=diff.reshape(-1, 1 << i))
-            peak = max(peak, np.abs(out, out=out).max())
-    return 1.0 + float(peak)
-
-
-class _Scale:
-    """Bounds [lo, hi] on ``_scale(table)`` that decide scaled tolerance
-    tests without the O(n**2 * 2**n) pass.
-
-    Every one-bit difference lies within its column's range and rounding
-    is monotone, so lo = 1 <= _scale(table) <= 1 + the widest column
-    range holds bit for bit.  ``decide(test)`` takes a test as a
-    function of the scale, monotone in it (element by element for an
-    array), and evaluates it at both bounds: where the answers agree,
-    they are the answer at the exact scale too.  Otherwise it runs
-    ``_scale`` once, collapses both bounds onto it and evaluates the
-    test there, so every decision is the one the exact scale gives.
-    It holds the table, not the game that keeps it: no reference cycle.
-    """
-
-    def __init__(self, table):
-        self._table = table
-        self.lo = 1.0
-        self.hi = 1.0 + float(np.ptp(table, axis=0).max())
-
-    def decide(self, test):
-        at_lo, at_hi = test(self.lo), test(self.hi)
-        if np.array_equal(at_lo, at_hi):
-            return at_hi
-        self.lo = self.hi = _scale(self._table)
-        return test(self.hi)
-
-
-def _scale_of(game) -> _Scale:
-    """The game's ``_Scale``, made on first use and kept on the game."""
-    if game._scale_bounds is None:
-        game._scale_bounds = _Scale(game.payoffs)
-    return game._scale_bounds
 
 
 def _admit(game, target, force, tolerance, stacklevel=3) -> ActionProfile:
@@ -252,7 +189,7 @@ def symmetrical_level(game: NormalFormGame,
     others = deviation_gains(
         np.broadcast_to(game._welfare_column[:, None], table.shape), target)
     others -= own
-    scale = _scale_of(game)
+    scale = game._gain_scale
 
     # s * own + (1 - s)/(n - 1) * others <= 0 reads s * coef <= base;
     # both are formed in place of the gains they come from
@@ -278,6 +215,7 @@ def symmetrical_level(game: NormalFormGame,
         raise NotResolvableError(
             f"no exchange share makes {target} weakly dominant "
             f"(feasible interval [{lo:.6g}, {level:.6g}] is empty)")
+    level = max(level, 0.0)  # roundoff can leave it a few ulps below 0
 
     matrix = exchange_matrix(n, level)
     # the gain after transfer, level * coef - base, in place of coef
@@ -407,7 +345,7 @@ def _search(game, target, var, *, force, tolerance,
     See ``general_level`` for the rest."""
     target = _admit(game, target, force, tolerance, stacklevel=4)
     table = game.payoffs
-    scale = _scale_of(game)
+    scale = game._gain_scale
     # every player's working set starts from the two extreme co-profiles:
     # all co-players cooperate, all defect
     working = np.zeros((game.n, 1 << (game.n - 1)), dtype=bool)
@@ -482,11 +420,11 @@ def general_level(game: NormalFormGame,
                    tolerance=tolerance, refine_diagonal=refine_diagonal)
 
 
-def _check_symmetry(game, perm, tolerance, scale):
+def _check_symmetry(game, perm, tolerance):
     """Raise unless relabeling players by ``perm`` leaves the table
     unchanged: player perm[k] at the profile that moves bit i to bit
     perm[i] earns what player k earns at the original profile, to within
-    tolerance * s, decided through ``scale``.
+    tolerance * s, s the game's reward scale.
 
     Each player's rewards are viewed as an n-axis cube over the bits
     (axis n - 1 - b holds bit b); moving the bits is then a transpose of
@@ -502,7 +440,7 @@ def _check_symmetry(game, perm, tolerance, scale):
     for k in range(n):
         np.subtract(cubes[perm[k]].transpose(axes), cubes[k], out=diff)
         worst = max(worst, float(np.abs(diff, out=diff).max()))
-    if scale.decide(lambda s: worst > tolerance * s):
+    if game._gain_scale.decide(lambda s: worst > tolerance * s):
         raise ValueError(
             "the game is not symmetric under the generator "
             f"(payoff mismatch {worst:.3g})")
@@ -530,16 +468,18 @@ def general_level_symmetric_fastpath(game: NormalFormGame,
     n = game.n
     if generator is None:
         generator = tuple((i + 1) % n for i in range(n))
-    perm = np.asarray(generator, dtype=int)
+    perm = np.asarray(generator)
+    # compared before the cast, which would truncate 1.7 to 1
     if perm.shape != (n,) or sorted(perm.tolist()) != list(range(n)):
         raise ValueError("generator must be a permutation of the players")
+    perm = perm.astype(int)
     cycle = [0]
     for _ in range(n - 1):
         cycle.append(int(perm[cycle[-1]]))
     if len(set(cycle)) != n:
         raise ValueError("generator must be a single cycle through all "
                          "players; its orbit of player 1 is shorter")
-    _check_symmetry(game, perm, tolerance, _scale_of(game))
+    _check_symmetry(game, perm, tolerance)
 
     # row cycle[k] of T is row 0 pushed k steps round the cycle, so
     # T[j, i] = T[0, cycle[pos[i] - pos[j]]], held by variable var[j, i]
@@ -558,4 +498,4 @@ def binding_constraints(game: NormalFormGame,
         raise ValueError("result size does not match the game")
     gains = deviation_gains(
         transferred_payoffs(game.payoffs, result.matrix.entries), result.target)
-    return _mask_pairs(_binding(gains, tolerance, _scale_of(game)))
+    return _mask_pairs(_binding(gains, tolerance, game._gain_scale))

@@ -18,11 +18,11 @@ from typing import Optional
 
 import numpy as np
 
-# nothing here calls social_optima; the name stays importable because
-# perfbench/spans.py re-binds it by name when it traces a run
+# nothing here calls social_optima or check_dominance; the names stay
+# importable because perfbench/spans.py re-binds them when it traces a run
 from .game import (ActionProfile, DominanceReport, NormalFormGame,  # noqa: F401
-                   _check_tolerance, _is_social_optimum, check_dominance,
-                   social_optima, transferred_payoffs)
+                   _check_tolerance, _dominance, _is_social_optimum,
+                   check_dominance, social_optima, transferred_payoffs)
 
 
 class TransferMatrix:
@@ -153,10 +153,12 @@ def verify_resolution(game: NormalFormGame,
                       tolerance: float = 1e-9) -> DominanceReport:
     """Does the contract make the target profile weakly dominant?
 
-    Applies the transfers and checks dominance in the transformed game.
-    The target defaults to all-cooperate.  A target that is not a social
-    optimum of the original game is allowed but warned about, since
-    enforcing it pins the group to suboptimal welfare.
+    Checks dominance in the transformed game as ``check_dominance`` does,
+    against tolerance * s with s the scale the searches read: the
+    original game's.  The target defaults to all-cooperate.  A target
+    that is not a social optimum of the original game (``tolerance``
+    unscaled) is warned about, since enforcing it pins the group to
+    suboptimal welfare.
     """
     _check_tolerance(tolerance)
     if target is None:
@@ -168,4 +170,4 @@ def verify_resolution(game: NormalFormGame,
             f"target {target} is not a social optimum of the game",
             UserWarning, stacklevel=2)
     transformed = apply_transfers(game, matrix)
-    return check_dominance(transformed, target, tolerance)
+    return _dominance(transformed.payoffs, target, tolerance, game._gain_scale)

@@ -193,6 +193,24 @@ class TestSolve:
         with pytest.warns(UserWarning):
             assert main(["solve", anti, "--force"]) == 2
 
+    def test_even_split_roundoff_below_zero(self, tmp_path, capsys):
+        # a valid table whose even-split upper end comes out a few ulps
+        # below 0; the share is 0, and the contract verifies
+        game = write_json(tmp_path, "ulps.json", {
+            "players": 2,
+            "payoffs": {"CC": [0.6340699793474432, 0.496571693798853],
+                        "DC": [1.4447691385613266, 0.496571693798853],
+                        "CD": [0.318017387845798, 0.7108798632659449],
+                        "DD": [0.4603553288673248, 0.5074698605445271]},
+        })
+        result = str(tmp_path / "result.json")
+        with pytest.warns(UserWarning, match="social optimum"):
+            assert main(["solve", game, "--mode", "symmetric", "--force",
+                         "-o", result]) == 0
+            assert main(["verify", game, result]) == 0
+        assert json.loads(open(result).read())["level"] == 0
+        assert "weakly dominant" in capsys.readouterr().out
+
     def test_determinism(self, arbitrary_path, capsys):
         main(["solve", arbitrary_path])
         first = capsys.readouterr().out

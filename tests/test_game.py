@@ -19,7 +19,7 @@ from reward_transfer import (BaseGame, BaseGameParams, FunctionalParams,
                              GraphKind, TransferMatrix, apply_transfers,
                              build_functional, build_graphical, dumps_game,
                              parse_game, scaled_prisoners_dilemma,
-                             too_many_cooks)
+                             too_many_cooks, verify_resolution)
 
 
 class TestActionProfile:
@@ -345,8 +345,9 @@ class TestFactsOncePerGame:
 
     def test_nothing_is_computed_at_construction(self, pd_game):
         game = NormalFormGame(pd_game.payoffs)
-        assert game._classified == {} and game._scale_bounds is None
+        assert game._classified == {}
         assert "_welfare_column" not in vars(game)
+        assert "_gain_scale" not in vars(game)
 
     def test_repeated_classification_is_the_same_object(self, pd_game,
                                                         monkeypatch):
@@ -478,6 +479,38 @@ class TestDominance:
         with pytest.raises(ValueError):
             check_dominance(pd_game, ActionProfile.all_cooperate(3))
 
+    @pytest.mark.parametrize("factor, weak, strict", [
+        (2.0, False, False), (0.5, True, False),
+        (-0.5, True, False), (-2.0, True, True)])
+    def test_gains_are_read_against_the_scale(self, factor, weak, strict):
+        # check_dominance and verify_resolution (through the identity,
+        # whose product is exact) read the one rule the searches read
+        game = _planted_gain_game(factor)
+        target = ActionProfile.all_cooperate(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reports = [check_dominance(game, target),
+                       verify_resolution(game, TransferMatrix.identity(2))]
+        gain = game.payoffs[1, 0] - game.payoffs[0, 0]
+        for report in reports:
+            assert report.weakly_dominant is weak
+            assert report.strictly_dominant is strict
+            assert report.violations == (() if weak else ((0, 0, gain),))
+
+
+def _planted_gain_game(factor, tolerance=1e-9):
+    """A two-player game at x1e7 stakes whose largest deviation gain
+    from CC, player 1 defecting against C, is ``factor`` * tolerance * s;
+    every other gain is -1.  s is about 1e7, so the gain is far above
+    the tolerance unscaled."""
+    table = np.array([[1e7, 1e7], [1e7, 1.0], [1.0, 1e7 - 1.0], [0.0, 0.0]])
+    table[1, 0] += factor * tolerance * game_module._scale(table)
+    game = NormalFormGame(table)
+    gain = game.payoffs[1, 0] - game.payoffs[0, 0]
+    assert gain == pytest.approx(
+        factor * tolerance * game_module._scale(game.payoffs), rel=1e-6)
+    return game
+
 
 def test_pure_nash_pd(pd_game):
     assert pure_nash_equilibria(pd_game) == \
@@ -494,17 +527,34 @@ def test_pure_nash_constant():
     assert len(pure_nash_equilibria(game)) == 8
 
 
+def _brute_force_nash(game, limit):
+    return frozenset(
+        profile for profile in game.profiles()
+        if all(game.reward(profile.flip(i), i)
+               - game.reward(profile, i) <= limit for i in range(game.n)))
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_pure_nash_against_brute_force(n):
-    # small integer payoffs make ties, which count as stable
+    # small integer payoffs make ties, which count as stable; at x1e7
+    # stakes a tie that player 1's defection breaks by 0.5 * tolerance * s
+    # still counts as one
     rng = np.random.default_rng(n)
+    read_by_scale = 0
     for _ in range(4):
-        game = NormalFormGame(rng.integers(0, 3, size=(1 << n, n)))
-        expected = frozenset(
-            profile for profile in game.profiles()
-            if all(game.reward(profile.flip(i), i)
-                   - game.reward(profile, i) <= 1e-9 for i in range(n)))
-        assert pure_nash_equilibria(game) == expected
+        table = rng.integers(0, 3, size=(1 << n, n)).astype(float)
+        game = NormalFormGame(table)
+        assert pure_nash_equilibria(game) == _brute_force_nash(game, 1e-9)
+
+        table *= 1e7
+        defects = np.arange(1 << n) & 1 == 1
+        table[defects, 0] += 0.5e-9 * game_module._scale(table)
+        game = NormalFormGame(table)
+        limit = 1e-9 * game_module._scale(game.payoffs)
+        assert pure_nash_equilibria(game) == _brute_force_nash(game, limit)
+        read_by_scale += (_brute_force_nash(game, limit)
+                          != _brute_force_nash(game, 1e-9))
+    assert read_by_scale
 
 
 def test_social_optima_pd(pd_game):

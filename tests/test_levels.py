@@ -96,7 +96,7 @@ class TestScale:
             game = _random_magnitude_game(rng, n)
             targets = {0, (1 << n) - 1, int(rng.integers(0, 1 << n))}
             for bits in targets:
-                assert levels._scale(game.payoffs) == \
+                assert game_module._scale(game.payoffs) == \
                     self.reference(game, ActionProfile(bits, n))
 
 
@@ -129,15 +129,15 @@ class TestScaleBounds:
         rng = np.random.default_rng(100 + n)
         for game in (_random_magnitude_game(rng, n),
                      build_graphical(GraphKind.CIRCULAR, PD, n)):
-            bounds = levels._Scale(game.payoffs)
-            assert bounds.lo <= levels._scale(game.payoffs) <= bounds.hi
+            bounds = game_module._Scale(game.payoffs)
+            assert bounds.lo <= game_module._scale(game.payoffs) <= bounds.hi
 
     @pytest.mark.parametrize("name", sorted(SCALED_TESTS))
     def test_planted_values_decide_as_the_exact_scale(self, name, monkeypatch):
         threshold, test = SCALED_TESTS[name]
         game = build_graphical(GraphKind.CIRCULAR, PD, 6)
-        exact = levels._scale(game.payoffs)
-        bounds = levels._Scale(game.payoffs)
+        exact = game_module._scale(game.payoffs)
+        bounds = game_module._Scale(game.payoffs)
         lo, hi = bounds.lo, bounds.hi
         assert lo < exact < hi
         # thresholds at scales in (lo, hi], and at scales outside it
@@ -150,23 +150,24 @@ class TestScaleBounds:
                                       for v in inside + outside
                                       for side in (-np.inf, np.inf)]
         for v in planted + [np.array(planted)]:
-            decided = levels._Scale(game.payoffs).decide(lambda s: test(v, s))
+            decided = game_module._Scale(game.payoffs).decide(
+                lambda s: test(v, s))
             assert np.array_equal(decided, test(v, exact))
 
         # the values outside the band never need the exact pass
-        monkeypatch.setattr(levels, "_scale", _refuse_exact_scale)
-        bounds = levels._Scale(game.payoffs)
+        monkeypatch.setattr(game_module, "_scale", _refuse_exact_scale)
+        bounds = game_module._Scale(game.payoffs)
         for v in outside + [np.array(outside)]:
             assert np.array_equal(bounds.decide(lambda s: test(v, s)),
                                   test(v, exact))
 
     def test_fallback_collapses_the_bounds_once(self, monkeypatch):
         game = build_graphical(GraphKind.CIRCULAR, PD, 6)
-        exact = levels._scale(game.payoffs)
+        exact = game_module._scale(game.payoffs)
         calls = []
-        monkeypatch.setattr(levels, "_scale",
+        monkeypatch.setattr(game_module, "_scale",
                             lambda g: calls.append(g) or exact)
-        bounds = levels._Scale(game.payoffs)
+        bounds = game_module._Scale(game.payoffs)
         between = 1e-9 * (1.0 + exact) / 2
         assert bounds.decide(lambda s: between > 1e-9 * s) == \
             (between > 1e-9 * exact)
@@ -181,7 +182,7 @@ class TestScaleBounds:
     ], ids=["circular-8", "functional-6"])
     def test_common_path_skips_the_exact_pass(self, game, fastpath,
                                               monkeypatch):
-        monkeypatch.setattr(levels, "_scale", _refuse_exact_scale)
+        monkeypatch.setattr(game_module, "_scale", _refuse_exact_scale)
         general_level(game, force=True)
         general_level(game, force=True, allow_excess=True)
         general_level(game, force=True, refine_diagonal=True)
@@ -190,12 +191,12 @@ class TestScaleBounds:
             general_level_symmetric_fastpath(game, force=True)
 
 
-class _ExactScale(levels._Scale):
+class _ExactScale(game_module._Scale):
     """The bounds collapsed onto the exact scale from the start."""
 
     def __init__(self, table):
         super().__init__(table)
-        self.lo = self.hi = levels._scale(table)
+        self.lo = self.hi = game_module._scale(table)
 
 
 def _outcome(search, game):
@@ -227,18 +228,18 @@ class TestScaleFilterDifferential:
         keeps the scale of its first search, so the exact runs search
         fresh copies of the games."""
         calls = []
-        exact = levels._scale
+        exact = game_module._scale
 
         def counted(table):
             calls.append(table)
             return exact(table)
 
         with monkeypatch.context() as patch:
-            patch.setattr(levels, "_scale", counted)
+            patch.setattr(game_module, "_scale", counted)
             filtered = [_outcome(s, g) for g in games for s in searches]
         copies = [NormalFormGame(g.payoffs) for g in games]
         with monkeypatch.context() as patch:
-            patch.setattr(levels, "_Scale", _ExactScale)
+            patch.setattr(game_module, "_Scale", _ExactScale)
             assert [_outcome(s, g) for g in copies for s in searches] == filtered
         return len(calls)
 
@@ -283,7 +284,7 @@ def _old_mismatch(game, perm):
 
 
 def _check_symmetry(game, perm, tolerance=1e-9):
-    levels._check_symmetry(game, perm, tolerance, levels._Scale(game.payoffs))
+    levels._check_symmetry(game, perm, tolerance)
 
 
 class TestCheckSymmetry:
@@ -296,7 +297,7 @@ class TestCheckSymmetry:
         perm = np.roll(np.arange(5), -1)
         tolerance = 1e-9
         _check_symmetry(game, perm, tolerance)
-        scale = levels._scale(game.payoffs)
+        scale = game_module._scale(game.payoffs)
         table = game.payoffs.copy()
         table[11, 3] += 10 * tolerance * scale
         with pytest.raises(ValueError,
@@ -311,7 +312,7 @@ class TestCheckSymmetry:
         # mismatch of twice tolerance * s lies between the two
         game = self.cyclic_game()
         perm = np.roll(np.arange(5), -1)
-        scale = levels._scale(game.payoffs)
+        scale = game_module._scale(game.payoffs)
         assert scale == 2.5 and 1.0 + np.abs(game.payoffs).max() == 7.0
         table = game.payoffs.copy()
         table[11, 3] += 2 * 1e-9 * scale
@@ -624,6 +625,12 @@ class TestSymmetricFastpath:
         with pytest.raises(ValueError, match="permutation"):
             general_level_symmetric_fastpath(tmc_game, generator=[1, 1, 2])
 
+    def test_rejects_non_integer_generator(self, tmc_game):
+        # a cast would truncate it to (1, 2, 0), a valid 3-cycle
+        with pytest.raises(ValueError, match="permutation"):
+            general_level_symmetric_fastpath(tmc_game,
+                                             generator=(1.7, 2.2, 0.9))
+
     def test_tmc_is_cyclic_but_gated(self, tmc_game):
         # adjusting only the all-same rows preserves the rotation
         # symmetry, so the fastpath accepts the game; the dilemma gate
@@ -744,7 +751,7 @@ class TestOneTolerance:
         gains = deviation_gains(
             transferred_payoffs(game.payoffs, result.matrix.entries),
             result.target)
-        assert gains.max() <= 1e-9 * levels._scale(game.payoffs), label
+        assert gains.max() <= 1e-9 * game_module._scale(game.payoffs), label
 
     def test_binding_constraints_agree_with_every_mode(self):
         for eps in self.SCALED_PD:
@@ -794,7 +801,8 @@ class TestOneTolerance:
             gains = deviation_gains(
                 transferred_payoffs(game.payoffs, result.matrix.entries),
                 result.target)
-            expected = np.abs(gains) <= tolerance * levels._scale(game.payoffs)
+            scale = game_module._scale(game.payoffs)
+            expected = np.abs(gains) <= tolerance * scale
             assert np.array_equal(result.binding_mask, expected)
 
     @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1.0])
@@ -953,6 +961,54 @@ class TestForcedSearchSkipsTheGate:
             assert info.value.classification == classification
 
 
+@pytest.mark.filterwarnings("ignore")
+class TestVerifyReadsTheSearchScale:
+    """``verify_resolution`` decides gains against tolerance * s with the
+    scale the search read, so it accepts every contract a search returns,
+    whatever the stakes."""
+
+    @pytest.mark.parametrize("stakes", [1.0, 1e4, 1e7])
+    def test_every_contract_verifies(self, stakes):
+        for graph in GraphKind:
+            for base in BaseGame:
+                for n in (4, 6, 8, 10):
+                    built = build_graphical(
+                        graph, BaseGameParams(base, 3.0, 1.0), n)
+                    game = NormalFormGame(stakes * built.payoffs)
+                    for search in (_GENERAL, _EXCESS, _SYMMETRIC):
+                        result = search(game)
+                        report = verify_resolution(game, result.matrix,
+                                                   result.target)
+                        assert report.weakly_dominant, \
+                            (graph, base, n, search, report.violations)
+
+    def test_verify_makes_no_scale_of_its_own(self, monkeypatch):
+        made = []
+
+        class Counted(game_module._Scale):
+            def __init__(self, table):
+                made.append(table)
+                super().__init__(table)
+
+        monkeypatch.setattr(game_module, "_Scale", Counted)
+        game = pool_dilemma(11, 1)
+        result = general_level(game)
+        assert len(made) == 1
+        assert verify_resolution(game, result.matrix).weakly_dominant
+        assert len(made) == 1
+
+    def test_even_split_share_is_clamped_into_the_unit_interval(self):
+        # the interval's upper end comes out -1.37e-16 here: zero up to
+        # roundoff, which exchange_matrix refused as a negative share
+        game = NormalFormGame([[0.6340699793474432, 0.496571693798853],
+                               [1.4447691385613266, 0.496571693798853],
+                               [0.318017387845798, 0.7108798632659449],
+                               [0.4603553288673248, 0.5074698605445271]])
+        result = symmetrical_level(game, force=True)
+        assert result.level == 0.0
+        assert verify_resolution(game, result.matrix).weakly_dominant
+
+
 class TestFactsOncePerGame:
     """Every search and check reads the game's facts, computed once per
     game: its classification at the gate's tolerance, its welfare
@@ -985,16 +1041,16 @@ class TestFactsOncePerGame:
     def test_every_search_shares_one_scale(self, monkeypatch):
         # this dilemma's searches fall between the scale bounds
         calls = []
-        exact = levels._scale
-        monkeypatch.setattr(levels, "_scale",
+        exact = game_module._scale
+        monkeypatch.setattr(game_module, "_scale",
                             lambda table: calls.append(table) or exact(table))
         game = pool_dilemma(11, 1)
-        bounds = levels._scale_of(game)
+        bounds = game._gain_scale
         general_level(game)
         result = general_level(game, allow_excess=True)
         symmetrical_level(game)
         binding_constraints(game, result)
-        assert levels._scale_of(game) is bounds
+        assert game._gain_scale is bounds
         assert len(calls) == 1
         assert bounds.lo == bounds.hi == exact(game.payoffs)
 
@@ -1007,7 +1063,7 @@ class TestFactsOncePerGame:
             verify_resolution(game, result.matrix)
             binding_constraints(game, result)
         conservation_check(game, results[1].matrix)
-        assert game._scale_bounds is not None and game._classified
+        assert "_gain_scale" in vars(game) and game._classified
         alive = weakref.ref(game)
         gc.disable()
         try:
