@@ -128,10 +128,11 @@ class LpSolution:
 
 
 def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
-    tableau[row] /= tableau[row, col]
-    factors = tableau[:, col].copy()
+    pivot_row = tableau[row]
+    pivot_row /= pivot_row[col]
+    factors = tableau[:, col:col + 1].copy()
     factors[row] = 0.0
-    tableau -= factors[:, None] * tableau[row]
+    tableau -= factors * pivot_row
     # keep the unit column exact; accumulated drift here breaks Bland's rule
     tableau[:, col] = 0.0
     tableau[row, col] = 1.0
@@ -142,7 +143,7 @@ def _pivotable(entries: np.ndarray) -> np.ndarray:
     _PIVOT_TOL times the largest entry, or times 1 when that is
     smaller.  Negative entries do not raise the bar, so the set is
     empty only when no entry is above _PIVOT_TOL."""
-    top = max(entries.max(), 1.0) if entries.size else 1.0
+    top = entries.max(initial=1.0)
     return (entries > _PIVOT_TOL * top).nonzero()[0]
 
 
@@ -152,7 +153,9 @@ def _harris(values, pivots, rank, tol, bland) -> int:
     takes, among candidates whose own step value / pivot is within that
     bound, the largest pivot (any of them under Bland's rule), then the
     lowest ``rank``.  Returns a position in the candidate arrays."""
-    near = (values / pivots <= ((values + tol) / pivots).min()).nonzero()[0]
+    bound = values + tol
+    bound /= pivots
+    near = (values / pivots <= bound.min()).nonzero()[0]
     if near.size > 1 and not bland:
         size = pivots[near]
         near = near[size == size.max()]
@@ -174,8 +177,10 @@ def _run_simplex(tableau, basis, n_cols, tol, cap, taken=0):
     m = tableau.shape[0] - 1
     iterations = 0
     stalled = 0
+    # views, which the pivots update in place
+    reduced = tableau[-1, :n_cols]
+    rhs = tableau[:m, -1]
     while True:
-        reduced = tableau[-1, :n_cols]
         bland = stalled >= _STALL_LIMIT
         if bland:
             improving = np.flatnonzero(reduced < -tol)
@@ -183,19 +188,20 @@ def _run_simplex(tableau, basis, n_cols, tol, cap, taken=0):
                 return "optimal", iterations
             enter = int(improving[0])
         else:
-            enter = int(np.argmin(reduced))
+            enter = int(reduced.argmin())
             if reduced[enter] >= -tol:
                 return "optimal", iterations
         column = tableau[:m, enter]
         rows = _pivotable(column)
         if rows.size == 0:
             return "unbounded", iterations
-        leave = int(rows[_harris(tableau[rows, -1], column[rows], basis[rows],
+        leave = int(rows[_harris(rhs[rows], column[rows], basis[rows],
                                  tol, bland)])
         # a basic value Harris let dip below zero leaves at zero, so no
-        # step goes backwards
-        tableau[leave, -1] = max(tableau[leave, -1], 0.0)
-        step = tableau[leave, -1] / column[leave]
+        # step goes backwards (a -0.0 is left as it is)
+        if rhs[leave] < 0.0:
+            rhs[leave] = 0.0
+        step = rhs[leave] / column[leave]
         stalled = stalled + 1 if step <= tol else 0
         _pivot(tableau, leave, enter)
         basis[leave] = enter
@@ -213,8 +219,10 @@ def _run_dual_simplex(tableau, basis, n_cols, tol, cap, scale):
         return "feasible", 0
     iterations = 0
     stalled = 0
+    # views, which the pivots update in place
+    values = tableau[:m, -1]
+    reduced = tableau[-1, :n_cols]
     while True:
-        values = tableau[:m, -1]
         bland = stalled >= _STALL_LIMIT
         if bland:
             short = (values < -tol).nonzero()[0]
@@ -232,10 +240,11 @@ def _run_dual_simplex(tableau, basis, n_cols, tol, cap, scale):
                 return "infeasible", iterations
             tableau[leave, -1] = 0.0  # no pivot lifts it; close enough
             continue
-        enter = int(cols[_harris(tableau[-1, cols], row[cols], cols,
+        enter = int(cols[_harris(reduced[cols], row[cols], cols,
                                  tol, bland)])
-        tableau[-1, enter] = max(tableau[-1, enter], 0.0)
-        step = tableau[-1, enter] / row[enter]
+        if reduced[enter] < 0.0:
+            reduced[enter] = 0.0
+        step = reduced[enter] / row[enter]
         stalled = stalled + 1 if step <= tol else 0
         _pivot(tableau, leave, enter)
         basis[leave] = enter

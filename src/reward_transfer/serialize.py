@@ -1,9 +1,12 @@
 """Canonical JSON for games, transfer matrices, and solver results.
 
 Emitters are hand-rolled so the byte layout is stable: keys sorted,
-two-space indent, floats printed with %.17g (shortest form that still
-round-trips binary64), one trailing newline.  Serializing a parsed
-document reproduces it byte for byte.
+two-space indent, one trailing newline.  Every number is written with
+%.17g, which round-trips binary64, and -0.0 is written as 0.  An array
+of numbers (a block of payoff rows, a matrix, the excess shares) is
+written with each of its distinct values formatted once: a payoff
+table repeats a few values many times.  Serializing a parsed document
+reproduces it byte for byte.
 
 Formats:
 
@@ -37,8 +40,43 @@ def _num(x: float) -> str:
     return "%.17g" % (float(x) + 0.0)
 
 
-def _row(values) -> str:
-    return "[" + ", ".join(_num(v) for v in values) + "]"
+def _texts(values: np.ndarray) -> np.ndarray:
+    """``_num`` of every value, as an object array of the values' shape.
+    The values are sorted, each run of equal ones is formatted once, and
+    the texts are gathered back to the values' places."""
+    flat = values.ravel() + 0.0
+    order = flat.argsort()
+    flat = flat[order]
+    first = np.empty(flat.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(flat[1:], flat[:-1], out=first[1:])
+    ids = np.empty(flat.size, dtype=np.intp)
+    ids[order] = first.cumsum() - 1
+    flat = flat[first]
+    # freed before the texts, the largest part of the memory, are made
+    del order, first
+    texts = np.fromiter(map("%.17g".__mod__, memoryview(flat)),
+                        dtype=object, count=flat.size)
+    return texts[ids].reshape(values.shape)
+
+
+def _rows(heads, values: np.ndarray, last: bool) -> str:
+    """The rows of a 2-D array as JSON arrays, one line each after its
+    head (one string for every row, or one per row; each ends in "[").
+    Every line ends in a comma but the last one when ``last``."""
+    texts = _texts(values)
+    rows, n = values.shape
+    pieces = np.empty((rows, 2 * n + 1), dtype=object)
+    pieces[:, 1::2] = texts
+    del texts
+    pieces[:, 0] = heads
+    pieces[:, 2:-1:2] = ", "
+    pieces[:, -1] = "],\n"
+    if last:
+        pieces[-1, -1] = "]\n"
+    # the array goes before the join, leaving one reference per piece
+    pieces = pieces.ravel().tolist()
+    return "".join(pieces)
 
 
 _KEY_DIGITS = str.maketrans("CD", "01")
@@ -59,24 +97,22 @@ def game_blocks(game: NormalFormGame) -> Iterator[str]:
     the whole text."""
     n = game.n
     # key position p names player 0 first, in its highest bit, so its
-    # profile is p's n bits reversed
-    pos = np.arange(1 << n)
+    # profile is p's n bits reversed; a block's positions differ from
+    # its start only in the bits below _DUMP_ROWS, so its profiles are
+    # the first block's with the start's reversed bits set
+    pos = np.arange(min(1 << n, _DUMP_ROWS))
     profiles = np.zeros_like(pos)
     for k in range(n):
         profiles |= ((pos >> (n - 1 - k)) & 1) << k
     # product over "CD" yields the keys already in sorted order
-    keys = map("".join, itertools.product("CD", repeat=n))
+    heads = map('    "{}": ['.format,
+                map("".join, itertools.product("CD", repeat=n)))
     yield '{\n  "payoffs": {\n'
-    # rows are read a block at a time as Python floats and each block is
-    # joined on its own, so the whole line list is never held at once
     for start in range(0, 1 << n, _DUMP_ROWS):
-        rows = game.payoffs[profiles[start:start + _DUMP_ROWS]].tolist()
-        # rows first: zip then stops without taking the next block's key
-        block = "".join(f'    "{key}": {_row(row)},\n'
-                        for row, key in zip(rows, keys))
-        if start + _DUMP_ROWS >= 1 << n:
-            block = block[:-2] + "\n"   # the last row takes no comma
-        yield block
+        offset = int(f"{start:0{n}b}"[::-1], 2)
+        yield _rows(list(itertools.islice(heads, pos.size)),
+                    game.payoffs[profiles | offset],
+                    start + _DUMP_ROWS >= 1 << n)
     yield f'  }},\n  "players": {n}\n}}\n'
 
 
@@ -211,12 +247,7 @@ def parse_game(text: str) -> NormalFormGame:
 
 
 def dumps_matrix(matrix: TransferMatrix) -> str:
-    lines = ["["]
-    for i in range(matrix.n):
-        comma = "," if i < matrix.n - 1 else ""
-        lines.append(f"  {_row(matrix.entries[i])}{comma}")
-    lines.append("]")
-    return "\n".join(lines) + "\n"
+    return "[\n" + _rows("  [", matrix.entries, True) + "]\n"
 
 
 def _matrix_from_rows(rows, where: str = "matrix") -> TransferMatrix:
@@ -297,12 +328,10 @@ def result_lines(result: SelfInterestResult) -> Iterator[str]:
         yield "  ],\n"
     else:
         yield '  "binding": [],\n'
-    yield f'  "excess": {_row(result.excess.slack)},\n'
+    yield _rows('  "excess": [', result.excess.slack.reshape(1, -1), False)
     yield f'  "level": {_num(result.level)},\n'
     yield '  "matrix": [\n'
-    for i in range(result.matrix.n):
-        comma = "," if i < result.matrix.n - 1 else ""
-        yield f"    {_row(result.matrix.entries[i])}{comma}\n"
+    yield _rows("    [", result.matrix.entries, True)
     yield "  ],\n"
     yield f'  "mode": "{result.mode.value}",\n'
     yield '  "status": "optimal",\n'

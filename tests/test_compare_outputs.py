@@ -1,7 +1,7 @@
-"""tools/compare_outputs.py, the output-identity check, on one workload:
-a recording holds searches, verdicts, binding checks and
-classifications, diffs clean against itself, and one changed search
-fails."""
+"""tools/compare_outputs.py, the output-identity check: a recording
+holds searches, verdicts, binding checks, classifications and, for
+cli-solve, the digests of the written documents; it diffs clean against
+itself, and one changed search or digest fails."""
 
 import json
 import subprocess
@@ -49,3 +49,30 @@ def test_sweep_small_recording_diffs_against_itself(tmp_path):
     other = _tool("diff", recording, changed)
     assert other.returncode == 1
     assert f"differs: {key}" in other.stdout
+
+
+def test_cli_solve_recording_holds_document_digests(tmp_path):
+    recording = tmp_path / "cli.json"
+    run = _tool("record", "--workloads", "cli-solve", "--seeds", "1",
+                recording)
+    assert run.returncode == 0, run.stderr
+    searches = json.loads(recording.read_text())["searches"]
+    games = {key: entry for key, entry in searches.items()
+             if entry["search"] == "game"}
+    # every game a search ran on was written
+    assert {key.split("|")[0] for key in games} == \
+        {key.split("|")[0] for key in searches}
+    assert all(len(entry["sha256"]) == 64 for entry in games.values())
+    results = [entry for entry in searches.values() if "level" in entry]
+    assert results and all(len(entry["result"]) == 64 for entry in results)
+
+    for key, field in ((sorted(games)[0], "sha256"),
+                       (next(k for k, e in sorted(searches.items())
+                             if "result" in e), "result")):
+        changed = json.loads(recording.read_text())
+        changed["searches"][key][field] = "0" * 64
+        path = tmp_path / "changed.json"
+        path.write_text(json.dumps(changed))
+        other = _tool("diff", recording, path)
+        assert other.returncode == 1
+        assert f"differs: {key}" in other.stdout

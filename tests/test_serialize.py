@@ -8,8 +8,8 @@ import pytest
 from reward_transfer import (ActionProfile, BaseGame, BaseGameParams,
                              FunctionalParams, GraphKind, NormalFormGame,
                              SelfInterestResult, SolveMode, TransferMatrix,
-                             build_functional, build_graphical,
-                             exchange_matrix, excess_report,
+                             apply_transfers, build_functional,
+                             build_graphical, exchange_matrix, excess_report,
                              general_level, general_level_symmetric_fastpath,
                              symmetrical_level)
 from reward_transfer import game as game_module
@@ -17,7 +17,8 @@ from reward_transfer.game import coplayer_string, insert_bit
 from reward_transfer.serialize import (FormatError, _table_by_item,
                                        dumps_game, dumps_matrix,
                                        dumps_result, extract_matrix,
-                                       parse_game, parse_matrix, result_lines)
+                                       game_blocks, parse_game, parse_matrix,
+                                       result_lines)
 
 PD_JSON = (
     '{\n'
@@ -176,14 +177,92 @@ def _rowwise_dumps_game(game):
     return "\n".join(lines) + "\n"
 
 
+# signed zeros, the smallest subnormal and normal, the largest finite
+# magnitudes, integral floats and a sum that rounds
+HARD_VALUES = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308,
+               1.7976931348623157e308, -1.7976931348623157e308,
+               3.0, -7.0, 1e16, 2.0 ** 53 + 2, 0.1 + 0.2, 0.1, -0.3]
+
+
+def _circular_pd(n):
+    return build_graphical(GraphKind.CIRCULAR,
+                           BaseGameParams(BaseGame.PRISONERS_DILEMMA,
+                                          2.9731, 1.0123), n)
+
+
 class TestBlockedGameDump:
     @pytest.mark.parametrize("n", [2, 3, 5, 9, 14])
     def test_bytes_equal_the_row_by_row_rendering(self, n):
         for game in (build_functional(FunctionalParams(n, 3.07)),
-                     build_graphical(GraphKind.CIRCULAR,
-                                     BaseGameParams(BaseGame.PRISONERS_DILEMMA,
-                                                    2.9731, 1.0123), n)):
+                     _circular_pd(n)):
             assert dumps_game(game) == _rowwise_dumps_game(game)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_hard_values(self, n):
+        cells = n << n
+        values = np.resize(HARD_VALUES, cells)
+        table = np.random.default_rng(n).permutation(values)
+        game = NormalFormGame(table.reshape(1 << n, n))
+        text = dumps_game(game)
+        assert text == _rowwise_dumps_game(game)
+        assert "-0," not in text and "-0]" not in text
+        assert parse_game(text).payoffs.tobytes() == \
+            (game.payoffs + 0.0).tobytes()
+
+    def test_values_repeated_across_a_block_boundary(self):
+        # n = 11 is two blocks of 1,024 rows; each block holds every value
+        n = 11
+        table = np.random.default_rng(11).choice(HARD_VALUES,
+                                                 size=(1 << n, n))
+        game = NormalFormGame(table)
+        blocks = list(game_blocks(game))
+        assert len(blocks) == 4   # head, two blocks of rows, tail
+        assert "".join(blocks) == _rowwise_dumps_game(game)
+
+    @pytest.mark.parametrize("n", [11, 14])
+    def test_all_distinct_random_table(self, n):
+        table = np.random.default_rng(n).uniform(-5.0, 5.0, size=(1 << n, n))
+        assert np.unique(table).size == table.size
+        game = NormalFormGame(table)
+        assert dumps_game(game) == _rowwise_dumps_game(game)
+
+    def test_game_transferred_by_a_searched_contract(self):
+        game = _circular_pd(9)
+        transferred = apply_transfers(game, general_level(game).matrix)
+        assert dumps_game(transferred) == _rowwise_dumps_game(transferred)
+
+
+def _per_value_row(values):
+    return "[" + ", ".join("%.17g" % (float(v) + 0.0) for v in values) + "]"
+
+
+class TestSmallArrays:
+    """The matrix and the excess shares take the writer's path for
+    arrays; the expected text is rendered one value at a time."""
+
+    ENTRIES = [[0.25, 0.25, 0.25, -0.0], [-0.0, 0.5, 0.5, -0.0],
+               [0.1 + 0.2, 0.1, 0.1 + 0.2, 0.1], [0.25, -0.0, 0.25, 0.5]]
+
+    def test_dumps_matrix(self):
+        matrix = TransferMatrix(self.ENTRIES)
+        assert np.signbit(matrix.entries).any()
+        rows = [f"  {_per_value_row(row)}" for row in matrix.entries]
+        assert dumps_matrix(matrix) == "[\n" + ",\n".join(rows) + "\n]\n"
+
+    def test_dumps_result(self):
+        matrix = TransferMatrix(self.ENTRIES)
+        result = SelfInterestResult(
+            level=-0.0, matrix=matrix, target=ActionProfile.all_cooperate(4),
+            binding_mask=np.zeros((4, 8), dtype=bool),
+            excess=excess_report(matrix), mode=SolveMode.GENERAL)
+        rows = [f"    {_per_value_row(row)}" for row in matrix.entries]
+        assert dumps_result(result) == (
+            '{\n  "binding": [],\n'
+            f'  "excess": {_per_value_row(result.excess.slack)},\n'
+            '  "level": 0,\n'
+            '  "matrix": [\n' + ",\n".join(rows) + "\n  ],\n"
+            '  "mode": "general",\n  "status": "optimal",\n'
+            '  "target": "CCCC"\n}\n')
 
 
 class TestParsedLayout:

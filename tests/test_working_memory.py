@@ -1,12 +1,13 @@
-"""Working memory of the whole-table passes, and the blocks that bound
-it.
+"""Working memory of the whole-table passes and of the game writer, and
+the blocks that bound it.
 
 A pass over a game's payoff table keeps alive at most the table, one
 transferred table and one gains array (half a table); the even split
 keeps two gains arrays and one buffer of the same size.  The bounds
 below are peaks traced while one call runs at n = 14, above what was
-held before it, in multiples of the payoff table's bytes.  The blocked
-builder must give the bits the one-shot formula gives.
+held before it, in multiples of the payoff table's bytes; the writer's
+are in megabytes and in multiples of the document's length.  The
+blocked builder must give the bits the one-shot formula gives.
 """
 
 import tracemalloc
@@ -21,6 +22,7 @@ from reward_transfer import (BaseGame, BaseGameParams,
                              exchange_matrix, general_level,
                              symmetrical_level, verify_resolution)
 from reward_transfer import dilemmas
+from reward_transfer.serialize import dumps_game, game_blocks
 
 N = 14
 TABLE_BYTES = N * (1 << N) * 8
@@ -72,6 +74,28 @@ class TestPeaks:
         matrix = general_level(game).matrix
         extra = extra_tables(lambda: verify_resolution(game, matrix))
         assert extra <= 1.9, f"verification holds {extra:.2f} tables (bound 1.9)"
+
+
+class TestWriterPeaks:
+    """The game writer on an all-distinct table, its worst case: every
+    value of a block is its own text."""
+
+    @pytest.fixture(scope="class")
+    def game(self):
+        return NormalFormGame(
+            np.random.default_rng(N).uniform(-5.0, 5.0, size=(1 << N, N)))
+
+    def test_streamed_blocks_stay_under_2_5_mb(self, game):
+        def stream():
+            for _ in game_blocks(game):
+                pass
+        peak = extra_tables(stream) * TABLE_BYTES / 1e6
+        assert peak <= 2.5, f"streaming the game holds {peak:.2f} MB (bound 2.5)"
+
+    def test_whole_document_stays_under_2_1_times_its_size(self, game):
+        size = len(dumps_game(game))
+        ratio = extra_tables(lambda: dumps_game(game)) * TABLE_BYTES / size
+        assert ratio <= 2.1, f"dumps_game holds {ratio:.2f} documents (bound 2.1)"
 
 
 def one_shot_graphical(graph, params, n):

@@ -13,6 +13,9 @@ a digest), whether ``binding_constraints`` recomputes that mask, and
 dominant, violation count), or the type and message of the exception
 the search raised.  For each game an op classifies, it stores
 ``classify_dilemma``'s kind and witnesses under the mode ``classify``.
+The cli-solve workload writes its games and results as files, so for it
+``record`` also stores the sha256 of ``dumps_game`` of each game, under
+the mode ``game``, and of ``dumps_result`` of each search's result.
 ``--workloads`` narrows the recording to some of the workloads.
 
 ``diff`` prints, per mode, how many entries are identical and how many
@@ -38,12 +41,18 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import numpy as np  # noqa: E402
 import workloads  # noqa: E402
-from reward_transfer import game as rt_game, levels, transfer  # noqa: E402
+from reward_transfer import (game as rt_game, levels, serialize,  # noqa: E402
+                             transfer)
 
-# the mode column of ``diff``, by perfbench search key (or ``classify``)
+# the mode column of ``diff``, by perfbench search key (or ``classify``,
+# ``game``)
 MODES = {"general": "general", "general+excess": "excess",
          "general+refine": "refine", "symmetric": "symmetric",
-         "fastpath": "fastpath", "classify": "classify"}
+         "fastpath": "fastpath", "classify": "classify", "game": "game"}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _run(game, target, search, force):
@@ -56,7 +65,7 @@ def _run(game, target, search, force):
                                 refine_diagonal=search.refine_diagonal)
 
 
-def _outcome(game, target, search, force) -> dict:
+def _outcome(game, target, search, force, written) -> dict:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -65,15 +74,18 @@ def _outcome(game, target, search, force) -> dict:
     except Exception as exc:  # noqa: BLE001 - the outcome being recorded
         return {"error": type(exc).__name__, "message": str(exc)}
     mask = result.binding_mask
-    return {"mode": result.mode.value,
-            "level": float(result.level).hex(),
-            "matrix": result.matrix.entries.tobytes().hex(),
-            "binding": [int(mask.sum()),
-                        hashlib.sha256(np.packbits(mask)).hexdigest()],
-            "binding_agrees": (levels.binding_constraints(game, result)
-                               == list(result.binding)),
-            "verified": [report.weakly_dominant, report.strictly_dominant,
-                         len(report.violations)]}
+    entry = {"mode": result.mode.value,
+             "level": float(result.level).hex(),
+             "matrix": result.matrix.entries.tobytes().hex(),
+             "binding": [int(mask.sum()),
+                         hashlib.sha256(np.packbits(mask)).hexdigest()],
+             "binding_agrees": (levels.binding_constraints(game, result)
+                                == list(result.binding)),
+             "verified": [report.weakly_dominant, report.strictly_dominant,
+                          len(report.violations)]}
+    if written:
+        entry["result"] = _sha256(serialize.dumps_result(result))
+    return entry
 
 
 def _classification(game) -> dict:
@@ -85,10 +97,13 @@ def _classification(game) -> dict:
 
 def record(names, seeds) -> dict:
     """Every distinct search of the named workloads' op lists at each
-    seed, keyed by game, search, target and force, and the classification
-    of every game an op classifies, keyed by game."""
+    seed, keyed by game, search, target and force, the classification
+    of every game an op classifies, and the game document of every game
+    cli-solve writes, both keyed by game."""
     searches = {}
     for name in names:
+        # cli-solve writes its games and results as documents
+        written = name == "cli-solve"
         for seed in seeds:
             ops, tables = workloads.make_ops(name, seed)
             for op in ops:
@@ -96,17 +111,24 @@ def record(names, seeds) -> dict:
                         + ("|force" if op.force else "")
                         for search in op.searches]
                 classify = [f"{op.game.key}|classify"] if op.classify else []
-                if all(key in searches for key in keys + classify):
+                document = [f"{op.game.key}|game"] if written else []
+                if all(key in searches
+                       for key in keys + classify + document):
                     continue
                 game = workloads.build_game(op.game, tables)
                 for key in classify:
                     if key not in searches:
                         searches[key] = _classification(game)
+                for key in document:
+                    if key not in searches:
+                        searches[key] = {"search": "game", "sha256": _sha256(
+                            serialize.dumps_game(game))}
                 target = rt_game.ActionProfile.from_string(op.target)
                 for key, search in zip(keys, op.searches):
                     if key not in searches:
                         searches[key] = dict(
-                            _outcome(game, target, search, op.force),
+                            _outcome(game, target, search, op.force,
+                                     written),
                             search=search.key)
     return searches
 
