@@ -10,34 +10,46 @@ Conventions: ``maximize c @ x`` subject to ``a_ub @ x <= b_ub``,
 ``a_eq @ x == b_eq`` and x >= 0 (standard form).  Any other bound is
 written as an inequality row, or as a shift of its variable.
 
-Pivoting.  A cold solve runs phase 1 on artificial variables, then
-phase 2.  The entering column has the most negative reduced cost.  The
+Feasibility.  A cold solve builds [A_ub | I ; A_eq | 0 | b] as it
+stands: each inequality starts on its slack, and each equality row is
+pivoted once onto its last column of largest |entry| (a crash basis,
+Bixby 1992).  An
+equality row left with no entry above ``_CRASH_TOL`` is dependent and
+dropped, or inconsistent when its rhs is off zero by more than the
+tolerance below.  Under the zero objective the crashed basis is dual
+feasible, so the dual simplex repairs its negative rows (Koberstein
+2005); then the objective goes in and the primal simplex optimizes.
+
+Pivoting.  The entering column has the most negative reduced cost.  The
 leaving row comes from Harris's two-pass ratio test: pass 1 finds the
 longest step that keeps every basic value above ``-tolerance``, pass 2
 takes the largest pivot among the rows whose own step fits in it, then
-the lowest basis index.  No pivot smaller than ``_PIVOT_TOL`` times the
-largest positive entry of its column (or of its row in the dual), or
-than ``_PIVOT_TOL`` itself when that entry is below 1, is taken; that
-bound only narrows the choice, so a column is called unbounded (a dual
-row infeasible) only when none of its entries exceeds it.  A pivot
-whose step is below ``tolerance`` is degenerate; after
-``_STALL_LIMIT`` of them in a row Bland's smallest-index rule takes
-over until a step moves the vertex, so degenerate stretches cannot
-cycle.
+the lowest basis index (the dual simplex tests its row the same way).
+No pivot smaller than ``_PIVOT_TOL`` times the largest positive entry
+of its column (or row), or than ``_PIVOT_TOL`` itself when that entry
+is below 1, is taken; that bound only narrows the choice, so a column
+is called unbounded (a dual row infeasible) only when none of its
+entries exceeds it.  A pivot whose step is below ``tolerance`` is
+degenerate; after ``_STALL_LIMIT`` of them in a row Bland's
+smallest-index rule takes over until a step moves the vertex, so
+degenerate stretches cannot cycle.
 
 One ``tolerance`` serves every test of a solve: basic values and
 steps (the primal side), reduced costs (optimality, the dual side),
-and the phase-1 residual, which may reach tolerance * (1 + the largest
-|rhs|).  A solve whose pivots reach 200 + 25 * (rows + columns)
-(``_cap``) raises RuntimeError naming that cap and its pivot count.
+and the shortfall that proves infeasibility, which must exceed
+tolerance * (1 + the largest |rhs|).  ``iterations`` counts the
+ratio-test pivots of the dual and the primal pass, not the crash
+pivots.  A solve whose counted pivots reach 200 + 25 * (rows +
+columns) (``_cap``) raises RuntimeError naming that cap and its pivot
+count.
 
 Warm starts.  ``solve_lp(lp, start=previous)`` re-optimizes the optimal
 tableau of ``previous`` when ``lp`` is its program with inequality rows
 appended.  The new rows are written in the current basis, each with its
 own basic slack.  Adding rows leaves the basis dual feasible, so the
-dual simplex (same ratio test, on the row) restores primal feasibility
-and a primal pass cleans up; no phase 1 is run again.  This is the
-re-optimization step of cutting-plane methods (Kelley 1960).
+same dual simplex restores primal feasibility and a primal pass cleans
+up.  This is the re-optimization step of cutting-plane methods (Kelley
+1960).
 
 Every solve ends by re-solving the final basis against the untouched
 rows, appended ones included, and keeps that vertex when it fits the
@@ -55,8 +67,8 @@ import numpy as np
 # smallest ratio-test pivot, relative to the largest positive entry of
 # its column (or row), or absolute when that entry is below 1
 _PIVOT_TOL = 1e-9
-# smallest entry that drives a leftover artificial out after phase 1
-_DRIVE_TOL = 1e-10
+# smallest entry the crash pivots an equality row on
+_CRASH_TOL = 1e-10
 # degenerate pivots in a row before Bland's rule takes over
 _STALL_LIMIT = 50
 
@@ -211,9 +223,11 @@ def _run_simplex(tableau, basis, n_cols, tol, cap, taken=0):
 
 
 def _run_dual_simplex(tableau, basis, n_cols, tol, cap, scale):
-    """Dual simplex from a dual-feasible tableau: iterate until every
-    basic value is above -tol, or a row proves the program infeasible
-    by more than tol * scale, the residual a cold phase 1 accepts."""
+    """Dual simplex from a dual-feasible tableau, the one way a solve,
+    cold or warm, reaches a feasible basis: iterate until every basic
+    value is above -tol.  A short row with no pivot proves the program
+    infeasible when it misses by more than tol * scale, and is set to 0
+    otherwise.  Its pivots count towards ``cap`` from zero."""
     m = tableau.shape[0] - 1
     if m == 0:
         return "feasible", 0
@@ -266,10 +280,15 @@ def solve_lp(lp: LinearProgram,
     INFEASIBLE and UNBOUNDED are ordinary outcomes (``x`` is NaN for
     both).  Identical inputs produce bit-identical solutions.
 
+    A cold solve crashes the equality rows into the basis, repairs it
+    with the dual simplex on the zero objective, then optimizes with the
+    primal simplex.  ``iterations`` counts the pivots of both passes,
+    which the cap bounds together; crash pivots are not counted.
     ``tolerance`` is the one tolerance of the solve: on basic values
     (feasibility, the ratio test), on reduced costs (optimality) and on
-    the phase-1 residual, scaled there by 1 + the largest |rhs|.  A
-    solve whose pivots reach its iteration cap raises RuntimeError.
+    the shortfall that proves infeasibility, scaled there by 1 + the
+    largest |rhs|.  A solve whose pivots reach its cap raises
+    RuntimeError.
 
     ``start`` is an OPTIMAL solution of a program that ``lp`` extends:
     the same objective and equalities, with ``start``'s
@@ -281,84 +300,58 @@ def solve_lp(lp: LinearProgram,
     nvar = lp.n_variables
     m_ub, m_eq = lp.a_ub.shape[0], lp.a_eq.shape[0]
     m = m_ub + m_eq
+    n_cols = nvar + m_ub
 
-    # assemble [A | slack | artificial | rhs] with all rhs >= 0; a row
-    # negated for that, and every equality, starts on an artificial, and
-    # every other inequality on its slack
-    rows = np.vstack([lp.a_ub, lp.a_eq])
-    rhs = np.concatenate([lp.b_ub, lp.b_eq])
-    negate = rhs < 0
-    rows[negate] *= -1.0
-    rhs[negate] = -rhs[negate]
-    art_rows = np.flatnonzero(np.concatenate([negate[:m_ub],
-                                              np.ones(m_eq, dtype=bool)]))
-    n_art = art_rows.size
-    first_art = nvar + m_ub
-    n_total = first_art + n_art
+    # [A_ub | I ; A_eq | 0 | rhs]; each inequality starts on its slack
     slacks = np.arange(m_ub)
-    arts = first_art + np.arange(n_art)
-
-    tableau = np.zeros((m + 1, n_total + 1))
-    tableau[:m, :nvar] = rows
-    tableau[slacks, nvar + slacks] = np.where(negate[:m_ub], -1.0, 1.0)
-    tableau[art_rows, arts] = 1.0
-    tableau[:m, -1] = rhs
+    tableau = np.zeros((m + 1, n_cols + 1))
+    tableau[:m_ub, :nvar] = lp.a_ub
+    tableau[m_ub:m, :nvar] = lp.a_eq
+    tableau[slacks, nvar + slacks] = 1.0
+    tableau[:m, -1] = np.concatenate([lp.b_ub, lp.b_eq])
     basis = np.empty(m, dtype=int)
     basis[:m_ub] = nvar + slacks
-    basis[art_rows] = arts
-
     # untouched copy of the system; long pivot runs smear roundoff
     # across the tableau, so the final vertex is recomputed from these
     # rows once the basis is known
-    rows0 = tableau[:m, :first_art].copy()
+    rows0 = tableau[:m, :-1].copy()
     rhs0 = tableau[:m, -1].copy()
+    scale = 1.0 + float(np.abs(rhs0).max(initial=0.0))
 
-    cap = _cap(m, n_total)
-    iterations = 0
-    scale = 1.0 + (float(np.abs(rhs).max()) if m else 0.0)
+    # crash: each equality row becomes basic in its last column of
+    # largest |entry|; a row with no entry left is dependent on the ones
+    # before it and goes, or contradicts them
+    kept = np.ones(m, dtype=bool)
+    for r in range(m_ub, m):
+        size = np.abs(tableau[r, :nvar])
+        enter = nvar - 1 - int(size[::-1].argmax())
+        if size[enter] > _CRASH_TOL:
+            _pivot(tableau, r, enter)
+            basis[r] = enter
+        elif abs(tableau[r, -1]) <= tolerance * scale:
+            kept[r] = False
+        else:
+            return _no_solution(lp, LpStatus.INFEASIBLE, 0)
+    if not kept.all():
+        tableau = tableau[np.append(kept, True)]
+        basis, rows0, rhs0 = basis[kept], rows0[kept], rhs0[kept]
+        m = basis.size
 
-    if n_art:
-        # phase 1: maximize minus the artificial total; each artificial
-        # column holds one 1, so its reduced cost comes out exactly 0
-        tableau[-1, first_art:n_total] = 1.0
-        tableau[-1] -= tableau[art_rows].sum(axis=0)
-        outcome, used = _run_simplex(tableau, basis, n_total, tolerance, cap)
-        iterations += used
-        if outcome == "unbounded":
-            raise RuntimeError("phase 1 reported unbounded; cannot happen")
-        # summed one row at a time, in row order
-        residual = sum(tableau[:m, -1][basis >= first_art])
-        if residual > tolerance * scale:
-            return _no_solution(lp, LpStatus.INFEASIBLE, iterations)
-        # drive leftover (zero-valued) artificials out of the basis; a
-        # row with no entry to pivot on is redundant and goes
-        for r in np.flatnonzero(basis >= first_art):
-            candidates = np.flatnonzero(np.abs(tableau[r, :first_art]) > _DRIVE_TOL)
-            if candidates.size:
-                _pivot(tableau, r, int(candidates[0]))
-                basis[r] = candidates[0]
-        kept = basis < first_art
-        if not kept.all():
-            tableau = tableau[np.append(kept, True)]
-            basis, rows0, rhs0 = basis[kept], rows0[kept], rhs0[kept]
-            m = basis.size
-        tableau = np.hstack([tableau[:, :first_art], tableau[:, -1:]])
-        tableau[-1, :] = 0.0
-
-    # phase 2
-    n_cols = tableau.shape[1] - 1
+    # the zero objective prices every column at 0, so the crashed basis
+    # is dual feasible and the dual simplex repairs the rows it leaves
+    # negative
+    cap = _cap(m, n_cols)
+    outcome, iterations = _run_dual_simplex(tableau, basis, n_cols, tolerance,
+                                            cap, scale)
+    if outcome == "infeasible":
+        return _no_solution(lp, LpStatus.INFEASIBLE, iterations)
     c_ext = np.zeros(n_cols)
     c_ext[:nvar] = lp.objective
     tableau[-1, :n_cols] = -c_ext
     for r in np.flatnonzero(c_ext[basis]):
         tableau[-1] += c_ext[basis[r]] * tableau[r]
-    outcome, used = _run_simplex(tableau, basis, n_cols, tolerance, cap,
-                                 iterations)
-    iterations += used
-    if outcome == "unbounded":
-        return _no_solution(lp, LpStatus.UNBOUNDED, iterations)
     return _finish(_Tableau(lp, tableau, basis, rows0, rhs0), iterations,
-                   tolerance)
+                   tolerance, cap, scale)
 
 
 def _resolve(lp, start, tol) -> LpSolution:
@@ -401,16 +394,13 @@ def _resolve(lp, start, tol) -> LpSolution:
     basis = np.concatenate([prev.basis, width + np.arange(add)])
 
     cap = _cap(m + add, n_cols)
-    scale = 1.0 + (float(np.abs(rhs0).max()) if rhs0.size else 0.0)
+    scale = 1.0 + float(np.abs(rhs0).max(initial=0.0))
     outcome, iterations = _run_dual_simplex(table, basis, n_cols, tol, cap,
                                             scale)
     if outcome == "infeasible":
         return _no_solution(lp, LpStatus.INFEASIBLE, iterations)
-    outcome, used = _run_simplex(table, basis, n_cols, tol, cap, iterations)
-    iterations += used
-    if outcome == "unbounded":
-        return _no_solution(lp, LpStatus.UNBOUNDED, iterations)
-    return _finish(_Tableau(lp, table, basis, rows0, rhs0), iterations, tol)
+    return _finish(_Tableau(lp, table, basis, rows0, rhs0), iterations, tol,
+                   cap, scale)
 
 
 def _no_solution(lp, status, iterations) -> LpSolution:
@@ -420,12 +410,20 @@ def _no_solution(lp, status, iterations) -> LpSolution:
                       iterations)
 
 
-def _finish(tab: _Tableau, iterations: int, tol: float) -> LpSolution:
-    """Read the vertex off an optimal tableau, refined against the
-    untouched rows, and store it back as the tableau's basic values."""
+def _finish(tab: _Tableau, iterations: int, tol: float, cap: int,
+            scale: float) -> LpSolution:
+    """The tail of every solve: the primal simplex from the primal
+    feasible ``tab``, after ``iterations`` pivots of the solve.  Read
+    the vertex off the optimal tableau, refined against the untouched
+    rows, and store it back as the tableau's basic values.  ``scale``
+    is the solve's 1 + the largest |rhs|."""
     table, basis, rows0, rhs0 = tab.table, tab.basis, tab.rows0, tab.rhs0
     m = basis.size
     n_cols = table.shape[1] - 1
+    outcome, used = _run_simplex(table, basis, n_cols, tol, cap, iterations)
+    iterations += used
+    if outcome == "unbounded":
+        return _no_solution(tab.lp, LpStatus.UNBOUNDED, iterations)
     basic_values = np.maximum(table[:m, -1], 0.0)
     if m:
         # long pivot runs smear roundoff across the tableau; re-solving
@@ -442,7 +440,6 @@ def _finish(tab: _Tableau, iterations: int, tol: float) -> LpSolution:
             refined = np.linalg.solve(rows0[:, basis], rhs0)
         except np.linalg.LinAlgError:
             pass
-        scale = 1.0 + float(np.abs(rhs0).max())
         if refined is not None and np.isfinite(refined).all() \
                 and refined.min() > -tol * scale:
             candidate = np.maximum(refined, 0.0)

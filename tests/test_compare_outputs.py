@@ -1,7 +1,8 @@
 """tools/compare_outputs.py, the output-identity check: a recording
 holds searches, verdicts, binding checks, classifications and, for
 cli-solve, the digests of the written documents; it diffs clean against
-itself, and one changed search or digest fails."""
+itself, one changed search or digest fails, and the diff counts what
+moved."""
 
 import json
 import subprocess
@@ -49,6 +50,29 @@ def test_sweep_small_recording_diffs_against_itself(tmp_path):
     other = _tool("diff", recording, changed)
     assert other.returncode == 1
     assert f"differs: {key}" in other.stdout
+
+    # one general search's level moves by 1.0: its mode counts one moved
+    # level and nothing else, and that is the largest change of level
+    def row_of_general(entry):
+        changed = json.loads(recording.read_text())
+        changed["searches"][key] = entry
+        path = tmp_path / "moved.json"
+        path.write_text(json.dumps(changed))
+        other = _tool("diff", recording, path)
+        assert other.returncode == 1
+        return next(line.split() for line in other.stdout.splitlines()
+                    if line.split()[0] == "general")
+
+    key = sorted(k for k, entry in searches.items()
+                 if entry["search"] == "general" and "level" in entry)[0]
+    entry = json.loads(recording.read_text())["searches"][key]
+    level = float.fromhex(entry["level"])
+    assert row_of_general(dict(entry, level=float.hex(level + 1.0)))[2:] == \
+        ["1", "1", "0", "0", "0", "0", "1"]
+    # a search that raises where it returned moves every column but the
+    # level change, which needs a level on both sides
+    assert row_of_general({"search": "general", "error": "E",
+                           "message": "m"})[2:] == ["1"] * 6 + ["0"]
 
 
 def test_cli_solve_recording_holds_document_digests(tmp_path):

@@ -16,7 +16,7 @@ from reward_transfer import (ActionProfile, DilemmaKind, NormalFormGame,
                              deviation_deltas, exchange_matrix, general_level,
                              general_level_symmetric_fastpath,
                              symmetrical_level, verify_resolution)
-from reward_transfer import game as game_module, levels
+from reward_transfer import game as game_module, levels, lp as lp_module
 from reward_transfer.dilemmas import (BaseGame, BaseGameParams,
                                       FunctionalParams, GraphKind,
                                       build_functional, build_graphical,
@@ -1204,3 +1204,92 @@ class TestBindingConstraintsChecksSizes:
         with pytest.raises(ValueError,
                            match="^result size does not match the game$"):
             binding_constraints(game, other)
+
+
+class TestCrashedStart:
+    """A cold solve crashes each row sum of T onto its last entry, the
+    contract that pays everything to the last player.  When the target
+    is a social optimum every right-hand side is then >= 0, so the first
+    solve of a search takes no dual pivot; elsewhere the dual simplex
+    repairs the crashed basis."""
+
+    def test_dual_pivots_of_the_first_solve(self, monkeypatch):
+        taken = []
+        run = lp_module._run_dual_simplex
+
+        def counted(*args):
+            outcome, pivots = run(*args)
+            taken.append(pivots)
+            return outcome, pivots
+
+        monkeypatch.setattr(lp_module, "_run_dual_simplex", counted)
+        rng = np.random.default_rng(21)
+        games = [build_graphical(graph, BaseGameParams(base, 3.0, 1.0), n)
+                 for graph in GraphKind for base in BaseGame for n in (3, 5)]
+        games += [make_strict_dilemma(rng, n) for n in range(2, 6)]
+        for game in games:
+            taken.clear()
+            with warnings.catch_warnings():
+                # all-C is a social optimum of each, or this would raise
+                warnings.simplefilter("error")
+                general_level(game)
+            assert taken[0] == 0
+        # one defector is optimal in too many cooks, so all-C is not
+        taken.clear()
+        with pytest.warns(UserWarning, match="not a social optimum"):
+            result = general_level(too_many_cooks(), force=True)
+        assert taken[0] > 0
+        assert result.level == pytest.approx(0.2, abs=1e-9)
+
+
+def _relabelled(game, perm):
+    """The game with player i renamed perm[i]."""
+    n = game.n
+    bits = np.arange(1 << n)
+    mapped = np.zeros(1 << n, dtype=np.int64)
+    for i in range(n):
+        mapped |= ((bits >> i) & 1) << int(perm[i])
+    table = np.empty_like(game.payoffs)
+    table[mapped[:, None], perm] = game.payoffs
+    return NormalFormGame(table)
+
+
+@pytest.mark.filterwarnings("ignore")
+class TestRelabelling:
+    """Renaming the players renames the answer: the level stays, the
+    renamed game's contract resolves it, and so does the first game's
+    contract with its rows and columns renamed."""
+
+    @staticmethod
+    def games():
+        rng = np.random.default_rng(17)
+        for n in (3, 4, 5):
+            yield make_strict_dilemma(rng, n)
+            for graph in GraphKind:
+                for base in BaseGame:
+                    yield build_graphical(graph, BaseGameParams(base, 3.0, 1.0),
+                                          n)
+
+    @pytest.mark.parametrize("search", [general_level, symmetrical_level])
+    def test_level_and_contract_follow_the_names(self, search):
+        rng = np.random.default_rng(4)
+        for game in self.games():
+            n = game.n
+            perm = np.arange(n)
+            while (perm == np.arange(n)).all():
+                perm = rng.permutation(n)
+            renamed = _relabelled(game, perm)
+            try:
+                first = search(game, force=True)
+            except NotResolvableError:
+                with pytest.raises(NotResolvableError):
+                    search(renamed, force=True)
+                continue
+            result = search(renamed, force=True)
+            assert abs(result.level - first.level) <= 1e-9
+            assert verify_resolution(renamed, result.matrix,
+                                     result.target).weakly_dominant
+            entries = np.empty((n, n))
+            entries[np.ix_(perm, perm)] = first.matrix.entries
+            assert verify_resolution(renamed, TransferMatrix(entries),
+                                     result.target).weakly_dominant

@@ -92,7 +92,7 @@ class TestStatuses:
         assert np.isnan(sol.objective_value)
 
     def test_infeasible_bounds_vs_rows(self):
-        # x0 >= 2 as the row -x0 <= -2, which starts on an artificial
+        # x0 >= 2 as the row -x0 <= -2, whose slack starts at -2
         lp = LinearProgram([1.0, 0.0], a_ub=[[1.0, 1.0], [-1.0, 0.0]],
                            b_ub=[1.0, -2.0])
         assert solve_lp(lp).status is LpStatus.INFEASIBLE
@@ -177,8 +177,8 @@ class TestValidation:
             solve_lp(cut, start=start)
 
     def test_iteration_cap_spans_both_phases(self, monkeypatch):
-        # three phase-1 pivots lift x off its lower bounds, then two
-        # phase-2 pivots reach the optimum (1, 5, 4)
+        # three dual pivots lift x off its lower bounds, then two
+        # primal pivots reach the optimum (1, 5, 4)
         lp = LinearProgram([1.0, 2.0, 3.0],
                            a_ub=[[-1, 0, 0], [0, -1, 0], [0, 0, -1],
                                  [1, 1, 1], [0, 0, 1]],
@@ -187,7 +187,7 @@ class TestValidation:
         solved = solve_lp(lp)
         assert solved.iterations == 5
         assert solved.x.tolist() == [1.0, 5.0, 4.0]
-        # either phase alone fits a cap of 4 or 5; the solve does not
+        # either pass alone fits a cap of 4 or 5; the solve does not
         for cap in (4, 5):
             monkeypatch.setattr(lp_module, "_cap", lambda rows, cols: cap)
             with pytest.raises(RuntimeError, match="iterations"):
@@ -195,7 +195,8 @@ class TestValidation:
 
     def test_cap_message_names_the_cap_and_the_pivots_taken(self,
                                                             monkeypatch):
-        # three phase-1 pivots, then phase 2 reaches the cap on its first
+        # three dual pivots, then the primal pass reaches the cap on its
+        # first
         lp = LinearProgram([1.0, 2.0, 3.0],
                            a_ub=[[-1, 0, 0], [0, -1, 0], [0, 0, -1],
                                  [1, 1, 1], [0, 0, 1]],
@@ -330,8 +331,8 @@ class TestWarmStart:
         assert np.isnan(warm.x).all()
 
     def test_status_at_the_feasibility_tolerance(self):
-        # x <= 1 and x >= 1 + gap: a cold phase 1 accepts a residual up
-        # to tolerance * (1 + max |rhs|), and so must the dual simplex
+        # x <= 1 and x >= 1 + gap: a cold and a warm solve both accept a
+        # shortfall up to tolerance * (1 + max |rhs|)
         start = solve_lp(LinearProgram([1.0], a_ub=[[1.0]], b_ub=[1.0]))
         for gap in (1.5e-9, 5e-9):
             cut = LinearProgram([1.0], a_ub=[[1.0], [-1.0]],
@@ -372,7 +373,7 @@ class TestWarmStart:
         assert warm.status is LpStatus.OPTIMAL
         assert np.allclose(warm.x, [2.0, 2.0], atol=1e-12)
         assert warm.objective_value == pytest.approx(6.0, abs=1e-12)
-        # one dual pivot from the old vertex (1, 3); no phase 1 again
+        # one dual pivot from the old vertex (1, 3)
         assert warm.iterations == 1
 
     def test_bit_identical_reruns(self):
@@ -473,6 +474,43 @@ class TestAgainstVertexEnumeration:
             assert expected is not None
             assert sol.objective_value == pytest.approx(expected[0], abs=1e-7)
             assert not check_feasible(lp, sol.x, tolerance=1e-7)
+
+        # what a cold solve crashes or repairs: an inequality with a
+        # negative rhs (a lower bound above 0), and beside n - 1
+        # equalities one that combines them, which is dropped when it
+        # agrees with them and makes the program infeasible when not
+        rng = np.random.default_rng(8)
+        for trial in range(30):
+            n = int(rng.integers(2, 4))
+            point = rng.uniform(0.2, 1.5, size=n)
+            low = int(rng.integers(n))
+            a = np.vstack([-np.eye(n)[low], rng.normal(size=(1, n))])
+            b = np.array([-0.5 * point[low],
+                          a[1] @ point + rng.uniform(0.0, 0.5)])
+            eq = rng.normal(size=(n - 1, n))
+            eq = np.vstack([eq, rng.normal(size=n - 1) @ eq])
+            eq = eq[rng.permutation(n)]
+            eq_rhs = eq @ point
+            c = rng.normal(size=n)
+            hi = np.full(n, 2.0)
+            stacked = np.vstack([a, eq, -eq])
+            for shift in (0.0, 1.0):
+                moved = eq_rhs + np.append(np.zeros(n - 1), shift)
+                lp = LinearProgram(c, a_ub=np.vstack([np.eye(n), a]),
+                                   b_ub=np.concatenate([hi, b]), a_eq=eq,
+                                   b_eq=moved)
+                sol = solve_lp(lp)
+                expected = brute_force_max(c, stacked,
+                                           np.concatenate([b, moved, -moved]),
+                                           np.zeros(n), hi)
+                if shift:
+                    assert sol.status is LpStatus.INFEASIBLE, f"trial {trial}"
+                    assert expected is None
+                    continue
+                assert sol.status is LpStatus.OPTIMAL, f"trial {trial}"
+                assert sol.objective_value == pytest.approx(expected[0],
+                                                            abs=1e-7)
+                assert not check_feasible(lp, sol.x, tolerance=1e-7)
 
 
 class TestCheckFeasible:

@@ -19,8 +19,11 @@ the mode ``game``, and of ``dumps_result`` of each search's result.
 ``--workloads`` narrows the recording to some of the workloads.
 
 ``diff`` prints, per mode, how many entries are identical and how many
-differ, and exits 1 on any difference, including an entry that only one
-recording holds.
+differ; of those that differ and both recordings hold, how many moved
+their level, matrix, binding set, verdict or error; and the largest
+|change of level| over the entries with a level on both sides.  It
+exits 1 on any difference, including an entry that only one recording
+holds.
 
 Run it from the root of a checkout: the package is imported from
 ``src/`` there.
@@ -49,6 +52,10 @@ from reward_transfer import (game as rt_game, levels, serialize,  # noqa: E402
 MODES = {"general": "general", "general+excess": "excess",
          "general+refine": "refine", "symmetric": "symmetric",
          "fastpath": "fastpath", "classify": "classify", "game": "game"}
+# the columns of ``diff`` that count what moved, by the entry fields
+# each one compares
+MOVED = {"level": ("level",), "matrix": ("matrix",), "binding": ("binding",),
+         "verdict": ("verified",), "error": ("error", "message")}
 
 
 def _sha256(text: str) -> str:
@@ -134,19 +141,37 @@ def record(names, seeds) -> dict:
 
 
 def diff(first: dict, second: dict) -> int:
-    """Print per-mode counts of identical and differing searches; the
-    number of searches that differ or that one side lacks."""
+    """Print per-mode counts of identical and differing searches, of
+    the differing ones whose level, matrix, binding set, verdict or
+    error moved, and the largest |change of level|; return the number
+    of searches that differ or that one side lacks."""
     same, differ = Counter(), Counter()
+    moved = {column: Counter() for column in MOVED}
+    shift = {}
     for key in sorted(first.keys() | second.keys()):
-        mode = MODES[(first.get(key) or second.get(key))["search"]]
-        if first.get(key) == second.get(key):
+        old, new = first.get(key), second.get(key)
+        mode = MODES[(old or new)["search"]]
+        if old and new and "level" in old and "level" in new:
+            step = abs(float.fromhex(new["level"])
+                       - float.fromhex(old["level"]))
+            shift[mode] = max(shift.get(mode, 0.0), step)
+        if old == new:
             same[mode] += 1
-        else:
-            differ[mode] += 1
-            print(f"differs: {key}")
-    print(f"{'mode':<10} {'identical':>9} {'differing':>9}")
+            continue
+        differ[mode] += 1
+        print(f"differs: {key}")
+        if old and new:
+            for column, fields in MOVED.items():
+                if any(old.get(f) != new.get(f) for f in fields):
+                    moved[column][mode] += 1
+    print(f"{'mode':<10} {'identical':>9} {'differing':>9} "
+          + " ".join(f"{column:>7}" for column in MOVED)
+          + f" {'max|dlevel|':>11}")
     for mode in sorted(same.keys() | differ.keys()):
-        print(f"{mode:<10} {same[mode]:>9} {differ[mode]:>9}")
+        largest = f"{shift[mode]:.3g}" if mode in shift else "-"
+        print(f"{mode:<10} {same[mode]:>9} {differ[mode]:>9} "
+              + " ".join(f"{moved[column][mode]:>7}" for column in MOVED)
+              + f" {largest:>11}")
     return sum(differ.values())
 
 
