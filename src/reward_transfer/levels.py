@@ -248,17 +248,18 @@ def _deviation_block(table, target, mask, var, width) -> np.ndarray:
 
 
 def _lazy_solve(lp, var, table, target, working, scale, tolerance,
-                conserving):
+                conserving, start=None):
     """Solve ``lp``, whose deviation rows are those set in ``working`` (an
     (n, 2**(n-1)) boolean mask, grown in place), read the contract T off
     the solution (T[j, i] is LP variable var[j, i]), scan its every
     deviation and append each player's worst missing violations as rows;
-    repeat until none is left, each round re-optimizing the last one's
-    tableau.  A violation is a gain above ``tolerance`` times the game's
-    scale, decided through ``scale`` (a ``_Scale``).  Returns the last
-    program, its level, the last T and that scan's binding mask, or None
-    when a round is infeasible."""
-    sol = None
+    repeat until none is left.  Every solve restarts from the one before
+    it, the first from ``start`` when given (an optimal solution of a
+    program with ``lp``'s rows).  A violation is a gain above
+    ``tolerance`` times the game's scale, decided through ``scale`` (a
+    ``_Scale``).  Returns the last program, its solution, the last T and
+    that scan's binding mask, or None when a round is infeasible."""
+    sol = start
     for _ in range(_MAX_ROUNDS):
         sol = solve_lp(lp, tolerance, start=sol)
         if sol.status is LpStatus.INFEASIBLE:
@@ -272,7 +273,7 @@ def _lazy_solve(lp, var, table, target, working, scale, tolerance,
         fresh = scale.decide(lambda s: gains > tolerance * s) & ~working
         if not fresh.any():
             binding = _binding(gains, tolerance, scale)
-            return lp, sol.objective_value, matrix, binding
+            return lp, sol, matrix, binding
         # each player keeps their worst violations, ties to the lower mask
         for i in np.flatnonzero(fresh.sum(axis=1) > _ROWS_PER_ROUND):
             picked = np.flatnonzero(fresh[i])
@@ -357,14 +358,17 @@ def _search(game, target, var, *, force, tolerance,
     if solved is None:
         raise NotResolvableError(
             f"no transfer contract makes {target} weakly dominant")
-    lp, level, matrix, binding = solved
+    lp, sol, matrix, binding = solved
+    level = sol.objective_value
 
     if allow_excess or refine_diagonal:
         # stage 2 holds the level at its optimum and minimizes the total
         # paid out, or maximizes the diagonal sum.  Its last variable is
         # z - level >= 0, so the level rows' right-hand sides shift by
         # level; z has no cost here, and only the entries of T are read.
-        # Stage 1's contract stands when stage 2 finds no optimum
+        # Stage 1's optimal vertex is feasible for it, so stage 2 starts
+        # from stage 1's final basis.  Stage 1's contract stands when
+        # stage 2 finds no optimum
         c = np.zeros(lp.n_variables)
         counted, weight = (var, -1.0) if allow_excess else (np.diag(var), 1.0)
         np.add.at(c, counted, weight)
@@ -372,7 +376,7 @@ def _search(game, target, var, *, force, tolerance,
                                b_ub=lp.b_ub - lp.a_ub[:, -1] * level,
                                a_eq=lp.a_eq, b_eq=lp.b_eq)
         refined = _lazy_solve(second, var, table, target, working, scale,
-                              tolerance, not allow_excess)
+                              tolerance, not allow_excess, start=sol)
         if refined is not None:
             _, _, matrix, binding = refined
 

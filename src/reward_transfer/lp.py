@@ -29,10 +29,11 @@ No pivot smaller than ``_PIVOT_TOL`` times the largest positive entry
 of its column (or row), or than ``_PIVOT_TOL`` itself when that entry
 is below 1, is taken; that bound only narrows the choice, so a column
 is called unbounded (a dual row infeasible) only when none of its
-entries exceeds it.  A pivot whose step is below ``tolerance`` is
-degenerate; after ``_STALL_LIMIT`` of them in a row Bland's
-smallest-index rule takes over until a step moves the vertex, so
-degenerate stretches cannot cycle.
+entries exceeds it.  A primal pivot whose step is below ``tolerance``
+is degenerate, and so is a dual pivot that does not take the total
+infeasibility to a new low by more than ``tolerance``; after
+``_STALL_LIMIT`` of them in a row Bland's smallest-index rule takes
+over until one makes progress, so degenerate stretches cannot cycle.
 
 One ``tolerance`` serves every test of a solve: basic values and
 steps (the primal side), reduced costs (optimality, the dual side),
@@ -43,17 +44,23 @@ pivots.  A solve whose counted pivots reach 200 + 25 * (rows +
 columns) (``_cap``) raises RuntimeError naming that cap and its pivot
 count.
 
-Warm starts.  ``solve_lp(lp, start=previous)`` re-optimizes the optimal
-tableau of ``previous`` when ``lp`` is its program with inequality rows
-appended.  The new rows are written in the current basis, each with its
-own basic slack.  Adding rows leaves the basis dual feasible, so the
-same dual simplex restores primal feasibility and a primal pass cleans
-up.  This is the re-optimization step of cutting-plane methods (Kelley
-1960).
+Warm starts.  ``solve_lp(lp, start=previous)`` keeps only the basis of
+``previous``: which equality rows its crash kept, and each row's basic
+column.  ``lp`` must keep ``previous``'s constraint rows (its
+inequality rows first, then any new ones, and the same equalities);
+its objective and right-hand sides are free.  The basis, each new row
+on its own slack, is refactorized against ``lp``'s untouched rows with
+one dense solve (reinversion, Koberstein 2005) and priced on ``lp``'s
+objective.  Appending rows or shifting right-hand sides leaves it dual
+feasible, so the dual simplex restores primal feasibility (the
+re-optimization step of cutting-plane methods, Kelley 1960); a new
+objective leaves it primal feasible, so the primal pass alone runs.  A
+basis that is neither is repaired on the zero objective, as a cold
+solve is, and one singular on the rows gives way to a cold solve.
 
 Every solve ends by re-solving the final basis against the untouched
-rows, appended ones included, and keeps that vertex when it fits the
-rows better than the pivoted tableau does.
+rows and keeps that vertex when it fits the rows better than the
+pivoted tableau does.
 """
 
 from __future__ import annotations
@@ -118,14 +125,12 @@ class LinearProgram:
 
 
 @dataclass(frozen=True)
-class _Tableau:
-    """An optimal tableau with what a warm start needs to extend it."""
+class _Basis:
+    """An optimal basis: all that ``solve_lp(start=...)`` restarts from."""
 
     lp: LinearProgram      # the program it is optimal for
-    table: np.ndarray      # constraint rows, then reduced costs; rhs last
-    basis: np.ndarray
-    rows0: np.ndarray      # the rows [A | slack] before pivoting
-    rhs0: np.ndarray
+    kept: np.ndarray       # which equality rows the crash kept
+    columns: np.ndarray    # each kept row's basic column, inequalities first
 
 
 @dataclass(frozen=True)
@@ -134,9 +139,8 @@ class LpSolution:
     x: np.ndarray
     objective_value: float
     iterations: int
-    # the final tableau of an OPTIMAL solve, for ``solve_lp(start=...)``
-    tableau: Optional[_Tableau] = field(default=None, repr=False,
-                                        compare=False)
+    # the final basis of an OPTIMAL solve, for ``solve_lp(start=...)``
+    basis: Optional[_Basis] = field(default=None, repr=False, compare=False)
 
 
 def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
@@ -227,12 +231,17 @@ def _run_dual_simplex(tableau, basis, n_cols, tol, cap, scale):
     cold or warm, reaches a feasible basis: iterate until every basic
     value is above -tol.  A short row with no pivot proves the program
     infeasible when it misses by more than tol * scale, and is set to 0
-    otherwise.  Its pivots count towards ``cap`` from zero."""
+    otherwise.  A pivot stalls unless it takes the total infeasibility
+    (the sum of the negative basic values) to a new low by more than
+    tol: a cycle never does, while the dual steps, all 0 under the zero
+    objective, cannot tell progress.  Its pivots count towards ``cap``
+    from zero."""
     m = tableau.shape[0] - 1
     if m == 0:
         return "feasible", 0
     iterations = 0
     stalled = 0
+    lowest = np.inf
     # views, which the pivots update in place
     values = tableau[:m, -1]
     reduced = tableau[-1, :n_cols]
@@ -258,13 +267,16 @@ def _run_dual_simplex(tableau, basis, n_cols, tol, cap, scale):
                                  tol, bland)])
         if reduced[enter] < 0.0:
             reduced[enter] = 0.0
-        step = reduced[enter] / row[enter]
-        stalled = stalled + 1 if step <= tol else 0
         _pivot(tableau, leave, enter)
         basis[leave] = enter
         iterations += 1
         if iterations >= cap:
             raise _cap_reached(iterations, cap)
+        infeasibility = -float(np.minimum(values, 0.0).sum())
+        if infeasibility < lowest - tol:
+            lowest, stalled = infeasibility, 0
+        else:
+            stalled += 1
 
 
 def _cap(rows: int, cols: int) -> int:
@@ -290,117 +302,116 @@ def solve_lp(lp: LinearProgram,
     largest |rhs|.  A solve whose pivots reach its cap raises
     RuntimeError.
 
-    ``start`` is an OPTIMAL solution of a program that ``lp`` extends:
-    the same objective and equalities, with ``start``'s
-    inequality rows first and unchanged, then new ones.  Its tableau is
-    re-optimized over the new rows instead of solving from scratch;
-    ``iterations`` then counts only the pivots of this solve."""
-    if start is not None:
-        return _resolve(lp, start, tolerance)
+    ``start`` is an OPTIMAL solution of a program whose constraint rows
+    ``lp`` keeps: ``start``'s inequality rows first and unchanged, then
+    any new ones, and the same equality rows.  The objective and the
+    right-hand sides may change.  ``start``'s basis, each new row on its
+    own slack, is refactorized against ``lp``'s rows and priced on its
+    objective; the dual simplex repairs it, on the zero objective when
+    it is neither primal nor dual feasible, and the primal simplex
+    finishes.  A basis singular on the rows falls back to a cold solve."""
     nvar = lp.n_variables
     m_ub, m_eq = lp.a_ub.shape[0], lp.a_eq.shape[0]
-    m = m_ub + m_eq
-    n_cols = nvar + m_ub
+    m, n_cols = m_ub + m_eq, nvar + m_ub
 
-    # [A_ub | I ; A_eq | 0 | rhs]; each inequality starts on its slack
+    # the untouched system [A_ub | I | b_ub ; A_eq | 0 | b_eq], kept
+    # apart from the tableau: long pivot runs smear roundoff across the
+    # tableau, so the final vertex is recomputed from these rows once
+    # the basis is known
     slacks = np.arange(m_ub)
-    tableau = np.zeros((m + 1, n_cols + 1))
-    tableau[:m_ub, :nvar] = lp.a_ub
-    tableau[m_ub:m, :nvar] = lp.a_eq
-    tableau[slacks, nvar + slacks] = 1.0
-    tableau[:m, -1] = np.concatenate([lp.b_ub, lp.b_eq])
-    basis = np.empty(m, dtype=int)
-    basis[:m_ub] = nvar + slacks
-    # untouched copy of the system; long pivot runs smear roundoff
-    # across the tableau, so the final vertex is recomputed from these
-    # rows once the basis is known
-    rows0 = tableau[:m, :-1].copy()
-    rhs0 = tableau[:m, -1].copy()
-    scale = 1.0 + float(np.abs(rhs0).max(initial=0.0))
+    system = np.zeros((m, n_cols + 1))
+    system[:m_ub, :nvar] = lp.a_ub
+    system[m_ub:, :nvar] = lp.a_eq
+    system[slacks, nvar + slacks] = 1.0
+    system[:, -1] = np.concatenate([lp.b_ub, lp.b_eq])
+    scale = 1.0 + float(np.abs(system[:, -1]).max(initial=0.0))
+    c_ext = np.zeros(n_cols)
+    c_ext[:nvar] = lp.objective
 
-    # crash: each equality row becomes basic in its last column of
-    # largest |entry|; a row with no entry left is dependent on the ones
-    # before it and goes, or contradicts them
-    kept = np.ones(m, dtype=bool)
-    for r in range(m_ub, m):
-        size = np.abs(tableau[r, :nvar])
-        enter = nvar - 1 - int(size[::-1].argmax())
-        if size[enter] > _CRASH_TOL:
-            _pivot(tableau, r, enter)
-            basis[r] = enter
-        elif abs(tableau[r, -1]) <= tolerance * scale:
-            kept[r] = False
-        else:
-            return _no_solution(lp, LpStatus.INFEASIBLE, 0)
+    restart = None if start is None else _refactorize(lp, start, system)
+    if restart is None:
+        # crash: each inequality starts on its slack, and each equality
+        # row becomes basic in its last column of largest |entry|; a row
+        # with no entry left is dependent on the ones before it and goes,
+        # or contradicts them
+        tableau = np.zeros((m + 1, n_cols + 1))
+        tableau[:m] = system
+        basis = nvar + np.arange(m)
+        kept = np.ones(m, dtype=bool)
+        for r in range(m_ub, m):
+            size = np.abs(tableau[r, :nvar])
+            enter = nvar - 1 - int(size[::-1].argmax())
+            if size[enter] > _CRASH_TOL:
+                _pivot(tableau, r, enter)
+                basis[r] = enter
+            elif abs(tableau[r, -1]) <= tolerance * scale:
+                kept[r] = False
+            else:
+                return _no_solution(lp, LpStatus.INFEASIBLE, 0)
+        if not kept.all():
+            tableau, basis = tableau[np.append(kept, True)], basis[kept]
+        priced = False
+    else:
+        tableau, basis, kept = restart
+        _price(tableau, basis, c_ext)
+        priced = tableau[:-1, -1].min(initial=0.0) >= -tolerance \
+            or tableau[-1, :-1].min(initial=0.0) >= -tolerance
+        if not priced:
+            tableau[-1] = 0.0
     if not kept.all():
-        tableau = tableau[np.append(kept, True)]
-        basis, rows0, rhs0 = basis[kept], rows0[kept], rhs0[kept]
-        m = basis.size
+        system = system[kept]
 
-    # the zero objective prices every column at 0, so the crashed basis
-    # is dual feasible and the dual simplex repairs the rows it leaves
-    # negative
-    cap = _cap(m, n_cols)
+    # the tableau is dual feasible: priced, or under the zero objective,
+    # which prices every column at 0; the dual simplex repairs the rows
+    # it leaves negative
+    cap = _cap(basis.size, n_cols)
     outcome, iterations = _run_dual_simplex(tableau, basis, n_cols, tolerance,
                                             cap, scale)
     if outcome == "infeasible":
         return _no_solution(lp, LpStatus.INFEASIBLE, iterations)
-    c_ext = np.zeros(n_cols)
-    c_ext[:nvar] = lp.objective
-    tableau[-1, :n_cols] = -c_ext
-    for r in np.flatnonzero(c_ext[basis]):
-        tableau[-1] += c_ext[basis[r]] * tableau[r]
-    return _finish(_Tableau(lp, tableau, basis, rows0, rhs0), iterations,
+    if not priced:
+        _price(tableau, basis, c_ext)
+    return _finish(lp, tableau, basis, kept[m_ub:], system, iterations,
                    tolerance, cap, scale)
 
 
-def _resolve(lp, start, tol) -> LpSolution:
-    """Warm solve: append ``lp``'s new inequality rows to ``start``'s
-    optimal tableau, then run the dual simplex and a primal pass."""
-    prev = start.tableau
+def _refactorize(lp, start, system):
+    """The tableau of ``start``'s basis over ``system``, ``lp``'s
+    untouched rows, each row ``start`` lacks on its own slack: B^-1
+    times the rows the basis keeps, from one factorization of their
+    basic columns B, with a zero bottom row.  Returns it with the basis
+    and which rows it keeps, or None when B is singular."""
+    prev = start.basis
     if prev is None:
         raise ValueError("a warm start needs an OPTIMAL solution of solve_lp")
-    old = prev.lp
-    k = old.a_ub.shape[0]
-    pairs = ((lp.a_ub[:k], old.a_ub), (lp.b_ub[:k], old.b_ub),
-             (lp.a_eq, old.a_eq), (lp.b_eq, old.b_eq),
-             (lp.objective, old.objective))
-    if lp.a_ub.shape[0] < k or not all(np.array_equal(p, q) for p, q in pairs):
-        raise ValueError("a warm start needs the start's program with "
-                         "inequality rows appended")
+    k = prev.lp.a_ub.shape[0]
+    m_ub = lp.a_ub.shape[0]
+    if m_ub < k or not (np.array_equal(lp.a_ub[:k], prev.lp.a_ub)
+                        and np.array_equal(lp.a_eq, prev.lp.a_eq)):
+        raise ValueError("a warm start needs the start's constraint rows, "
+                         "with inequality rows appended")
+    basis = np.concatenate([prev.columns[:k], lp.n_variables
+                            + np.arange(k, m_ub), prev.columns[k:]])
+    kept = np.concatenate([np.ones(m_ub, dtype=bool), prev.kept])
+    rows = system if prev.kept.all() else system[kept]
+    # B^-1 B is the unit matrix, written exactly, as pivoting keeps it;
+    # only the other columns and the rhs are solved for
+    other = np.ones(system.shape[1], dtype=bool)
+    other[basis] = False
+    tableau = np.zeros((basis.size + 1, system.shape[1]))
+    try:
+        tableau[:-1, other] = np.linalg.solve(rows[:, basis], rows[:, other])
+    except np.linalg.LinAlgError:
+        return None
+    tableau[np.arange(basis.size), basis] = 1.0
+    return tableau, basis, kept
 
-    m, width = prev.basis.size, prev.table.shape[1] - 1
-    new = lp.a_ub[k:]
-    add = new.shape[0]
-    n_cols = width + add
-    nvar = lp.n_variables
-    table = np.zeros((m + add + 1, n_cols + 1))
-    table[:m, :width] = prev.table[:m, :width]
-    table[:m, -1] = prev.table[:m, -1]
-    table[-1, :width] = prev.table[-1, :width]
-    # row a @ x + s = b, less the multiples of the rows its basic
-    # columns are basic in; each new slack starts basic
-    fresh = table[m:m + add]
-    fresh[:, :nvar] = new
-    fresh[:, width:n_cols] = np.eye(add)
-    fresh[:, -1] = lp.b_ub[k:]
-    rows0 = np.zeros((m + add, n_cols))
-    rows0[:m, :width] = prev.rows0
-    rows0[m:] = fresh[:, :-1]
-    rhs0 = np.concatenate([prev.rhs0, fresh[:, -1]])
-    structural = np.flatnonzero(prev.basis < nvar)
-    fresh -= new[:, prev.basis[structural]] @ table[structural]
-    fresh[:, prev.basis] = 0.0
-    basis = np.concatenate([prev.basis, width + np.arange(add)])
 
-    cap = _cap(m + add, n_cols)
-    scale = 1.0 + float(np.abs(rhs0).max(initial=0.0))
-    outcome, iterations = _run_dual_simplex(table, basis, n_cols, tol, cap,
-                                            scale)
-    if outcome == "infeasible":
-        return _no_solution(lp, LpStatus.INFEASIBLE, iterations)
-    return _finish(_Tableau(lp, table, basis, rows0, rhs0), iterations, tol,
-                   cap, scale)
+def _price(tableau, basis, c_ext) -> None:
+    """Write the reduced costs of ``c_ext`` in ``basis`` into the
+    tableau's bottom row, and the objective value into its corner."""
+    tableau[-1] = c_ext[basis] @ tableau[:-1]
+    tableau[-1, :-1] -= c_ext
 
 
 def _no_solution(lp, status, iterations) -> LpSolution:
@@ -410,21 +421,20 @@ def _no_solution(lp, status, iterations) -> LpSolution:
                       iterations)
 
 
-def _finish(tab: _Tableau, iterations: int, tol: float, cap: int,
-            scale: float) -> LpSolution:
+def _finish(lp, tableau, basis, kept, system, iterations, tol, cap,
+            scale) -> LpSolution:
     """The tail of every solve: the primal simplex from the primal
-    feasible ``tab``, after ``iterations`` pivots of the solve.  Read
-    the vertex off the optimal tableau, refined against the untouched
-    rows, and store it back as the tableau's basic values.  ``scale``
-    is the solve's 1 + the largest |rhs|."""
-    table, basis, rows0, rhs0 = tab.table, tab.basis, tab.rows0, tab.rhs0
+    feasible ``tableau``, after ``iterations`` pivots of the solve.
+    Read the vertex off the optimal tableau, refined against
+    ``system``, the untouched rows the basis keeps.  ``scale`` is the
+    solve's 1 + the largest |rhs|."""
     m = basis.size
-    n_cols = table.shape[1] - 1
-    outcome, used = _run_simplex(table, basis, n_cols, tol, cap, iterations)
+    n_cols = tableau.shape[1] - 1
+    outcome, used = _run_simplex(tableau, basis, n_cols, tol, cap, iterations)
     iterations += used
     if outcome == "unbounded":
-        return _no_solution(tab.lp, LpStatus.UNBOUNDED, iterations)
-    basic_values = np.maximum(table[:m, -1], 0.0)
+        return _no_solution(lp, LpStatus.UNBOUNDED, iterations)
+    basic_values = np.maximum(tableau[:m, -1], 0.0)
     if m:
         # long pivot runs smear roundoff across the tableau; re-solving
         # the final basis against the untouched rows usually fits them
@@ -433,11 +443,11 @@ def _finish(tab: _Tableau, iterations: int, tol: float, cap: int,
         def residual(values):
             full = np.zeros(n_cols)
             full[basis] = values
-            return float(np.abs(rows0 @ full - rhs0).max())
+            return float(np.abs(system[:, :-1] @ full - system[:, -1]).max())
 
         refined = None
         try:
-            refined = np.linalg.solve(rows0[:, basis], rhs0)
+            refined = np.linalg.solve(system[:, basis], system[:, -1])
         except np.linalg.LinAlgError:
             pass
         if refined is not None and np.isfinite(refined).all() \
@@ -445,12 +455,12 @@ def _finish(tab: _Tableau, iterations: int, tol: float, cap: int,
             candidate = np.maximum(refined, 0.0)
             if residual(candidate) < residual(basic_values):
                 basic_values = candidate
-    table[:m, -1] = basic_values
     y = np.zeros(n_cols)
     y[basis] = basic_values
-    x = y[:tab.lp.n_variables]
-    value = float(tab.lp.objective @ x)
-    return LpSolution(LpStatus.OPTIMAL, x, value, iterations, tab)
+    x = y[:lp.n_variables]
+    value = float(lp.objective @ x)
+    return LpSolution(LpStatus.OPTIMAL, x, value, iterations,
+                      _Basis(lp, kept, basis))
 
 
 def check_feasible(lp: LinearProgram, x, tolerance: float = 1e-9) -> list:

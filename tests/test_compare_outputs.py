@@ -1,8 +1,8 @@
 """tools/compare_outputs.py, the output-identity check: a recording
-holds searches, verdicts, binding checks, classifications and, for
-cli-solve, the digests of the written documents; it diffs clean against
-itself, one changed search or digest fails, and the diff counts what
-moved."""
+holds searches, verdicts, binding checks, stage-2 values,
+classifications and, for cli-solve, the digests of the written
+documents; it diffs clean against itself, one changed search or digest
+fails, and the diff counts what moved."""
 
 import json
 import subprocess
@@ -37,6 +37,12 @@ def test_sweep_small_recording_diffs_against_itself(tmp_path):
                if "level" in entry)
     assert all(entry["binding_agrees"] is True for entry in searches.values()
                if "level" in entry)
+    # an excess search records its excess total, and no other search
+    # has a second stage here
+    for entry in searches.values():
+        if "level" in entry:
+            assert ("stage2" in entry) == (entry["search"] == "general+excess")
+    assert any("stage2" in entry for entry in searches.values())
 
     same = _tool("diff", recording, recording)
     assert same.returncode == 0, same.stdout + same.stderr
@@ -53,26 +59,36 @@ def test_sweep_small_recording_diffs_against_itself(tmp_path):
 
     # one general search's level moves by 1.0: its mode counts one moved
     # level and nothing else, and that is the largest change of level
-    def row_of_general(entry):
+    def row_after(key, entry):
         changed = json.loads(recording.read_text())
+        mode = {"general": "general", "general+excess": "excess"}[
+            changed["searches"][key]["search"]]
         changed["searches"][key] = entry
         path = tmp_path / "moved.json"
         path.write_text(json.dumps(changed))
         other = _tool("diff", recording, path)
         assert other.returncode == 1
         return next(line.split() for line in other.stdout.splitlines()
-                    if line.split()[0] == "general")
+                    if line.split()[0] == mode)
 
     key = sorted(k for k, entry in searches.items()
                  if entry["search"] == "general" and "level" in entry)[0]
     entry = json.loads(recording.read_text())["searches"][key]
     level = float.fromhex(entry["level"])
-    assert row_of_general(dict(entry, level=float.hex(level + 1.0)))[2:] == \
-        ["1", "1", "0", "0", "0", "0", "1"]
+    assert row_after(key, dict(entry, level=float.hex(level + 1.0)))[2:] == \
+        ["1", "1", "0", "0", "0", "0", "1", "-"]
     # a search that raises where it returned moves every column but the
-    # level change, which needs a level on both sides
-    assert row_of_general({"search": "general", "error": "E",
-                           "message": "m"})[2:] == ["1"] * 6 + ["0"]
+    # changes of value, which need a value on both sides
+    assert row_after(key, {"search": "general", "error": "E",
+                           "message": "m"})[2:] == ["1"] * 6 + ["0", "-"]
+
+    # an excess search whose excess total alone moves by 0.5 counts no
+    # moved column, and 0.5 is its mode's largest change of stage-2 value
+    key = sorted(k for k, entry in searches.items() if "stage2" in entry)[0]
+    entry = json.loads(recording.read_text())["searches"][key]
+    total = float.fromhex(entry["stage2"])
+    assert row_after(key, dict(entry, stage2=float.hex(total + 0.5)))[2:] == \
+        ["1"] + ["0"] * 5 + ["0", "0.5"]
 
 
 def test_cli_solve_recording_holds_document_digests(tmp_path):

@@ -1128,6 +1128,40 @@ class TestStageTwoHoldsTheLevel:
         assert np.trace(refined.matrix.entries) >= \
             np.trace(plain.matrix.entries) - 1e-9
 
+    @pytest.mark.parametrize("build", _STAGE_TWO_GAMES)
+    def test_second_pass_starts_where_the_first_ended(self, monkeypatch,
+                                                      build):
+        # stage 1's optimal vertex is feasible for stage 2, so stage 2's
+        # first solve restarts from stage 1's final basis and takes no
+        # dual pivot
+        solves, dual = [], []
+        solve, run = levels.solve_lp, lp_module._run_dual_simplex
+
+        def counted_dual(*args):
+            outcome, pivots = run(*args)
+            dual.append(pivots)
+            return outcome, pivots
+
+        def counted_solve(lp, tolerance, start=None):
+            dual.clear()
+            solution = solve(lp, tolerance, start=start)
+            # stage 2 puts no cost on the level, the last variable
+            solves.append((lp.objective[-1] == 0, start, sum(dual)))
+            return solution
+
+        monkeypatch.setattr(levels, "solve_lp", counted_solve)
+        monkeypatch.setattr(lp_module, "_run_dual_simplex", counted_dual)
+        game = build()
+        for search in (_EXCESS, _REFINE):
+            solves.clear()
+            try:
+                search(game)
+            except NotResolvableError:
+                continue  # no conserving contract to refine
+            first = [stage_two for stage_two, _, _ in solves].index(True)
+            _, start, pivots = solves[first]
+            assert start is not None and pivots == 0
+
 
 _CYCLIC_GAMES = {
     "circular-pd-6": functools.partial(build_graphical, GraphKind.CIRCULAR,
@@ -1240,6 +1274,52 @@ class TestCrashedStart:
             result = general_level(too_many_cooks(), force=True)
         assert taken[0] > 0
         assert result.level == pytest.approx(0.2, abs=1e-9)
+
+    @pytest.mark.filterwarnings("ignore")
+    def test_dual_pivots_of_the_fastpath_crash(self, monkeypatch):
+        # the fastpath's one row sum crashes onto a circulant
+        # permutation, which nothing makes feasible: on random tables a
+        # cyclic shift leaves unchanged, the dual simplex repairs it, and
+        # the search lands where the general one does
+        taken = []
+        run = lp_module._run_dual_simplex
+
+        def counted(*args):
+            outcome, pivots = run(*args)
+            taken.append(pivots)
+            return outcome, pivots
+
+        monkeypatch.setattr(lp_module, "_run_dual_simplex", counted)
+        rng = np.random.default_rng(34)
+        repaired = solved = 0
+        for n in range(2, 7):
+            for _ in range(30):
+                game = _shift_invariant(rng, n)
+                taken.clear()
+                try:
+                    fast = _FASTPATH(game)
+                except NotResolvableError:
+                    with pytest.raises(NotResolvableError):
+                        _GENERAL(game)
+                    continue
+                repaired += taken[0] > 0
+                solved += 1
+                assert abs(fast.level - _GENERAL(game).level) <= 1e-12
+                assert verify_resolution(game, fast.matrix).weakly_dominant
+        assert repaired > 0 and solved > 10
+
+
+def _shift_invariant(rng, n):
+    """A random game that relabelling player i as i + 1 (mod n) leaves
+    unchanged: player k earns at profile b what player 0 earns at b with
+    its bits moved k places down, a random reward per profile."""
+    bits = np.arange(1 << n)
+    reward = rng.normal(size=1 << n)
+    table = np.empty((1 << n, n))
+    for k in range(n):
+        moved = ((bits >> k) | (bits << (n - k))) & (bits.size - 1)
+        table[:, k] = reward[moved]
+    return NormalFormGame(table)
 
 
 def _relabelled(game, perm):

@@ -262,6 +262,34 @@ class TestCyclingExamples:
         assert sol.iterations <= 55
 
 
+class TestDualStall:
+    """Under the zero objective every dual step is 0, so the dual
+    simplex reads its progress off the total infeasibility instead."""
+
+    def test_long_repair_does_not_fall_into_blands_rule(self, monkeypatch):
+        # 64 lower bounds above 0 leave 64 slacks negative; each dual
+        # pivot lifts one variable onto its bound, with a dual step of 0
+        # and a new low of the total infeasibility
+        rng = np.random.default_rng(64)
+        n = 64
+        low = rng.uniform(0.5, 1.5, size=n)
+        lp = LinearProgram(-rng.uniform(0.5, 1.0, size=n),
+                           a_ub=np.vstack([-np.eye(n), np.ones((1, n))]),
+                           b_ub=np.append(-low, 2.0 * n))
+        rules = []
+        harris = lp_module._harris
+
+        def recorded(values, pivots, rank, tol, bland):
+            rules.append(bland)
+            return harris(values, pivots, rank, tol, bland)
+
+        monkeypatch.setattr(lp_module, "_harris", recorded)
+        sol = solve_lp(lp)
+        assert sol.status is LpStatus.OPTIMAL
+        assert np.allclose(sol.x, low, atol=1e-12)
+        assert len(rules) >= n and not any(rules)
+
+
 def random_program(rng, n, m, m_eq=0):
     """A box-bounded random program whose origin is feasible when it
     has no equalities."""
@@ -275,8 +303,10 @@ def random_program(rng, n, m, m_eq=0):
 
 
 class TestWarmStart:
-    """A warm solve appends rows to the previous optimal tableau; it
-    must agree with a cold solve of the whole program."""
+    """A warm solve refactorizes the previous optimal basis against the
+    program's rows, each appended row on its own slack, and prices the
+    program's objective; it must agree with a cold solve of the whole
+    program, whatever the objective and the right-hand sides."""
 
     @staticmethod
     def grown(c, a, b, eq, eq_rhs, upper, k):
@@ -287,8 +317,13 @@ class TestWarmStart:
                              a_eq=eq, b_eq=eq_rhs)
 
     def test_matches_cold_solve(self):
+        # each step appends rows, installs a new objective, or shifts
+        # the last variable by its optimal value (x' = x - v >= 0, the
+        # shape of a second stage that holds the first one's optimum),
+        # or several of these at once
         rng = np.random.default_rng(808)
         checked = infeasible = 0
+        changed = {"rows": 0, "objective": 0, "shift": 0}
         for trial in range(80):
             n = int(rng.integers(2, 7))
             m = int(rng.integers(3, 12))
@@ -302,7 +337,22 @@ class TestWarmStart:
                 continue
             warm, k = first, 2
             while k < m:
-                k = min(m, k + int(rng.integers(1, 4)))
+                steps = rng.uniform(size=3) < (0.6, 0.4, 0.3)
+                if not steps.any():
+                    continue
+                if steps[0]:
+                    k = min(m, k + int(rng.integers(1, 4)))
+                    changed["rows"] += 1
+                if steps[1]:
+                    c = rng.normal(size=n)
+                    changed["objective"] += 1
+                if steps[2]:
+                    held = warm.x[-1]
+                    upper, b = upper.copy(), b - a[:, -1] * held
+                    upper[-1] -= held
+                    if eq is not None:
+                        eq_rhs = eq_rhs - eq[:, -1] * held
+                    changed["shift"] += 1
                 lp = self.grown(c, a, b, eq, eq_rhs, upper, k)
                 warm = solve_lp(lp, start=warm)
                 cold = solve_lp(lp)
@@ -310,12 +360,38 @@ class TestWarmStart:
                 if cold.status is not LpStatus.OPTIMAL:
                     infeasible += 1
                     break
-                scale = 1.0 + float(np.abs(b[:k]).max())
+                scale = 1.0 + max(float(np.abs(lp.b_ub).max()),
+                                  float(np.abs(lp.b_eq).max(initial=0.0)))
                 assert abs(warm.objective_value - cold.objective_value) \
                     <= 1e-9 * scale, f"trial {trial}, rows {k}"
                 assert not check_feasible(lp, warm.x, tolerance=1e-9 * scale)
                 checked += 1
         assert checked > 100 and infeasible > 10
+        assert min(changed.values()) > 50, changed
+
+    def test_start_neither_primal_nor_dual_feasible(self, monkeypatch):
+        # (1, 1) maximizes x + y in the unit box.  Under max x - 2y and
+        # the cut x + y <= 0.5 it is neither feasible nor optimal, so the
+        # restart is repaired on the zero objective, as a cold solve is,
+        # and then optimized
+        start = solve_lp(LinearProgram([1.0, 1.0], a_ub=np.eye(2),
+                                       b_ub=[1.0, 1.0]))
+        lp = LinearProgram([1.0, -2.0], a_ub=[[1.0, 0.0], [0.0, 1.0],
+                                              [1.0, 1.0]],
+                           b_ub=[1.0, 1.0, 0.5])
+        bottoms = []
+        run = lp_module._run_dual_simplex
+
+        def recorded(tableau, *args):
+            bottoms.append(tableau[-1].copy())
+            return run(tableau, *args)
+
+        monkeypatch.setattr(lp_module, "_run_dual_simplex", recorded)
+        warm, cold = solve_lp(lp, start=start), solve_lp(lp)
+        assert not bottoms[0].any()
+        assert warm.status is cold.status is LpStatus.OPTIMAL
+        assert np.allclose(warm.x, [0.5, 0.0], atol=1e-12)
+        assert warm.x.tolist() == cold.x.tolist()
 
     def test_infeasible_after_cut(self):
         base = LinearProgram([1.0, 1.0], a_ub=[[1.0, 0.0], [0.0, 1.0]],
@@ -402,25 +478,54 @@ class TestWarmStart:
                                                [1.0, 1.0]],
                              b_ub=[3.0, 3.0, 4.0])
         start = solve_lp(base)
-        table = start.tableau.table.copy()
+        columns, kept = start.basis.columns.copy(), start.basis.kept.copy()
         cut = LinearProgram([1.0, 2.0], a_ub=[[1.0, 0.0], [0.0, 1.0],
                                               [1.0, 1.0], [0.0, 1.0]],
                             b_ub=[3.0, 3.0, 4.0, 2.5])
         first = solve_lp(cut, start=start)
         second = solve_lp(cut, start=start)
-        assert np.array_equal(start.tableau.table, table)
+        assert np.array_equal(start.basis.columns, columns)
+        assert np.array_equal(start.basis.kept, kept)
         assert first.x.tobytes() == second.x.tobytes()
 
     def test_program_must_extend_the_start(self):
         base = LinearProgram([1.0, 1.0], a_ub=[[1.0, 1.0]], b_ub=[2.0])
         start = solve_lp(base)
-        for other in (LinearProgram([1.0, 0.0], a_ub=[[1.0, 1.0]], b_ub=[2.0]),
-                      LinearProgram([1.0, 1.0], a_ub=[[1.0, 2.0]], b_ub=[2.0]),
+        for other in (LinearProgram([1.0, 1.0], a_ub=[[1.0, 2.0]], b_ub=[2.0]),
                       LinearProgram([1.0, 1.0], a_ub=[[1.0, 1.0]], b_ub=[2.0],
                                     a_eq=[[1.0, 0.0]], b_eq=[0.5]),
                       LinearProgram([1.0, 1.0])):
             with pytest.raises(ValueError, match="appended"):
                 solve_lp(other, start=start)
+        # a new objective keeps the rows, so it restarts and must land
+        # where a cold solve does
+        other = LinearProgram([1.0, 0.0], a_ub=[[1.0, 1.0]], b_ub=[2.0])
+        warm, cold = solve_lp(other, start=start), solve_lp(other)
+        assert warm.status is cold.status is LpStatus.OPTIMAL
+        assert warm.x.tolist() == cold.x.tolist() == [2.0, 0.0]
+
+    def test_singular_basis_solves_cold(self, monkeypatch):
+        # a basis the rows make singular cannot be refactorized; the
+        # solve starts cold instead and lands where a cold solve does
+        start = solve_lp(LinearProgram([1.0, 2.0], a_ub=np.eye(2),
+                                       b_ub=[1.0, 1.0]))
+        cut = LinearProgram([1.0, 2.0], a_ub=[[1.0, 0.0], [0.0, 1.0],
+                                              [1.0, 1.0]],
+                            b_ub=[1.0, 1.0, 1.5])
+        cold = solve_lp(cut)
+        solve, calls = np.linalg.solve, []
+
+        def singular_first(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("singular matrix")
+            return solve(*args)
+
+        monkeypatch.setattr(np.linalg, "solve", singular_first)
+        warm = solve_lp(cut, start=start)
+        assert len(calls) == 2
+        assert warm.x.tobytes() == cold.x.tobytes()
+        assert warm.iterations == cold.iterations
 
     def test_start_must_be_optimal(self):
         infeasible = solve_lp(LinearProgram([1.0], a_ub=[[1.0]], b_ub=[1.0],

@@ -11,19 +11,22 @@ level, the matrix bytes, the binding mask (its count of set entries and
 a digest), whether ``binding_constraints`` recomputes that mask, and
 ``verify_resolution``'s verdict on the matrix (weakly dominant, strictly
 dominant, violation count), or the type and message of the exception
-the search raised.  For each game an op classifies, it stores
-``classify_dilemma``'s kind and witnesses under the mode ``classify``.
-The cli-solve workload writes its games and results as files, so for it
-``record`` also stores the sha256 of ``dumps_game`` of each game, under
-the mode ``game``, and of ``dumps_result`` of each search's result.
+the search raised.  A search with a second stage also stores the value
+that stage optimizes (``stage2``): the excess total of an
+``allow_excess`` search, the diagonal sum of a ``refine_diagonal`` one.
+For each game an op classifies, it stores ``classify_dilemma``'s kind
+and witnesses under the mode ``classify``.  The cli-solve workload
+writes its games and results as files, so for it ``record`` also
+stores the sha256 of ``dumps_game`` of each game, under the mode
+``game``, and of ``dumps_result`` of each search's result.
 ``--workloads`` narrows the recording to some of the workloads.
 
 ``diff`` prints, per mode, how many entries are identical and how many
 differ; of those that differ and both recordings hold, how many moved
 their level, matrix, binding set, verdict or error; and the largest
-|change of level| over the entries with a level on both sides.  It
-exits 1 on any difference, including an entry that only one recording
-holds.
+|change| of the level and of the stage-2 value, over the entries that
+hold it on both sides.  It exits 1 on any difference, including an
+entry that only one recording holds.
 
 Run it from the root of a checkout: the package is imported from
 ``src/`` there.
@@ -56,6 +59,9 @@ MODES = {"general": "general", "general+excess": "excess",
 # each one compares
 MOVED = {"level": ("level",), "matrix": ("matrix",), "binding": ("binding",),
          "verdict": ("verified",), "error": ("error", "message")}
+# the columns of ``diff`` that give the largest |change| of a value, by
+# the entry field that holds it
+SHIFTS = {"level": "max|dlevel|", "stage2": "max|dstage2|"}
 
 
 def _sha256(text: str) -> str:
@@ -90,6 +96,10 @@ def _outcome(game, target, search, force, written) -> dict:
                                 == list(result.binding)),
              "verified": [report.weakly_dominant, report.strictly_dominant,
                           len(report.violations)]}
+    if search.allow_excess:
+        entry["stage2"] = float(result.excess.total).hex()
+    elif search.refine_diagonal:
+        entry["stage2"] = float(np.trace(result.matrix.entries)).hex()
     if written:
         entry["result"] = _sha256(serialize.dumps_result(result))
     return entry
@@ -143,18 +153,20 @@ def record(names, seeds) -> dict:
 def diff(first: dict, second: dict) -> int:
     """Print per-mode counts of identical and differing searches, of
     the differing ones whose level, matrix, binding set, verdict or
-    error moved, and the largest |change of level|; return the number
-    of searches that differ or that one side lacks."""
+    error moved, and the largest |change| of the level and of the
+    stage-2 value; return the number of searches that differ or that
+    one side lacks."""
     same, differ = Counter(), Counter()
     moved = {column: Counter() for column in MOVED}
-    shift = {}
+    shift = {field: {} for field in SHIFTS}
     for key in sorted(first.keys() | second.keys()):
         old, new = first.get(key), second.get(key)
         mode = MODES[(old or new)["search"]]
-        if old and new and "level" in old and "level" in new:
-            step = abs(float.fromhex(new["level"])
-                       - float.fromhex(old["level"]))
-            shift[mode] = max(shift.get(mode, 0.0), step)
+        for field, largest in shift.items():
+            if old and new and field in old and field in new:
+                step = abs(float.fromhex(new[field])
+                           - float.fromhex(old[field]))
+                largest[mode] = max(largest.get(mode, 0.0), step)
         if old == new:
             same[mode] += 1
             continue
@@ -166,12 +178,13 @@ def diff(first: dict, second: dict) -> int:
                     moved[column][mode] += 1
     print(f"{'mode':<10} {'identical':>9} {'differing':>9} "
           + " ".join(f"{column:>7}" for column in MOVED)
-          + f" {'max|dlevel|':>11}")
+          + "".join(f" {title:>12}" for title in SHIFTS.values()))
     for mode in sorted(same.keys() | differ.keys()):
-        largest = f"{shift[mode]:.3g}" if mode in shift else "-"
+        largest = [f"{shift[field][mode]:.3g}" if mode in shift[field]
+                   else "-" for field in SHIFTS]
         print(f"{mode:<10} {same[mode]:>9} {differ[mode]:>9} "
               + " ".join(f"{moved[column][mode]:>7}" for column in MOVED)
-              + f" {largest:>11}")
+              + "".join(f" {text:>12}" for text in largest))
     return sum(differ.values())
 
 
