@@ -56,7 +56,9 @@ feasible, so the dual simplex restores primal feasibility (the
 re-optimization step of cutting-plane methods, Kelley 1960); a new
 objective leaves it primal feasible, so the primal pass alone runs.  A
 basis that is neither is repaired on the zero objective, as a cold
-solve is, and one singular on the rows gives way to a cold solve.
+solve is.  One singular on the rows gives way to a cold solve, and so
+does a new equality rhs when the start's crash dropped a dependent
+equality: only the crash can tell whether that row still holds.
 
 Every solve ends by re-solving the final basis against the untouched
 rows and keeps that vertex when it fits the rows better than the
@@ -309,7 +311,8 @@ def solve_lp(lp: LinearProgram,
     own slack, is refactorized against ``lp``'s rows and priced on its
     objective; the dual simplex repairs it, on the zero objective when
     it is neither primal nor dual feasible, and the primal simplex
-    finishes.  A basis singular on the rows falls back to a cold solve."""
+    finishes.  A basis singular on the rows falls back to a cold solve,
+    as does a new ``b_eq`` when ``start`` dropped a dependent equality."""
     nvar = lp.n_variables
     m_ub, m_eq = lp.a_ub.shape[0], lp.a_eq.shape[0]
     m, n_cols = m_ub + m_eq, nvar + m_ub
@@ -380,7 +383,9 @@ def _refactorize(lp, start, system):
     untouched rows, each row ``start`` lacks on its own slack: B^-1
     times the rows the basis keeps, from one factorization of their
     basic columns B, with a zero bottom row.  Returns it with the basis
-    and which rows it keeps, or None when B is singular."""
+    and which rows it keeps, or None, for a cold solve, when B is
+    singular or when the equalities' rhs changed although the start's
+    crash dropped one of them as dependent."""
     prev = start.basis
     if prev is None:
         raise ValueError("a warm start needs an OPTIMAL solution of solve_lp")
@@ -390,6 +395,8 @@ def _refactorize(lp, start, system):
                         and np.array_equal(lp.a_eq, prev.lp.a_eq)):
         raise ValueError("a warm start needs the start's constraint rows, "
                          "with inequality rows appended")
+    if not (prev.kept.all() or np.array_equal(lp.b_eq, prev.lp.b_eq)):
+        return None  # a dropped row may contradict the new rhs
     basis = np.concatenate([prev.columns[:k], lp.n_variables
                             + np.arange(k, m_ub), prev.columns[k:]])
     kept = np.concatenate([np.ones(m_ub, dtype=bool), prev.kept])

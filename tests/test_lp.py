@@ -360,8 +360,7 @@ class TestWarmStart:
                 if cold.status is not LpStatus.OPTIMAL:
                     infeasible += 1
                     break
-                scale = 1.0 + max(float(np.abs(lp.b_ub).max()),
-                                  float(np.abs(lp.b_eq).max(initial=0.0)))
+                scale = 1.0 + float(np.abs(b[:k]).max())
                 assert abs(warm.objective_value - cold.objective_value) \
                     <= 1e-9 * scale, f"trial {trial}, rows {k}"
                 assert not check_feasible(lp, warm.x, tolerance=1e-9 * scale)
@@ -526,6 +525,27 @@ class TestWarmStart:
         assert len(calls) == 2
         assert warm.x.tobytes() == cold.x.tobytes()
         assert warm.iterations == cold.iterations
+
+    def test_dropped_equality_under_a_new_rhs(self):
+        # the start's crash drops the second of two equal rows x + y = 1;
+        # a new b_eq that splits them is infeasible, as a cold solve
+        # finds, and one that moves both together is not
+        def program(b_eq):
+            return LinearProgram([1.0, 2.0], a_ub=np.eye(2), b_ub=[3.0, 3.0],
+                                 a_eq=[[1.0, 1.0], [1.0, 1.0]], b_eq=b_eq)
+
+        start = solve_lp(program([1.0, 1.0]))
+        assert start.status is LpStatus.OPTIMAL
+        assert start.basis.kept.tolist() == [True, False]
+        for b_eq in ([1.0, 2.0], [2.0, 1.0], [2.0, 2.0]):
+            lp = program(b_eq)
+            warm, cold = solve_lp(lp, start=start), solve_lp(lp)
+            assert warm.status is cold.status, b_eq
+            assert warm.x.tobytes() == cold.x.tobytes(), b_eq
+        assert solve_lp(program([1.0, 2.0]), start=start).status \
+            is LpStatus.INFEASIBLE
+        assert solve_lp(program([2.0, 2.0]), start=start).status \
+            is LpStatus.OPTIMAL
 
     def test_start_must_be_optimal(self):
         infeasible = solve_lp(LinearProgram([1.0], a_ub=[[1.0]], b_ub=[1.0],
