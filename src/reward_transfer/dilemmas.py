@@ -19,8 +19,12 @@ table is one formula: c*(deg - facing) plus d*A*deg (Prisoner's
 Dilemma), d*mismatch (Chicken) or d*(deg - mismatch) (Stag Hunt), with
 mismatch = A*deg + facing - 2*A*facing.  The builders work player-major
 throughout and hand the game the transpose, which is already in its
-column-major layout.  The graphical builder evaluates the formula over
-blocks of profiles, so that the build holds the table and little else.
+column-major layout.  The graphical builder doubles facing over the
+bits in the output table itself (profiles 2**k ... 2**(k+1) - 1 face
+what profiles 0 ... 2**k - 1 face, plus column k of W), then turns each
+player's row into payoffs in place, on the halves where A is 0 and 1:
+the build holds the table and one row, and every payoff equals the
+whole-table formula's bit for bit.
 
 The functional family replaces per-edge payoffs with a shared welfare
 pot, -(c/n)*k**2 + 2*c*k for k cooperators, split in proportion to
@@ -37,11 +41,11 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .game import _MAX_PLAYERS, NormalFormGame
+from .game import (_MAX_PLAYERS, ActionProfile, NormalFormGame, _along_runs,
+                   deviation_pairs)
 from .levels import SolveMode
 from .transfer import TransferMatrix, exchange_matrix
 
@@ -99,29 +103,19 @@ def base_payoff(params: BaseGameParams, own: int, opponent: int) -> float:
     return facing + d * (1 - abs(own - opponent))
 
 
-# the graphical builder evaluates its formula over blocks of
-# 2**_BLOCK_BITS profiles; a game with at most that many players is one
-_BLOCK_BITS = 11
-
-
-def _action_table(n: int, start: int = 0,
-                  stop: Optional[int] = None) -> np.ndarray:
-    """A[i, p - start]: player i's action (0 C, 1 D) at profile p, for
-    the profiles start <= p < stop (every profile by default),
-    player-major.  Row i is 2**i zeros then 2**i ones, repeated; a block
-    of profiles must start at a multiple of its power-of-two length, so
-    a row whose run is at least that long is constant on it.  Both
-    builders start from it, so it refuses a size beyond the cap before
-    allocating."""
+def _check_players(n: int) -> None:
+    """Both builders refuse a size beyond the cap before allocating."""
     if n > _MAX_PLAYERS:
         raise ValueError(f"a game has at most {_MAX_PLAYERS} players, got {n}")
-    size = (1 << n if stop is None else stop) - start
-    table = np.zeros((n, size))
+
+
+def _action_table(n: int) -> np.ndarray:
+    """A[i, p]: player i's action (0 C, 1 D) at profile p, player-major.
+    Row i is 2**i zeros then 2**i ones, repeated."""
+    _check_players(n)
+    table = np.zeros((n, 1 << n))
     for i in range(n):
-        if 2 << i <= size:
-            table[i].reshape(-1, 2, 1 << i)[:, 1] = 1.0
-        else:
-            table[i] = (start >> i) & 1
+        table[i].reshape(-1, 2, 1 << i)[:, 1] = 1.0
     return table
 
 
@@ -147,46 +141,57 @@ def build_graphical(graph: GraphKind,
     """Assemble the payoff table of a graphical dilemma with n players."""
     if n < 2:
         raise ValueError("a graphical dilemma needs at least two players")
+    _check_players(n)
     if graph is GraphKind.TYCOON and n == 2:
         warnings.warn("a two-player tycoon game degenerates to the base game",
                       UserWarning, stacklevel=2)
     w = _graph_weights(graph, n)
-    deg = w.sum(axis=1)[:, None]
-    # the formula runs over blocks of profiles, so that its temporaries
-    # stay in cache and the build holds one table; the first block
-    # refuses a size beyond the cap before the table is allocated
-    step = 1 << min(n, _BLOCK_BITS)
-    actions = _action_table(n, 0, step)
+    deg = w.sum(axis=1)
+    # facing = W @ A, doubled over the bits in the table itself: profiles
+    # 2**k ... 2**(k+1) - 1 face what profiles 0 ... 2**k - 1 face, plus
+    # column k of W.  Each entry sums its weights from the lowest bit up,
+    # the order W @ A adds them in, so the bits are the product's
     table = np.empty((n, 1 << n))
-    for start in range(0, 1 << n, step):
-        if start:
-            actions = _action_table(n, start, start + step)
-        _graphical_block(table[:, start:start + step], actions, w, deg, params)
+    table[:, 0] = 0.0
+    for k in range(n):
+        np.add(table[:, :1 << k], w[:, k, None], out=table[:, 1 << k:2 << k])
+    cooperate = ActionProfile.all_cooperate(n)
+    spare = np.empty(1 << n)
+    for i, row in enumerate(table):
+        _payoff_row(row, spare, deviation_pairs(row, cooperate, i),
+                    float(deg[i]), params)
     return NormalFormGame._adopt(table.T)
 
 
-def _graphical_block(out, actions, w, deg, params) -> None:
-    """The graphical payoff formula on one block of profiles, written
-    into ``out``; ``actions`` (the block's action table) is used up.
-    Each profile's payoffs take the same operations in the same order
-    whatever the block, so a blocked table equals a one-shot one bit
-    for bit."""
-    facing = w @ actions
-    # the d term, accumulated in place: A*deg (PD), mismatch = A*deg +
-    # facing*(1 - 2*A) (Chicken), or deg - mismatch (Stag Hunt); A, then
-    # facing, are overwritten once no longer needed
-    np.multiply(actions, deg, out=out)
-    if params.kind is not BaseGame.PRISONERS_DILEMMA:
-        actions *= -2.0
-        actions += 1.0
-        actions *= facing
-        out += actions
-        if params.kind is BaseGame.STAG_HUNT:
-            np.subtract(deg, out, out=out)
-    out *= params.d
-    np.subtract(deg, facing, out=facing)
-    facing *= params.c
-    out += facing
+def _payoff_row(row, spare, halves, deg, params) -> None:
+    """Turn ``row``, one player's facing, into their payoffs in place:
+    c*(deg - facing) + d*D, D as the module notes give it for the base
+    game, formed in ``spare`` and on ``halves``, the (a_i = 0, a_i = 1)
+    views of ``row``.  On each half the action A is a constant, so the
+    formula's products with A and 1 - 2A are 0, deg, facing or
+    -facing; the operations left are the formula's, in its order, so
+    each payoff is the whole-table formula's bit for bit (facing is
+    never -0.0, so 0.0 + facing is facing)."""
+    np.subtract(deg, row, out=spare)
+    spare *= params.c
+    pd = params.kind is BaseGame.PRISONERS_DILEMMA
+    for off, on in _along_runs(*halves):
+        if pd:
+            # D = A*deg: d*D is 0 where the player cooperates, deg*d
+            # where they defect
+            off.fill(0.0)
+            on.fill(deg * params.d)
+        else:
+            # mismatch = A*deg + (1 - 2A)*facing: facing where the player
+            # cooperates, deg - facing where they defect; Stag Hunt's D
+            # is deg less that
+            np.subtract(deg, on, out=on)
+            if params.kind is BaseGame.STAG_HUNT:
+                np.subtract(deg, off, out=off)
+                np.subtract(deg, on, out=on)
+    if not pd:
+        row *= params.d
+    row += spare
 
 
 @dataclass(frozen=True)

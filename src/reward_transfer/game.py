@@ -180,6 +180,27 @@ def deviation_pairs(table, target: ActionProfile,
     return split[:, action], split[:, 1 - action]
 
 
+# a pass over pair views whose runs are at most _SHORT_RUN values long,
+# and at least _MANY_RUNS in number, reads them column by column
+_SHORT_RUN = 4
+_MANY_RUNS = 256
+
+
+def _along_runs(*views) -> Iterable[tuple[np.ndarray, ...]]:
+    """Matching pieces of equally shaped 2-d [high, low] views, such as
+    ``deviation_pairs`` gives for one column, to pass over together: the
+    views themselves, or their columns when the runs (the low axis) are
+    short and many.  numpy makes the shortest-stride axis its inner
+    loop, which on runs of 1-4 values costs a step per pair; a column
+    runs along the long axis (player 1's gains at n = 16: 0.22 -> 0.03
+    ms), while a few hundred pairs cost less in one call.  The values
+    are the same either way, bit for bit."""
+    high, low = views[0].shape
+    if low > _SHORT_RUN or high < _MANY_RUNS:
+        return (views,)
+    return zip(*(view.T for view in views))
+
+
 def transferred_payoffs(table, entries) -> np.ndarray:
     """``table @ entries``, the rewards after transfer matrix
     ``entries``, in the same column-major layout as a game's payoffs.
@@ -205,7 +226,9 @@ def deviation_gains(table, target: ActionProfile) -> np.ndarray:
     gains = np.empty((target.n, 1 << (target.n - 1)))
     for i in range(target.n):
         keep, leave = deviation_pairs(table[:, i], target, i)
-        np.subtract(leave, keep, out=gains[i].reshape(keep.shape))
+        for k, l, out in _along_runs(keep, leave,
+                                    gains[i].reshape(keep.shape)):
+            np.subtract(l, k, out=out)
     return gains
 
 

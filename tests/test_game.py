@@ -12,7 +12,8 @@ from reward_transfer.game import (MUTUAL_CONDITION, TEMPTATION_CONDITION,
                                   WELFARE_CONDITION, ActionProfile,
                                   ConditionWitness, DilemmaKind, NormalFormGame,
                                   check_dominance, classify_dilemma,
-                                  coplayer_string, deviation_pairs,
+                                  coplayer_string, deviation_gains,
+                                  deviation_pairs,
                                   drop_bit, insert_bit, pure_nash_equilibria,
                                   social_optima)
 from reward_transfer import (BaseGame, BaseGameParams, FunctionalParams,
@@ -101,6 +102,23 @@ def test_deviation_indices_structure():
                 assert rows_d[mask] == rows_c[mask] | (1 << player)
                 assert (rows_c[mask] >> player) & 1 == 0
                 assert drop_bit(int(rows_c[mask]), player) == mask
+
+
+@pytest.mark.parametrize("n", [2, 5, 9, 10, 11, 12])
+def test_deviation_gains_are_the_indexed_pairs(n):
+    # players 0-2 pair their profiles in runs of 1-4 values and, from
+    # n = 9-11 on, are passed over run position by run position; each
+    # entry is still table[leave, i] - table[keep, i], bit for bit
+    rng = np.random.default_rng(n)
+    table = np.asfortranarray(rng.normal(size=(1 << n, n)))
+    target = ActionProfile(int(rng.integers(1 << n)), n)
+    gains = deviation_gains(table, target)
+    masks = np.arange(1 << (n - 1))
+    for i in range(n):
+        keep = insert_bit(masks, i, target.action(i))
+        leave = keep ^ (1 << i)
+        expected = table[leave, i] - table[keep, i]
+        assert gains[i].tobytes() == expected.tobytes(), i
 
 
 class TestNormalFormGame:

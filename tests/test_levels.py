@@ -1241,33 +1241,46 @@ class TestBindingConstraintsChecksSizes:
 
 
 class TestCrashedStart:
-    """A cold solve crashes each row sum of T onto its last entry, the
-    contract that pays everything to the last player.  When the target
-    is a social optimum every right-hand side is then >= 0, so the first
-    solve of a search takes no dual pivot; elsewhere the dual simplex
-    repairs the crashed basis."""
+    """A cold solve crashes each row sum of T onto its last variable,
+    which holds the row's diagonal entry, so every search starts from
+    the identity contract: nobody pays anyone.  That contract leaves a
+    dilemma's temptations in place, so the dual simplex repairs the
+    deviation rows it violates before the primal pass optimizes."""
 
     def test_dual_pivots_of_the_first_solve(self, monkeypatch):
-        taken = []
-        run = lp_module._run_dual_simplex
+        taken, rules = [], []
+        run, harris = lp_module._run_dual_simplex, lp_module._harris
 
         def counted(*args):
             outcome, pivots = run(*args)
             taken.append(pivots)
             return outcome, pivots
 
+        def recorded(values, pivots, rank, tol, bland):
+            rules.append(bland)
+            return harris(values, pivots, rank, tol, bland)
+
         monkeypatch.setattr(lp_module, "_run_dual_simplex", counted)
+        monkeypatch.setattr(lp_module, "_harris", recorded)
         rng = np.random.default_rng(21)
         games = [build_graphical(graph, BaseGameParams(base, 3.0, 1.0), n)
                  for graph in GraphKind for base in BaseGame for n in (3, 5)]
         games += [make_strict_dilemma(rng, n) for n in range(2, 6)]
-        for game in games:
+        for k, game in enumerate(games):
             taken.clear()
+            rules.clear()
             with warnings.catch_warnings():
                 # all-C is a social optimum of each, or this would raise
                 warnings.simplefilter("error")
-                general_level(game)
-            assert taken[0] == 0
+                result = general_level(game)
+            assert taken[0] > 0, k
+            assert rules and not any(rules), k
+            # variable j*n + i for T[j, i], whose crash put every row sum
+            # on the last player's entry, finds the same level
+            n = game.n
+            other = levels._search(game, None, np.arange(n * n).reshape(n, n),
+                                   force=False, tolerance=1e-9)
+            assert abs(result.level - other.level) <= 1e-12, k
         # one defector is optimal in too many cooks, so all-C is not
         taken.clear()
         with pytest.warns(UserWarning, match="not a social optimum"):
@@ -1277,10 +1290,10 @@ class TestCrashedStart:
 
     @pytest.mark.filterwarnings("ignore")
     def test_dual_pivots_of_the_fastpath_crash(self, monkeypatch):
-        # the fastpath's one row sum crashes onto a circulant
-        # permutation, which nothing makes feasible: on random tables a
-        # cyclic shift leaves unchanged, the dual simplex repairs it, and
-        # the search lands where the general one does
+        # the fastpath's one row sum crashes onto the diagonal's
+        # variable, the identity: on random tables a cyclic shift leaves
+        # unchanged, the dual simplex repairs it where it tempts, and the
+        # search lands where the general one does
         taken = []
         run = lp_module._run_dual_simplex
 
