@@ -23,14 +23,17 @@ the identity contract; the dual simplex then repairs the deviation rows
 that contract violates.
 
 ``symmetrical_level`` restricts contracts to the one-parameter family
-where everyone keeps s and splits the rest evenly.  Its optimum has a
-closed form (an interval intersection), taken in one pass over two
-arrays formed in place of the deviation gains and one buffer of the
-same size (half a payoff table each).  The same family is the map
-``1 - eye(n)`` through the LP, with the same levels and binding masks.
-On one Xeon core with one BLAS thread the LP took 2-4 times as long
-per search at n <= 6 (0.57-0.59 ms against 0.14-0.25 ms) and less at
-n = 14-16 (14.5 against 23.4 ms at n = 16); the closed form stays.
+where everyone keeps s and splits the rest evenly.  Each deviation's
+gain is affine in s, so the optimum has a closed form: the least upper
+bound on s, clamped to [0, 1], where every gain is then checked once.
+It takes one pass over two arrays formed in place of the deviation
+gains and one buffer of the same size (half a payoff table each).  The
+same family is the map ``1 - eye(n)`` through the LP, with the same
+levels and binding masks.  Timed in one process on a shared 2-vCPU
+host with one BLAS thread (graphical prisoner's dilemmas, best of 40
+runs, of 7 at n >= 14), the LP took 0.27-0.32 ms per search at n = 2-6
+against 0.08-0.11 ms, 1.7-1.8 against 1.3 ms at n = 14, and less at
+n = 16 (6.8-7.0 against 8.1-8.5 ms); the closed form stays.
 
 Deviation constraints number n * 2**(n-1), so they are generated
 lazily from the first solve on, whatever the game's size: solve on a
@@ -42,10 +45,12 @@ returns it with the binding set of that same scan.
 
 Every test a search makes reads its one ``tolerance``: the simplex, the
 dilemma gate and the social-optimum warning as it is, and every test on
-reward changes (a violation, a binding constraint, the symmetry check,
-the even split's interval) as value vs tolerance * s, where s is 1 +
-the largest reward change of any single deviation, decided through the
-game's one ``_Scale`` (game.py), as ``verify_resolution`` decides it.
+reward changes (a violation, a binding constraint, the symmetry check)
+as value vs tolerance * s, where s is 1 + the largest reward change of
+any single deviation, decided through the game's one ``_Scale``
+(game.py), as ``verify_resolution`` decides it.  The even split's
+bounds and verdict are fixed guards of exact arithmetic, decided the
+same way against 1e-12 * s.
 """
 
 from __future__ import annotations
@@ -177,64 +182,60 @@ def symmetrical_level(game: NormalFormGame,
     """Largest kept share s for which the even-split exchange contract
     resolves the game.
 
-    Each deviation constraint is linear in s, so each yields a one-sided
-    bound and the answer is the upper end of the feasible interval
-    intersected with [0, 1].  Raises NotResolvableError when the
-    interval is empty, or when some deviation pays the same under
-    every share.  ``tolerance`` is read as in ``general_level``.
+    Each deviation's gain is linear in s.  A gain that falls as s falls
+    bounds the share from above, and the answer is the least of those
+    bounds, clamped to [0, 1].  Every other gain only grows or stays as
+    s falls, so the contract at that share is the one to check: raises
+    NotResolvableError when a deviation still gains there, naming a
+    player whose gain is the same under every share (immune) when there
+    is one.  ``tolerance`` is read as in ``general_level``.
     """
     _check_tolerance(tolerance)
     target = _admit(game, target, force, tolerance)
     n = game.n
     table = game.payoffs
-    own = deviation_gains(table, target)
-    # what the others gain: the welfare change of each deviation, read
-    # as the gains of a table whose every column is the welfare
-    others = deviation_gains(
-        np.broadcast_to(game._welfare_column[:, None], table.shape), target)
-    others -= own
     scale = game._gain_scale
-
-    # s * own + (1 - s)/(n - 1) * others <= 0 reads s * coef <= base;
-    # both are formed in place of the gains they come from
-    base = np.divide(others, n - 1, out=others)
-    coef = np.subtract(own, base, out=own)
-    np.negative(base, out=base)
+    # the gain at share s, s * own + (1 - s)/(n - 1) * others, reads
+    # s * coef - base, with coef = own - others/(n - 1) and base =
+    # -others/(n - 1), both formed in place of the gains they come from;
+    # what the others gain is the welfare change of each deviation, read
+    # as the gains of a table whose every column is the welfare, less own
+    coef = deviation_gains(table, target)
+    base = deviation_gains(
+        np.broadcast_to(game._welfare_column[:, None], table.shape), target)
+    base -= coef
+    base /= 1 - n
+    coef += base
+    # the largest share is the least bound base / coef over the gains
+    # that fall with s, a plain min over a buffer that holds +inf off
+    # them (np.min(where=) on a mixed mask took 1.5-2.5 ms at n = 16);
+    # roundoff can leave it a few ulps below 0
     above = scale.decide(lambda s: coef > 1e-12 * s)
-    below = scale.decide(lambda s: coef < -1e-12 * s)
-    sloped = above | below
-    # a conjunction of tests is not monotone in the scale: decide each
-    immune = (~sloped & scale.decide(lambda s: base < -1e-12 * s)).any(axis=1)
-    if immune.any():
-        player = int(np.flatnonzero(immune)[0])
+    gain = np.full_like(coef, np.inf)
+    np.divide(base, coef, out=gain, where=above)
+    level = min(max(float(gain.min()), 0.0), 1.0)
+    # the gains at that share, in the same buffer
+    np.multiply(coef, level, out=gain)
+    gain -= base
+    peak = float(gain.max())
+    if scale.decide(lambda s: peak > 1e-12 * s):
+        tempted = scale.decide(lambda s: gain > 1e-12 * s)
+        flat = np.abs(coef, out=coef)
+        immune = tempted & scale.decide(lambda s: flat <= 1e-12 * s)
+        if immune.any():
+            player = int(np.nonzero(immune)[0][0])
+            raise NotResolvableError(
+                "deviation gains are immune to symmetrical transfers "
+                f"(player {player + 1}); no exchange share resolves {target}")
+        player = int(np.nonzero(tempted)[0][0])
         raise NotResolvableError(
-            "deviation gains are immune to symmetrical transfers "
-            f"(player {player + 1}); no exchange share resolves {target}")
-    # the least upper bound and the largest lower bound, each a plain
-    # min or max over one buffer that holds +inf, then -inf, off its
-    # mask (np.min(where=) on a mixed mask took 1.5-2.5 ms at n = 16)
-    ratio = np.empty_like(coef)
-    level, lo = 1.0, 0.0
-    if above.any():
-        ratio.fill(np.inf)
-        np.divide(base, coef, out=ratio, where=above)
-        level = min(float(ratio.min()), level)
-    if below.any():
-        ratio.fill(-np.inf)
-        np.divide(base, coef, out=ratio, where=below)
-        lo = max(float(ratio.max()), lo)
-    # freed, so that the binding test's masks do not come on top of it
-    del ratio
-    if scale.decide(lambda s: lo > level + 1e-12 * s):
-        raise NotResolvableError(
-            f"no exchange share makes {target} weakly dominant "
-            f"(feasible interval [{lo:.6g}, {level:.6g}] is empty)")
-    level = max(level, 0.0)  # roundoff can leave it a few ulps below 0
+            f"no exchange share makes {target} weakly dominant: player "
+            f"{player + 1} still gains at {level:.6g}, the largest share "
+            "the upper bounds allow (the feasible interval is empty)")
+    # freed, so that the binding test's masks do not come on top of them
+    del coef, base
 
     matrix = exchange_matrix(n, level)
-    # the gain after transfer, level * coef - base, in place of coef
-    gain = np.multiply(coef, level, out=coef)
-    gain -= base
     return SelfInterestResult(
         level=level,
         matrix=matrix,

@@ -2,7 +2,8 @@
 holds searches, verdicts, binding checks, stage-2 values,
 classifications and, for cli-solve, the digests of the written
 documents; it diffs clean against itself, one changed search or digest
-fails, and the diff counts what moved."""
+fails, and the diff counts what moved, a changed error message apart
+from a changed error type."""
 
 import json
 import subprocess
@@ -61,8 +62,8 @@ def test_sweep_small_recording_diffs_against_itself(tmp_path):
     # level and nothing else, and that is the largest change of level
     def row_after(key, entry):
         changed = json.loads(recording.read_text())
-        mode = {"general": "general", "general+excess": "excess"}[
-            changed["searches"][key]["search"]]
+        mode = {"general": "general", "general+excess": "excess",
+                "symmetric": "symmetric"}[changed["searches"][key]["search"]]
         changed["searches"][key] = entry
         path = tmp_path / "moved.json"
         path.write_text(json.dumps(changed))
@@ -76,11 +77,19 @@ def test_sweep_small_recording_diffs_against_itself(tmp_path):
     entry = json.loads(recording.read_text())["searches"][key]
     level = float.fromhex(entry["level"])
     assert row_after(key, dict(entry, level=float.hex(level + 1.0)))[2:] == \
-        ["1", "1", "0", "0", "0", "0", "1", "-"]
+        ["1", "1", "0", "0", "0", "0", "0", "1", "-"]
     # a search that raises where it returned moves every column but the
     # changes of value, which need a value on both sides
     assert row_after(key, {"search": "general", "error": "E",
-                           "message": "m"})[2:] == ["1"] * 6 + ["0", "-"]
+                           "message": "m"})[2:] == ["1"] * 7 + ["0", "-"]
+
+    # a refusal reworded under the same exception type moves the message
+    # column alone
+    key = sorted(k for k, entry in searches.items()
+                 if entry["search"] == "symmetric" and "error" in entry)[0]
+    entry = json.loads(recording.read_text())["searches"][key]
+    assert row_after(key, dict(entry, message=entry["message"] + "!"))[2:] \
+        == ["1"] + ["0"] * 5 + ["1", "0", "-"]
 
     # an excess search whose excess total alone moves by 0.5 counts no
     # moved column, and 0.5 is its mode's largest change of stage-2 value
@@ -88,7 +97,7 @@ def test_sweep_small_recording_diffs_against_itself(tmp_path):
     entry = json.loads(recording.read_text())["searches"][key]
     total = float.fromhex(entry["stage2"])
     assert row_after(key, dict(entry, stage2=float.hex(total + 0.5)))[2:] == \
-        ["1"] + ["0"] * 5 + ["0", "0.5"]
+        ["1"] + ["0"] * 6 + ["0", "0.5"]
 
 
 def test_cli_solve_recording_holds_document_digests(tmp_path):

@@ -103,7 +103,9 @@ class TestScale:
 # The searches' scaled tests, each as a (threshold, test) pair of
 # functions of the scale s: the test of a value v at scale s, and the
 # value on its threshold, written in the searches' own floating-point
-# form.  "empty" is symmetrical_level's lo > hi + tiny with hi = 0.25.
+# form.  "below", "immune-base" and "empty" (lo > hi + tiny with hi =
+# 0.25) are forms the even split once decided and no search runs now;
+# they stay as cases of a negative and of a shifted threshold.
 SCALED_TESTS = {
     "scan": (lambda s: 1e-9 * s, lambda v, s: v > 1e-9 * s),
     "immune-flat": (lambda s: 1e-12 * s, lambda v, s: np.abs(v) <= 1e-12 * s),
@@ -515,6 +517,61 @@ class TestTooManyCooks:
                                force=True)
         report = verify_resolution(tmc_game, result.matrix, result.target)
         assert report.weakly_dominant
+
+
+class TestEvenSplitAtItsLargestShare:
+    """The even split takes the least upper bound on the share and
+    checks the contract at that share: whatever it returns resolves the
+    game, and a refusal names a player who still gains there."""
+
+    def test_every_returned_contract_verifies(self):
+        rng = np.random.default_rng(29)
+        outcomes = []
+        for n in range(2, 7):
+            for _ in range(60):
+                game = NormalFormGame(rng.normal(size=(1 << n, n)))
+                target = ActionProfile(int(rng.integers(0, 1 << n)), n)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    try:
+                        result = symmetrical_level(game, target, force=True)
+                    except NotResolvableError:
+                        outcomes.append(False)
+                        continue
+                    report = verify_resolution(game, result.matrix,
+                                               result.target)
+                outcomes.append(True)
+                assert 0.0 <= result.level <= 1.0
+                assert report.weakly_dominant, (n, target, result.level)
+        assert 0 < sum(outcomes) < len(outcomes)
+
+    def test_bounds_that_meet_resolve_at_their_share(self):
+        # player 1 leaving CC gains 1 and costs player 2 one (s <= 1/2);
+        # leaving CD loses 1 and gives player 2 one (s >= 1/2), and player
+        # 2 leaving DC gains 2 and costs player 1 two (s <= 1/2); player 2
+        # leaving CC changes nothing, which binds at every share
+        rows = {"CC": [0.0, 0.0], "DC": [1.0, -1.0], "CD": [0.0, 0.0],
+                "DD": [-1.0, 1.0]}
+        table = np.empty((4, 2))
+        for profile, rewards in rows.items():
+            table[ActionProfile.from_string(profile).bits] = rewards
+        game = NormalFormGame(table)
+        result = symmetrical_level(game, force=True)
+        assert result.level == 0.5
+        assert verify_resolution(game, result.matrix).weakly_dominant
+        assert set(result.binding) == {(0, 0), (0, 1), (1, 0), (1, 1)}
+
+    def test_too_many_cooks_refusal_names_player_and_share(self, tmc_game):
+        # the two cooks' temptation to leave holds the share to s <= 0.2,
+        # while the defector's return to the kitchen needs s >= 0.6 or 1
+        # against three of its four co-profiles
+        with pytest.raises(NotResolvableError) as info:
+            symmetrical_level(tmc_game, ActionProfile.from_string("DCC"),
+                              force=True)
+        assert str(info.value) == (
+            "no exchange share makes DCC weakly dominant: player 1 still "
+            "gains at 0.2, the largest share the upper bounds allow (the "
+            "feasible interval is empty)")
 
 
 class TestFrozenRegressions:

@@ -23,7 +23,8 @@ stores the sha256 of ``dumps_game`` of each game, under the mode
 
 ``diff`` prints, per mode, how many entries are identical and how many
 differ; of those that differ and both recordings hold, how many moved
-their level, matrix, binding set, verdict or error; and the largest
+their level, matrix, binding set, verdict, error type or error message
+(so a reworded refusal reads apart from a changed one); and the largest
 |change| of the level and of the stage-2 value, over the entries that
 hold it on both sides.  It exits 1 on any difference, including an
 entry that only one recording holds.
@@ -55,10 +56,10 @@ from reward_transfer import (game as rt_game, levels, serialize,  # noqa: E402
 MODES = {"general": "general", "general+excess": "excess",
          "general+refine": "refine", "symmetric": "symmetric",
          "fastpath": "fastpath", "classify": "classify", "game": "game"}
-# the columns of ``diff`` that count what moved, by the entry fields
+# the columns of ``diff`` that count what moved, by the entry field
 # each one compares
-MOVED = {"level": ("level",), "matrix": ("matrix",), "binding": ("binding",),
-         "verdict": ("verified",), "error": ("error", "message")}
+MOVED = {"level": "level", "matrix": "matrix", "binding": "binding",
+         "verdict": "verified", "error": "error", "message": "message"}
 # the columns of ``diff`` that give the largest |change| of a value, by
 # the entry field that holds it
 SHIFTS = {"level": "max|dlevel|", "stage2": "max|dstage2|"}
@@ -152,10 +153,10 @@ def record(names, seeds) -> dict:
 
 def diff(first: dict, second: dict) -> int:
     """Print per-mode counts of identical and differing searches, of
-    the differing ones whose level, matrix, binding set, verdict or
-    error moved, and the largest |change| of the level and of the
-    stage-2 value; return the number of searches that differ or that
-    one side lacks."""
+    the differing ones whose level, matrix, binding set, verdict, error
+    type or error message moved, and the largest |change| of the level
+    and of the stage-2 value; return the number of searches that differ
+    or that one side lacks."""
     same, differ = Counter(), Counter()
     moved = {column: Counter() for column in MOVED}
     shift = {field: {} for field in SHIFTS}
@@ -173,8 +174,8 @@ def diff(first: dict, second: dict) -> int:
         differ[mode] += 1
         print(f"differs: {key}")
         if old and new:
-            for column, fields in MOVED.items():
-                if any(old.get(f) != new.get(f) for f in fields):
+            for column, field in MOVED.items():
+                if old.get(field) != new.get(field):
                     moved[column][mode] += 1
     print(f"{'mode':<10} {'identical':>9} {'differing':>9} "
           + " ".join(f"{column:>7}" for column in MOVED)
