@@ -13,6 +13,13 @@ check), and at n = 16 a row-major column walks all 8 MB with a stride of
 n floats.  Products with a transfer matrix go through
 ``transferred_payoffs``, which keeps that layout.
 
+The library's passes over deviation gains (classification, the even
+split, the lazy scan, the binding set, dominance and verification) read
+them through ``_gain_blocks``: a block of 2**13 profiles at a time, the
+product with a contract formed block by block, so that past 13 players
+no pass holds a whole transferred table or gains array, and every
+piece is the whole array's values bit for bit.
+
 A game is a social dilemma when three things hold at once:
 
 * cooperation raises group welfare: whenever any single player switches
@@ -201,14 +208,15 @@ def _along_runs(*views) -> Iterable[tuple[np.ndarray, ...]]:
     return zip(*(view.T for view in views))
 
 
-def transferred_payoffs(table, entries) -> np.ndarray:
+def transferred_payoffs(table, entries, out=None) -> np.ndarray:
     """``table @ entries``, the rewards after transfer matrix
     ``entries``, in the same column-major layout as a game's payoffs.
 
     It is formed player-major, as ``entries.T @ table.T``, so that each
-    player's rewards stay one contiguous run for the passes that follow.
+    player's rewards stay one contiguous run for the passes that follow;
+    ``out``, when given, is the (n, rows) C-contiguous array to form it in.
     """
-    return (entries.T @ table.T).T
+    return np.matmul(entries.T, table.T, out=out).T
 
 
 def deviation_gains(table, target: ActionProfile) -> np.ndarray:
@@ -221,15 +229,77 @@ def deviation_gains(table, target: ActionProfile) -> np.ndarray:
     pass read contiguous memory.  Entry [i, m] of the (n, 2**(n-1)) result is
     ``table[leave, i] - table[keep, i]`` for player i's pair of rows at
     co-profile mask m.  The target is weakly dominant exactly when no
-    entry is positive.
+    entry is positive.  The library's own passes read the same gains a
+    block at a time (``_gain_blocks``).
     """
     gains = np.empty((target.n, 1 << (target.n - 1)))
-    for i in range(target.n):
-        keep, leave = deviation_pairs(table[:, i], target, i)
-        for k, l, out in _along_runs(keep, leave,
-                                    gains[i].reshape(keep.shape)):
-            np.subtract(l, k, out=out)
-    return gains
+    return _pair_gains(table, target, range(target.n), gains)
+
+
+def _pair_gains(table, target, players, out) -> np.ndarray:
+    """``out[k]``: player ``players[k]``'s gains over the pairs of rows of
+    ``table`` (a whole table, a block of one, or a single column for a
+    lone player), ordered by the co-profile mask within it."""
+    for i, row in zip(players, out):
+        column = table[:, i] if table.ndim == 2 else table
+        keep, leave = deviation_pairs(column, target, i)
+        for k, l, o in _along_runs(keep, leave, row.reshape(keep.shape)):
+            np.subtract(l, k, out=o)
+    return out
+
+
+# the gain passes read a table 2**_BLOCK_BITS profiles (1 MB of a 16-player
+# table) at a time, so that at most one block of a transferred table and
+# its gains are alive at once; a game of up to _BLOCK_BITS players is one
+# block
+_BLOCK_BITS = 13
+
+
+def _gain_blocks(table, target: ActionProfile,
+                 entries=None) -> Iterator[tuple[slice, slice, np.ndarray]]:
+    """``deviation_gains`` of ``table``, or of ``transferred_payoffs(table,
+    entries)`` when ``entries`` is given, in pieces ``(players, masks,
+    gains)``: ``gains`` is the whole array's ``[players, masks]``, both
+    slices.  Profiles come 2**_BLOCK_BITS at a time, so the players of
+    the low bits pair rows within each block and give one piece per
+    block, masks ascending.  A top-bit player's pairs lie in two blocks;
+    the blocks' share of their columns is kept (the product is formed
+    once), and each of them comes last, as one piece of its own.  A
+    transferred block that is not finite raises the ValueError a game
+    made from it would.  Every piece is the whole array's values bit for
+    bit, and a game of up to _BLOCK_BITS players is one piece.
+
+    The pieces share their buffers, made once per pass rather than once
+    per block (a 16-player pass over a contract took 5.9 ms with fresh
+    buffers and 3.3 ms with these): a piece is valid until the next one
+    is asked for."""
+    n = target.n
+    low = min(n, _BLOCK_BITS)
+    size = 1 << low
+    gains = np.empty((low, size >> 1))
+    if entries is not None:
+        product = np.empty((n, size))
+        if n > low:
+            top = np.empty((n - low, 1 << n))
+    for start in range(0, 1 << n, size):
+        block = table[start:start + size]
+        if entries is not None:
+            block = transferred_payoffs(block, entries, out=product)
+            if not np.isfinite(block).all():
+                raise ValueError("payoffs must be finite")
+            if n > low:
+                top[:, start:start + size] = product[low:]
+        piece = _pair_gains(block, target, range(low), gains)
+        if start + size == 1 << n:
+            # the last block's product goes before its gains are read
+            block = product = None
+        yield slice(0, low), slice(start >> 1, (start + size) >> 1), piece
+    if n > low:
+        gains = np.empty((1, 1 << (n - 1)))
+    for i in range(low, n):
+        column = table[:, i] if entries is None else top[i - low]
+        yield (slice(i, i + 1), slice(0, 1 << (n - 1)),
+               _pair_gains(column, target, (i,), gains))
 
 
 def _scale(table) -> float:
@@ -270,7 +340,9 @@ class _Scale:
 
     def decide(self, test):
         at_lo, at_hi = test(self.lo), test(self.hi)
-        if np.array_equal(at_lo, at_hi):
+        # a scalar verdict is one of two bool singletons, which ``is``
+        # compares without np.array_equal's ~2.6 us
+        if at_lo is at_hi or np.array_equal(at_lo, at_hi):
             return at_hi
         self.lo = self.hi = _scale(self._table)
         return test(self.hi)
@@ -451,20 +523,35 @@ def _classify(game, tolerance) -> DilemmaClassification:
     # the welfare change of each switch from cooperating to defecting,
     # read as the gains of a table whose every column is the welfare;
     # the switch back fails to raise welfare by more than tolerance
-    # exactly where the change is at least -tolerance
+    # exactly where the change is at least -tolerance; the mask of every
+    # switch is made only once one fails
     welfare = np.broadcast_to(game._welfare_column[:, None], table.shape)
-    fails = deviation_gains(welfare, everyone_cooperates) >= -tolerance
-    tempted = deviation_gains(table, everyone_cooperates) > tolerance
-    untempted = tuple(np.flatnonzero(~tempted.any(axis=1)).tolist())
+    fails = None
+    for players, masks, gains in _gain_blocks(welfare, everyone_cooperates):
+        failed = gains >= -tolerance
+        if failed.any():
+            if fails is None:
+                fails = np.zeros((game.n, 1 << (game.n - 1)), dtype=bool)
+            fails[players, masks] = failed
+    # the welfare pass's buffer goes before the payoff pass forms its own
+    del gains, failed
+    # the players tempted somewhere, and whether all are, everywhere
+    tempted = np.zeros(game.n, dtype=bool)
+    everywhere = True
+    for players, _, gains in _gain_blocks(table, everyone_cooperates):
+        over = gains > tolerance
+        tempted[players] |= over.any(axis=1)
+        everywhere = everywhere and bool(over.all())
+    untempted = tuple(np.flatnonzero(~tempted).tolist())
     no_mutual_gain = tuple(
         np.flatnonzero(table[0] - table[-1] <= tolerance).tolist())
 
     welfare_fails = (tuple(row.tobytes() for row in fails)
-                     if fails.any() else ())
+                     if fails is not None else ())
     if welfare_fails or untempted or no_mutual_gain:
         return DilemmaClassification(DilemmaKind.NOT_DILEMMA, welfare_fails,
                                      untempted, no_mutual_gain)
-    if tempted.all():
+    if everywhere:
         return DilemmaClassification(DilemmaKind.STRICT)
     return DilemmaClassification(DilemmaKind.PARTIAL)
 
@@ -500,17 +587,29 @@ def check_dominance(game: NormalFormGame,
     return _dominance(game.payoffs, target, tolerance, game._gain_scale)
 
 
-def _dominance(table, target, tolerance, scale) -> DominanceReport:
-    """``check_dominance`` on the reward ``table``, deciding its tests
-    through ``scale``: both verdicts read the largest gain alone."""
-    gains = deviation_gains(table, target)
-    worst = float(gains.max())
+def _dominance(table, target, tolerance, scale,
+               entries=None) -> DominanceReport:
+    """``check_dominance`` on the reward ``table``, or on its product with
+    the transfer matrix ``entries`` when given, read piece by piece
+    (``_gain_blocks``) and deciding its tests through ``scale``: both
+    verdicts read the largest gain alone, and a piece's violations are
+    gathered only when its largest gain is one."""
+    worst = -math.inf
+    found = []
+    for players, masks, gains in _gain_blocks(table, target, entries):
+        peak = float(gains.max())
+        worst = max(worst, peak)
+        if not scale.decide(lambda s: peak <= tolerance * s):
+            rows, cols = np.nonzero(
+                scale.decide(lambda s: gains > tolerance * s))
+            found.append((rows + players.start, cols + masks.start,
+                          gains[rows, cols]))
     violations = ()
-    if not scale.decide(lambda s: worst <= tolerance * s):
-        players, masks = np.nonzero(
-            scale.decide(lambda s: gains > tolerance * s))
-        violations = tuple(zip(players.tolist(), masks.tolist(),
-                               gains[players, masks].tolist()))
+    if found:
+        players, masks, gaps = map(np.concatenate, zip(*found))
+        order = np.lexsort((masks, players))
+        violations = tuple(zip(players[order].tolist(),
+                               masks[order].tolist(), gaps[order].tolist()))
     strict = scale.decide(lambda s: worst < -tolerance * s)
     return DominanceReport(target, strict, not violations, violations)
 

@@ -26,22 +26,27 @@ that contract violates.
 where everyone keeps s and splits the rest evenly.  Each deviation's
 gain is affine in s, so the optimum has a closed form: the least upper
 bound on s, clamped to [0, 1], where every gain is then checked once.
-It takes one pass over two arrays formed in place of the deviation
-gains and one buffer of the same size (half a payoff table each).  The
-same family is the map ``1 - eye(n)`` through the LP, with the same
-levels and binding masks.  Timed in one process on a shared 2-vCPU
-host with one BLAS thread (graphical prisoner's dilemmas, best of 40
-runs, of 7 at n >= 14), the LP took 0.27-0.32 ms per search at n = 2-6
-against 0.08-0.11 ms, 1.7-1.8 against 1.3 ms at n = 14, and less at
-n = 16 (6.8-7.0 against 8.1-8.5 ms); the closed form stays.
+It reads the gains in the pieces of ``game._gain_blocks``: one pass
+takes the bound, a second the gains at that share, so past 13 players
+it forms its pieces twice rather than hold whole arrays.  The same
+family is the map ``1 - eye(n)`` through the LP, with the same levels
+and binding masks.  Timed in one process on a shared 2-vCPU host with
+one BLAS thread (circular prisoner's dilemmas, best of 40 runs, of 7 at
+n >= 14), the LP took 0.23-0.25 ms per search at n = 2-6 against
+0.07-0.09 ms, and less past 13 players (1.3 against 2.8 ms at n = 14,
+5.8 against 8.5 ms at n = 16); the closed form stays.
 
 Deviation constraints number n * 2**(n-1), so they are generated
 lazily from the first solve on, whatever the game's size: solve on a
 working set that starts from the two extreme co-profiles, read the
 contract off the solution, scan its every deviation for violations, add
-the worst offenders, repeat.  The relaxation optimum only ever
-over-estimates, so a violation-free contract is exact; the search
-returns it with the binding set of that same scan.
+the worst offenders, repeat.  The scan reads the contract's gains a
+block of profiles at a time (``game._gain_blocks``) and keeps each
+player's worst violations as it goes, so no transferred table or gains
+array is whole; the LP takes the rows as (player, mask) indices.  The
+relaxation optimum only ever over-estimates, so a violation-free
+contract is exact; the search returns it with the binding set of that
+same scan.
 
 Every test a search makes reads its one ``tolerance``: the simplex, the
 dilemma gate and the social-optimum warning as it is, and every test on
@@ -65,10 +70,11 @@ import numpy as np
 
 # nothing here calls social_optima; the name stays importable because
 # perfbench/spans.py re-binds it by name when it traces a run
-from .game import (ActionProfile, DilemmaClassification, DilemmaKind,  # noqa: F401
-                   NormalFormGame, _check_tolerance, _is_social_optimum,
-                   classify_dilemma, deviation_gains, deviation_pairs,
-                   insert_bit, social_optima, transferred_payoffs)
+from .game import (_BLOCK_BITS, ActionProfile,  # noqa: F401
+                   DilemmaClassification, DilemmaKind, NormalFormGame,
+                   _check_tolerance, _gain_blocks, _is_social_optimum,
+                   classify_dilemma, deviation_pairs, insert_bit,
+                   social_optima)
 from .lp import LinearProgram, LpStatus, solve_lp
 from .transfer import (ExcessReport, TransferMatrix, exchange_matrix,
                        excess_report)
@@ -193,68 +199,96 @@ def symmetrical_level(game: NormalFormGame,
     _check_tolerance(tolerance)
     target = _admit(game, target, force, tolerance)
     n = game.n
-    table = game.payoffs
     scale = game._gain_scale
-    # the gain at share s, s * own + (1 - s)/(n - 1) * others, reads
-    # s * coef - base, with coef = own - others/(n - 1) and base =
-    # -others/(n - 1), both formed in place of the gains they come from;
-    # what the others gain is the welfare change of each deviation, read
-    # as the gains of a table whose every column is the welfare, less own
-    coef = deviation_gains(table, target)
-    base = deviation_gains(
-        np.broadcast_to(game._welfare_column[:, None], table.shape), target)
-    base -= coef
-    base /= 1 - n
-    coef += base
+    # a game of one piece keeps it for the second pass; larger ones form
+    # their pieces again there, so that no gains array is ever whole
+    pieces = _even_split_pieces(game, target)
+    if n <= _BLOCK_BITS:
+        pieces = list(pieces)
     # the largest share is the least bound base / coef over the gains
     # that fall with s, a plain min over a buffer that holds +inf off
     # them (np.min(where=) on a mixed mask took 1.5-2.5 ms at n = 16);
     # roundoff can leave it a few ulps below 0
-    above = scale.decide(lambda s: coef > 1e-12 * s)
-    gain = np.full_like(coef, np.inf)
-    np.divide(base, coef, out=gain, where=above)
-    level = min(max(float(gain.min()), 0.0), 1.0)
-    # the gains at that share, in the same buffer
-    np.multiply(coef, level, out=gain)
-    gain -= base
-    peak = float(gain.max())
-    if scale.decide(lambda s: peak > 1e-12 * s):
-        tempted = scale.decide(lambda s: gain > 1e-12 * s)
-        flat = np.abs(coef, out=coef)
-        immune = tempted & scale.decide(lambda s: flat <= 1e-12 * s)
-        if immune.any():
-            player = int(np.nonzero(immune)[0][0])
-            raise NotResolvableError(
-                "deviation gains are immune to symmetrical transfers "
-                f"(player {player + 1}); no exchange share resolves {target}")
-        player = int(np.nonzero(tempted)[0][0])
+    bound = np.inf
+    for _, _, coef, base in pieces:
+        above = scale.decide(lambda s: coef > 1e-12 * s)
+        ratio = np.full_like(coef, np.inf)
+        np.divide(base, coef, out=ratio, where=above)
+        bound = min(bound, float(ratio.min()))
+    # the last piece's buffers go before the second pass forms its own
+    del coef, base, above, ratio
+    level = min(max(bound, 0.0), 1.0)
+    if n > _BLOCK_BITS:
+        pieces = _even_split_pieces(game, target)
+    # the gains at that share, piece by piece: the binding mask, and the
+    # lowest players still tempted there, and tempted though their gain
+    # is flat (the same under every share)
+    binding = np.empty((n, 1 << (n - 1)), dtype=bool)
+    tempted_player = immune_player = n
+    for players, masks, coef, base in pieces:
+        gain = np.multiply(coef, level)
+        gain -= base
+        peak = float(gain.max())
+        if scale.decide(lambda s: peak > 1e-12 * s):
+            tempted = scale.decide(lambda s: gain > 1e-12 * s)
+            flat = np.abs(coef, out=coef)
+            immune = tempted & scale.decide(lambda s: flat <= 1e-12 * s)
+            first = players.start
+            tempted_player = min(tempted_player,
+                                 first + int(np.nonzero(tempted)[0][0]))
+            if immune.any():
+                immune_player = min(immune_player,
+                                    first + int(np.nonzero(immune)[0][0]))
+        binding[players, masks] = _binding(gain, tolerance, scale)
+    if immune_player < n:
+        raise NotResolvableError(
+            "deviation gains are immune to symmetrical transfers (player "
+            f"{immune_player + 1}); no exchange share resolves {target}")
+    if tempted_player < n:
         raise NotResolvableError(
             f"no exchange share makes {target} weakly dominant: player "
-            f"{player + 1} still gains at {level:.6g}, the largest share "
-            "the upper bounds allow (the feasible interval is empty)")
-    # freed, so that the binding test's masks do not come on top of them
-    del coef, base
+            f"{tempted_player + 1} still gains at {level:.6g}, the largest "
+            "share the upper bounds allow (the feasible interval is empty)")
 
     matrix = exchange_matrix(n, level)
     return SelfInterestResult(
         level=level,
         matrix=matrix,
         target=target,
-        binding_mask=_binding(gain, tolerance, scale),
+        binding_mask=binding,
         excess=excess_report(matrix),
         mode=SolveMode.SYMMETRIC,
     )
 
 
-def _deviation_block(table, target, mask, var, width) -> np.ndarray:
-    """LP rows of the deviation constraints set in ``mask``, an (n,
-    2**(n-1)) boolean array, player by player and masks ascending.
+def _even_split_pieces(game, target):
+    """``(players, masks, coef, base)`` over the pieces of
+    ``_gain_blocks``: the gain of each deviation at kept share s, s * own
+    + (1 - s)/(n - 1) * others, reads s * coef - base, with coef = own -
+    others/(n - 1) and base = -others/(n - 1), both formed in place of
+    the gains they come from.  What the others gain is the welfare
+    change of each deviation, read as the gains of a table whose every
+    column is the welfare, less own."""
+    table = game.payoffs
+    welfare = np.broadcast_to(game._welfare_column[:, None], table.shape)
+    for (players, masks, coef), (_, _, base) in zip(
+            _gain_blocks(table, target), _gain_blocks(welfare, target)):
+        base -= coef
+        base /= 1 - game.n
+        coef += base
+        yield players, masks, coef, base
+
+
+def _deviation_block(table, target, players, masks, var,
+                     width) -> np.ndarray:
+    """LP rows of the deviation constraints of ``players[k]`` against
+    co-profile mask ``masks[k]``, in that order (``np.nonzero``'s of an
+    (n, 2**(n-1)) mask: player by player, masks ascending).
     Player i's row for mask m reads sum_j delta[m, j] * T[j, i] <= 0,
     with T[j, i] held by LP variable var[j, i]; delta is gathered from
     the payoff rows of the profiles where i keeps and leaves the target.
     Each coefficient is added onto its variable, so a variable that
     holds several entries of a column collects all of them."""
-    players, masks = np.nonzero(mask)
     keep = insert_bit(masks, players, (target.bits >> players) & 1)
     delta = table[keep ^ (1 << players)] - table[keep]
     at = np.arange(players.size)[:, None] * width + var[:, players].T
@@ -283,37 +317,78 @@ def _lazy_solve(lp, var, table, target, working, scale, tolerance,
             raise RuntimeError("level search reported unbounded; the level "
                                "is capped by construction, so this is a bug")
         matrix = _matrix_from_solution(sol.x[var], conserving)
-        gains = deviation_gains(transferred_payoffs(table, matrix.entries),
-                                target)
-        # the violation mask is built only when the largest gain is one;
-        # both tests are monotone in the scale, so they decide alike
-        peak = gains.max()
-        fresh = None
-        if scale.decide(lambda s: peak > tolerance * s):
-            fresh = scale.decide(lambda s: gains > tolerance * s) & ~working
-        if fresh is None or not fresh.any():
-            binding = _binding(gains, tolerance, scale)
+        fresh, binding = _scan(table, target, matrix.entries, working, scale,
+                               tolerance)
+        if fresh is None:
             return lp, sol, matrix, binding
-        # each player keeps their worst violations, ties to the lower mask
-        for i in np.flatnonzero(fresh.sum(axis=1) > _ROWS_PER_ROUND):
-            picked = np.flatnonzero(fresh[i])
-            order = np.argsort(-gains[i, picked], kind="stable")
-            fresh[i, picked[order[_ROWS_PER_ROUND:]]] = False
-        # the next round's product is formed without this round's gains
-        del gains
-        working |= fresh
-        rows = _deviation_block(table, target, fresh, var, lp.n_variables)
+        players, masks = fresh
+        working[players, masks] = True
+        rows = _deviation_block(table, target, players, masks, var,
+                                lp.n_variables)
         lp = LinearProgram(lp.objective, a_ub=np.vstack([lp.a_ub, rows]),
                            b_ub=np.concatenate([lp.b_ub, np.zeros(len(rows))]),
                            a_eq=lp.a_eq, b_eq=lp.b_eq)
     raise RuntimeError("constraint generation did not converge")
 
 
-def _level_lp(table, target, var, working, allow_excess) -> LinearProgram:
+def _scan(table, target, entries, working, scale, tolerance):
+    """One scan of contract ``entries``' every deviation gain, piece by
+    piece (``_gain_blocks``), each test decided through ``scale``.
+    Returns ``((players, masks), None)``: the violations missing from
+    ``working``, each player's worst ``_ROWS_PER_ROUND`` in
+    ``np.nonzero`` order; or ``(None, binding)`` when there are none,
+    with the binding mask of the same gains, which stops being filled
+    once a missing violation shows."""
+    binding = np.empty(working.shape, dtype=bool)
+    worst = None
+    for players, masks, gains in _gain_blocks(table, target, entries):
+        # the violation mask is built only when the largest gain is one;
+        # both tests are monotone in the scale, so they decide alike
+        peak = gains.max()
+        if scale.decide(lambda s: peak > tolerance * s):
+            fresh = (scale.decide(lambda s: gains > tolerance * s)
+                     & ~working[players, masks])
+            # each player keeps their worst in the piece, ties to the
+            # lower mask, before any index is taken
+            for row in np.flatnonzero(fresh.sum(axis=1) > _ROWS_PER_ROUND):
+                picked = np.flatnonzero(fresh[row])
+                order = np.argsort(-gains[row, picked], kind="stable")
+                fresh[row, picked[order[_ROWS_PER_ROUND:]]] = False
+            rows, cols = np.nonzero(fresh)
+            if rows.size:
+                found = (rows + players.start, cols + masks.start,
+                         gains[rows, cols])
+                worst = found if worst is None else _worst_per_player(
+                    *map(np.concatenate, zip(worst, found)))
+        if worst is None:
+            binding[players, masks] = _binding(gains, tolerance, scale)
+    if worst is None:
+        return None, binding
+    players, masks, _ = worst
+    order = np.lexsort((masks, players))
+    return (players[order], masks[order]), None
+
+
+def _worst_per_player(players, masks, gains):
+    """The ``_ROWS_PER_ROUND`` largest gains of each player, ties to the
+    entry that comes first, which is the lower mask: a player's masks
+    ascend along the input (the worst kept so far, then a later
+    piece's).  Returned by player, then gain descending."""
+    order = np.lexsort((-gains, players))
+    players = players[order]
+    keep = (np.arange(players.size)
+            - np.searchsorted(players, players) < _ROWS_PER_ROUND)
+    order = order[keep]
+    return players[keep], masks[order], gains[order]
+
+
+def _level_lp(table, target, var, players, masks,
+              allow_excess) -> LinearProgram:
     """The level LP over the entries of T (T[j, i] is variable
-    var[j, i]) and the level z (the last variable), with the working
-    deviation rows: z is below every diagonal variable, and each row of
-    T sums to one (at most one with ``allow_excess``)."""
+    var[j, i]) and the level z (the last variable), with the deviation
+    rows of ``players`` against ``masks`` (``_deviation_block``): z is
+    below every diagonal variable, and each row of T sums to one (at
+    most one with ``allow_excess``)."""
     nv = int(var.max()) + 2
     # a map that shares variables repeats diagonal variables and rows of
     # T; each distinct one gets one row, in sorted order, and a row sum
@@ -332,7 +407,8 @@ def _level_lp(table, target, var, working, allow_excess) -> LinearProgram:
     c[-1] = 1.0
 
     rows = np.vstack([level_rows,
-                      _deviation_block(table, target, working, var, nv)])
+                      _deviation_block(table, target, players, masks,
+                                       var, nv)])
     b_ub = np.zeros(len(rows))
     if allow_excess:
         return LinearProgram(c, a_ub=np.vstack([rows, row_sums]),
@@ -369,12 +445,16 @@ def _search(game, target, var, *, force, tolerance,
     scale = game._gain_scale
     # every player's working set starts from the two extreme co-profiles:
     # all co-players cooperate, all defect
-    working = np.zeros((game.n, 1 << (game.n - 1)), dtype=bool)
+    n = game.n
+    working = np.zeros((n, 1 << (n - 1)), dtype=bool)
     working[:, [0, -1]] = True
+    # the same rows as indices, each player's against mask 0 and the last
+    players = np.arange(2 * n) >> 1
+    masks = (np.arange(2 * n) & 1) * ((1 << (n - 1)) - 1)
 
-    solved = _lazy_solve(_level_lp(table, target, var, working, allow_excess),
-                         var, table, target, working, scale, tolerance,
-                         not allow_excess)
+    solved = _lazy_solve(
+        _level_lp(table, target, var, players, masks, allow_excess),
+        var, table, target, working, scale, tolerance, not allow_excess)
     if solved is None:
         raise NotResolvableError(
             f"no transfer contract makes {target} weakly dominant")
@@ -525,6 +605,8 @@ def binding_constraints(game: NormalFormGame,
     _check_tolerance(tolerance)
     if result.matrix.n != game.n or result.target.n != game.n:
         raise ValueError("result size does not match the game")
-    gains = deviation_gains(
-        transferred_payoffs(game.payoffs, result.matrix.entries), result.target)
-    return _mask_pairs(_binding(gains, tolerance, game._gain_scale))
+    binding = np.empty((game.n, 1 << (game.n - 1)), dtype=bool)
+    for players, masks, gains in _gain_blocks(
+            game.payoffs, result.target, result.matrix.entries):
+        binding[players, masks] = _binding(gains, tolerance, game._gain_scale)
+    return _mask_pairs(binding)

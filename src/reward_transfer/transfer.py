@@ -7,7 +7,9 @@ diagonal is what each player keeps.  Rows may sum to less than one
 rewards are the matrix product ``r @ T``: column j collects j's shares
 of everyone's reward.  For a whole payoff table that product is
 ``game.transferred_payoffs``, which keeps the table's column-major
-layout.
+layout.  ``apply_transfers`` forms it whole, as a new game;
+``verify_resolution`` never does: it reads the product a block of
+profiles at a time (``game._gain_blocks``).
 """
 
 from __future__ import annotations
@@ -153,12 +155,15 @@ def verify_resolution(game: NormalFormGame,
                       tolerance: float = 1e-9) -> DominanceReport:
     """Does the contract make the target profile weakly dominant?
 
-    Checks dominance in the transformed game as ``check_dominance`` does,
-    against tolerance * s with s the scale the searches read: the
-    original game's.  The target defaults to all-cooperate.  A target
-    that is not a social optimum of the original game (``tolerance``
-    unscaled) is warned about, since enforcing it pins the group to
-    suboptimal welfare.
+    Checks dominance under the contract as ``check_dominance`` does on
+    the transformed game, against tolerance * s with s the scale the
+    searches read: the original game's.  The transformed game is never
+    built: its rewards are formed and checked a block of profiles at a
+    time, and rewards that overflow raise the ValueError
+    ``apply_transfers`` would.  The target defaults to all-cooperate.
+    A target that is not a social optimum of the original game
+    (``tolerance`` unscaled) is warned about, since enforcing it pins
+    the group to suboptimal welfare.
     """
     _check_tolerance(tolerance)
     if target is None:
@@ -169,5 +174,7 @@ def verify_resolution(game: NormalFormGame,
         warnings.warn(
             f"target {target} is not a social optimum of the game",
             UserWarning, stacklevel=2)
-    transformed = apply_transfers(game, matrix)
-    return _dominance(transformed.payoffs, target, tolerance, game._gain_scale)
+    if matrix.n != game.n:
+        raise ValueError("matrix size does not match the game")
+    return _dominance(game.payoffs, target, tolerance, game._gain_scale,
+                      matrix.entries)

@@ -15,7 +15,7 @@ from reward_transfer.game import (MUTUAL_CONDITION, TEMPTATION_CONDITION,
                                   coplayer_string, deviation_gains,
                                   deviation_pairs,
                                   drop_bit, insert_bit, pure_nash_equilibria,
-                                  social_optima)
+                                  social_optima, transferred_payoffs)
 from reward_transfer import (BaseGame, BaseGameParams, FunctionalParams,
                              GraphKind, TransferMatrix, apply_transfers,
                              build_functional, build_graphical, dumps_game,
@@ -119,6 +119,88 @@ def test_deviation_gains_are_the_indexed_pairs(n):
         leave = keep ^ (1 << i)
         expected = table[leave, i] - table[keep, i]
         assert gains[i].tobytes() == expected.tobytes(), i
+
+
+def _reassembled(table, target, entries=None):
+    """The pieces of ``_gain_blocks`` written into one (n, 2**(n-1))
+    array, each entry exactly once."""
+    n = target.n
+    whole = np.full((n, 1 << (n - 1)), np.nan)
+    written = np.zeros(whole.shape, dtype=int)
+    for players, masks, gains in game_module._gain_blocks(table, target,
+                                                          entries):
+        whole[players, masks] = gains
+        written[players, masks] += 1
+    assert (written == 1).all()
+    return whole
+
+
+def _contracts(rng, n):
+    """A dense conserving contract, a sparse one (each row keeps its
+    diagonal and a few other shares) and one that burns reward."""
+    dense = rng.uniform(size=(n, n))
+    dense /= dense.sum(axis=1, keepdims=True)
+    sparse = np.where(rng.uniform(size=(n, n)) < 2.0 / n,
+                      rng.uniform(size=(n, n)), 0.0)
+    np.fill_diagonal(sparse, rng.uniform(0.2, 1.0, size=n))
+    sparse /= sparse.sum(axis=1, keepdims=True)
+    burning = dense * rng.uniform(0.2, 0.9, size=(n, 1))
+    return {"dense": dense, "sparse": sparse, "burning": burning}
+
+
+class TestGainBlocks:
+    """The gain passes read a table, or its product with a contract, a
+    block of 2**13 profiles at a time; put back together, the pieces
+    are the whole arrays bit for bit."""
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_pieces_are_the_whole_gains_bit_for_bit(self, n):
+        rng = np.random.default_rng(30 + n)
+        table = np.asfortranarray(
+            rng.normal(size=(1 << n, n)) * rng.uniform(0.1, 50.0, size=n))
+        for _ in range(2):
+            target = ActionProfile(int(rng.integers(1 << n)), n)
+            expected = deviation_gains(table, target)
+            assert _reassembled(table, target).tobytes() == expected.tobytes()
+            for kind, entries in _contracts(rng, n).items():
+                expected = deviation_gains(transferred_payoffs(table, entries),
+                                           target)
+                got = _reassembled(table, target, entries)
+                assert got.tobytes() == expected.tobytes(), kind
+
+    @pytest.mark.parametrize("n, pieces", [(2, 1), (13, 1), (14, 3), (16, 11)])
+    def test_a_game_of_up_to_13_players_is_one_piece(self, n, pieces):
+        # past 13 players: one piece per block of the low-bit players,
+        # then one per top-bit player
+        table = np.zeros((1 << n, n), order="F")
+        target = ActionProfile.all_cooperate(n)
+        shapes = [gains.shape for _, _, gains in
+                  game_module._gain_blocks(table, target, np.eye(n))]
+        assert len(shapes) == pieces
+        low = min(n, 13)
+        assert shapes[0] == (low, 1 << (low - 1))
+        assert shapes[pieces - 1] == (
+            (n, 1 << (n - 1)) if n <= 13 else (1, 1 << (n - 1)))
+
+    @pytest.mark.parametrize("n, profile", [(3, 5), (14, 5), (14, 12345)])
+    def test_an_overflowing_product_raises_verify_resolutions_error(
+            self, n, profile):
+        # every share of the first column comes from every player, so the
+        # profile where each earns 1e308 sums past the largest double;
+        # profile 12345 lies in the second block of a 14-player table
+        table = np.zeros((1 << n, n))
+        table[profile] = 1e308
+        game = NormalFormGame(table)
+        shares = np.zeros((n, n))
+        shares[:, 0] = 1.0
+        matrix = TransferMatrix(shares)
+        target = ActionProfile.all_cooperate(n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(ValueError, match="^payoffs must be finite$"):
+                verify_resolution(game, matrix, target)
+            with pytest.raises(ValueError, match="^payoffs must be finite$"):
+                apply_transfers(game, matrix)
 
 
 class TestNormalFormGame:

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from reward_transfer import (ActionProfile, DilemmaKind, NormalFormGame,
                              NotADilemmaError, NotResolvableError, SolveMode,
                              TransferMatrix, apply_transfers, classify_dilemma,
-                             deviation_deltas, exchange_matrix, general_level,
+                             deviation_deltas, exchange_matrix, excess_report,
+                             general_level,
                              general_level_symmetric_fastpath,
                              symmetrical_level, verify_resolution)
 from reward_transfer import game as game_module, levels, lp as lp_module
@@ -22,7 +23,7 @@ from reward_transfer.dilemmas import (BaseGame, BaseGameParams,
                                       build_functional, build_graphical,
                                       scaled_prisoners_dilemma, too_many_cooks)
 from reward_transfer.game import (deviation_gains, deviation_pairs,
-                                  transferred_payoffs)
+                                  insert_bit, transferred_payoffs)
 from reward_transfer.levels import binding_constraints
 from reward_transfer.transfer import conservation_check
 
@@ -926,8 +927,8 @@ class TestRowBuilders:
         width = int(var.max()) + 2
         for _ in range(3):
             game, target, mask = _random_block_case(rng, n)
-            rows = levels._deviation_block(game.payoffs, target, mask, var,
-                                           width)
+            rows = levels._deviation_block(game.payoffs, target,
+                                           *np.nonzero(mask), var, width)
             reference = _per_player_block(game.payoffs, target, mask, var,
                                           width)
             assert rows.tobytes() == reference.tobytes()
@@ -940,8 +941,8 @@ class TestRowBuilders:
         for var in maps:
             width = int(var.max()) + 2
             game, target, mask = _random_block_case(rng, n)
-            rows = levels._deviation_block(game.payoffs, target, mask, var,
-                                           width)
+            rows = levels._deviation_block(game.payoffs, target,
+                                           *np.nonzero(mask), var, width)
             expected = []
             for i in range(n):
                 spread = np.zeros((n, width))
@@ -960,7 +961,8 @@ class TestRowBuilders:
         working = np.zeros((n, 1 << (n - 1)), dtype=bool)
         working[:, [0, -1]] = True
         lp = levels._level_lp(game.payoffs, ActionProfile.all_cooperate(n),
-                              _even_split_map(n), working, allow_excess)
+                              _even_split_map(n), *np.nonzero(working),
+                              allow_excess)
         # v0 + (n - 1) v1 = 1 (at most 1 with excess); z is not in it
         row = lp.a_ub[-1] if allow_excess else lp.a_eq[0]
         assert row.tolist() == [1.0, n - 1.0, 0.0]
@@ -1082,14 +1084,15 @@ class TestFactsOncePerGame:
             self, monkeypatch):
         game = build_graphical(GraphKind.CYCLICAL, PD, 4)
         calls = []
-        gains = game_module.deviation_gains
+        gains = game_module._gain_blocks
 
         def counted(*args):
             calls.append(args)
             return gains(*args)
 
-        # classify_dilemma reads the gains through the game module
-        monkeypatch.setattr(game_module, "deviation_gains", counted)
+        # classify_dilemma reads the gains through the game module, one
+        # pass over the welfare and one over the payoffs
+        monkeypatch.setattr(game_module, "_gain_blocks", counted)
         classify_dilemma(game)
         assert len(calls) == 2
         self.every_search(game)
@@ -1245,26 +1248,28 @@ _PRODUCT_CASES = (
 
 @pytest.mark.filterwarnings("ignore")
 class TestOneProductPerSolve:
-    """A search forms the transferred table once for each optimal solve,
+    """A search forms the transferred table once for each optimal solve
+    (a block at a time, in one pass of ``_gain_blocks`` over the contract),
     to scan the contract read off it, and takes the returned matrix and
     binding mask from the last scan: no product follows it."""
 
     @pytest.mark.parametrize("build, search", _PRODUCT_CASES)
     def test_one_product_per_optimal_solve(self, monkeypatch, build, search):
         events = []
-        solve_lp, product = levels.solve_lp, levels.transferred_payoffs
+        solve_lp, blocks = levels.solve_lp, levels._gain_blocks
 
         def counted_solve(*args, **kwargs):
             solution = solve_lp(*args, **kwargs)
             events.append(solution.status.value)
             return solution
 
-        def counted_product(*args):
-            events.append("product")
-            return product(*args)
+        def counted_product(table, target, entries=None):
+            if entries is not None:
+                events.append("product")
+            return blocks(table, target, entries)
 
         monkeypatch.setattr(levels, "solve_lp", counted_solve)
-        monkeypatch.setattr(levels, "transferred_payoffs", counted_product)
+        monkeypatch.setattr(levels, "_gain_blocks", counted_product)
         try:
             search(build())
         except NotResolvableError:
@@ -1443,3 +1448,170 @@ class TestRelabelling:
             entries[np.ix_(perm, perm)] = first.matrix.entries
             assert verify_resolution(renamed, TransferMatrix(entries),
                                      result.target).weakly_dominant
+
+
+# the passes as they read whole arrays before they went by blocks of
+# profiles: the references the blocked passes must equal bit for bit
+
+def _whole_scan(table, target, entries, working, scale, tolerance=1e-9):
+    gains = deviation_gains(transferred_payoffs(table, entries), target)
+    fresh = scale.decide(lambda s: gains > tolerance * s) & ~working
+    if not fresh.any():
+        return None, scale.decide(lambda s: np.abs(gains) <= tolerance * s)
+    for i in np.flatnonzero(fresh.sum(axis=1) > levels._ROWS_PER_ROUND):
+        picked = np.flatnonzero(fresh[i])
+        order = np.argsort(-gains[i, picked], kind="stable")
+        fresh[i, picked[order[levels._ROWS_PER_ROUND:]]] = False
+    return np.nonzero(fresh), None
+
+
+def _whole_even_split(game, target, tolerance=1e-9):
+    """(level, binding mask, refusal): the refusal is None, or the
+    message's words and the player it names."""
+    n = game.n
+    table = game.payoffs
+    scale = game._gain_scale
+    coef = deviation_gains(table, target)
+    base = deviation_gains(
+        np.broadcast_to(game._welfare_column[:, None], table.shape), target)
+    base -= coef
+    base /= 1 - n
+    coef += base
+    above = scale.decide(lambda s: coef > 1e-12 * s)
+    gain = np.full_like(coef, np.inf)
+    np.divide(base, coef, out=gain, where=above)
+    level = min(max(float(gain.min()), 0.0), 1.0)
+    np.multiply(coef, level, out=gain)
+    gain -= base
+    tempted = scale.decide(lambda s: gain > 1e-12 * s)
+    refusal = None
+    if tempted.any():
+        immune = tempted & scale.decide(lambda s: np.abs(coef) <= 1e-12 * s)
+        refusal = ((r"immune to symmetrical transfers \(player {}\)",
+                    np.nonzero(immune)[0][0]) if immune.any() else
+                   ("player {} still gains", np.nonzero(tempted)[0][0]))
+    return (level, scale.decide(lambda s: np.abs(gain) <= tolerance * s),
+            refusal)
+
+
+def _tied_game(rng, n):
+    """Payoffs of 0, 1 and 2 only: many deviations gain exactly as much."""
+    return NormalFormGame(rng.integers(0, 3, size=(1 << n, n)).astype(float))
+
+
+@pytest.mark.filterwarnings("ignore")
+class TestBlockedPassesEqualWholeArrays:
+    """Past 13 players every gain pass reads pieces (``_gain_blocks``):
+    the scan, the even split, the binding set and the dominance check
+    must come out as the whole-array passes did."""
+
+    @pytest.mark.parametrize("n", [5, 14, 15])
+    def test_scan_keeps_the_whole_arrays_rows(self, n):
+        rng = np.random.default_rng(300 + n)
+        for _ in range(3):
+            game = _tied_game(rng, n)
+            target = ActionProfile(int(rng.integers(1 << n)), n)
+            entries = _random_contract(rng, n)
+            working = rng.uniform(size=(n, 1 << (n - 1))) < 0.3
+            scale = game._gain_scale
+            (players, masks), binding = levels._scan(
+                game.payoffs, target, entries, working.copy(), scale, 1e-9)
+            expected, _ = _whole_scan(game.payoffs, target, entries, working,
+                                      scale)
+            assert binding is None
+            assert players.tolist() == expected[0].tolist()
+            assert masks.tolist() == expected[1].tolist()
+            # with every violation already in the working set, the scan
+            # gives the binding mask instead
+            working[:] = True
+            fresh, binding = levels._scan(game.payoffs, target, entries,
+                                          working, scale, 1e-9)
+            assert fresh is None
+            _, expected = _whole_scan(game.payoffs, target, entries, working,
+                                      scale)
+            assert binding.any() and np.array_equal(binding, expected)
+
+    def test_scan_keeps_the_eight_lowest_of_ties_across_blocks(self):
+        # player 1 (of 14) gains 1 against twelve masks, six in each of
+        # the two blocks, player 14 (a top-bit player, one piece of its
+        # own) against ten, and player 2 gains 2 once, in the second
+        # block, and 1 against nine lower masks
+        n = 14
+        table = np.zeros((1 << n, n))
+        target = ActionProfile.all_cooperate(n)
+
+        def tempt(player, masks, gain=1.0):
+            for mask in masks:
+                table[insert_bit(mask, player, 1), player] = gain
+
+        tied = list(range(4090, 4102))
+        tempt(0, tied)
+        top = [3, 500, 4000, 4100, 6000, 7000, 7001, 8000, 8190, 8191]
+        tempt(13, top)
+        tempt(1, range(100, 109))
+        tempt(1, [5000], 2.0)
+        game = NormalFormGame(table)
+        working = np.zeros((n, 1 << (n - 1)), dtype=bool)
+        (players, masks), binding = levels._scan(
+            game.payoffs, target, np.eye(n), working, game._gain_scale, 1e-9)
+        assert binding is None
+        picked = {int(i): masks[players == i].tolist() for i in set(players)}
+        assert picked == {0: tied[:8], 1: list(range(100, 107)) + [5000],
+                          13: top[:8]}
+        assert players.tolist() == sorted(players.tolist())
+
+    @pytest.mark.parametrize("n", [14, 15])
+    def test_even_split_level_and_binding_set(self, n):
+        rng = np.random.default_rng(400 + n)
+        games = [build_graphical(graph, BaseGameParams(kind, 3.05, 0.98), n)
+                 for graph, kind in [(GraphKind.CIRCULAR, BaseGame.PRISONERS_DILEMMA),
+                                     (GraphKind.TYCOON, BaseGame.CHICKEN),
+                                     (GraphKind.SYMMETRICAL, BaseGame.STAG_HUNT)]]
+        games.append(_tied_game(rng, n))
+        for game in games:
+            target = ActionProfile.all_cooperate(n)
+            level, binding, refusal = _whole_even_split(game, target)
+            if refusal is not None:
+                words, player = refusal
+                with pytest.raises(NotResolvableError,
+                                   match=words.format(player + 1)):
+                    symmetrical_level(game, force=True)
+                continue
+            result = symmetrical_level(game, force=True)
+            assert result.level == level
+            assert np.array_equal(result.binding_mask, binding)
+
+    @pytest.mark.parametrize("n", [14, 15])
+    def test_binding_and_dominance_on_contracts(self, n):
+        rng = np.random.default_rng(500 + n)
+        game = pool_dilemma(14, 0) if n == 14 else _tied_game(rng, n)
+        target = ActionProfile(int(rng.integers(1 << n)), n)
+        scale = game._gain_scale
+        for _ in range(2):
+            entries = _random_contract(rng, n)
+            matrix = TransferMatrix(entries)
+            gains = deviation_gains(transferred_payoffs(game.payoffs, entries),
+                                    target)
+            report = verify_resolution(game, matrix, target)
+            players, masks = np.nonzero(
+                scale.decide(lambda s: gains > 1e-9 * s))
+            assert report.violations == tuple(zip(
+                players.tolist(), masks.tolist(),
+                gains[players, masks].tolist()))
+            assert report.strictly_dominant == scale.decide(
+                lambda s: float(gains.max()) < -1e-9 * s)
+            result = levels.SelfInterestResult(
+                level=matrix.min_retained(), matrix=matrix, target=target,
+                binding_mask=np.zeros(gains.shape, dtype=bool),
+                excess=excess_report(matrix), mode=SolveMode.GENERAL)
+            expected = scale.decide(lambda s: np.abs(gains) <= 1e-9 * s)
+            assert binding_constraints(game, result) == list(
+                zip(*map(np.ndarray.tolist, np.nonzero(expected))))
+
+
+def _random_contract(rng, n):
+    """Each player keeps half and hands half to another: on payoffs of
+    0, 1 and 2 the gains are exact halves, so many tie and many are 0."""
+    entries = np.eye(n) / 2
+    entries[np.arange(n), (np.arange(n) + rng.integers(1, n, size=n)) % n] += 0.5
+    return entries
