@@ -15,10 +15,12 @@ n floats.  Products with a transfer matrix go through
 
 The library's passes over deviation gains (classification, the even
 split, the lazy scan, the binding set, dominance and verification) read
-them through ``_gain_blocks``: a block of 2**13 profiles at a time, the
-product with a contract formed block by block, so that past 13 players
-no pass holds a whole transferred table or gains array, and every
-piece is the whole array's values bit for bit.
+them through ``_gain_blocks``, in pieces that are the whole array's
+values bit for bit and hold at most a block's gains (a block is 2**13
+profiles).  A pass over a contract forms the product block by block, so
+that past 13 players no pass holds a whole transferred table or gains
+array; a pass without one reads whole player columns, a few players to
+a piece.  Each pass reads its table once.
 
 A game is a social dilemma when three things hold at once:
 
@@ -32,11 +34,13 @@ A game is a social dilemma when three things hold at once:
 ``classify_dilemma`` checks these conditions and reports witnesses for
 the ones that fail.
 
-A game is immutable, so its facts are computed on first use (never at
-construction) and kept: its welfare column, its classification at each
-tolerance and its reward scale s (``_Scale``), which every tolerance
-test on a deviation gain reads as value vs tolerance * s.  None refers
-back to the game, so a game is freed as soon as its last reference goes.
+A game is immutable, so its facts are computed on first use and kept:
+its welfare column, its classification at each tolerance and its
+reward scale s (``_Scale``), which every tolerance test on a deviation
+gain reads as value vs tolerance * s.  Construction only checks the
+table, through each column's max and min, and keeps their widest gap,
+the scale's upper bound.  None refers back to the game, so a game is
+freed as soon as its last reference goes.
 """
 
 from __future__ import annotations
@@ -248,11 +252,13 @@ def _pair_gains(table, target, players, out) -> np.ndarray:
     return out
 
 
-# the gain passes read a table 2**_BLOCK_BITS profiles (1 MB of a 16-player
-# table) at a time, so that at most one block of a transferred table and
-# its gains are alive at once; a game of up to _BLOCK_BITS players is one
-# block
+# the gain passes over a contract read a table 2**_BLOCK_BITS profiles (1 MB
+# of a 16-player table) at a time, so that at most one block of a
+# transferred table and its gains are alive at once; a game of up to
+# _BLOCK_BITS players is one block.  A piece of any pass holds at most
+# one block's gains, _PIECE_VALUES values
 _BLOCK_BITS = 13
+_PIECE_VALUES = _BLOCK_BITS << (_BLOCK_BITS - 1)
 
 
 def _gain_blocks(table, target: ActionProfile,
@@ -260,36 +266,62 @@ def _gain_blocks(table, target: ActionProfile,
     """``deviation_gains`` of ``table``, or of ``transferred_payoffs(table,
     entries)`` when ``entries`` is given, in pieces ``(players, masks,
     gains)``: ``gains`` is the whole array's ``[players, masks]``, both
-    slices.  Profiles come 2**_BLOCK_BITS at a time, so the players of
-    the low bits pair rows within each block and give one piece per
-    block, masks ascending.  A top-bit player's pairs lie in two blocks;
-    the blocks' share of their columns is kept (the product is formed
-    once), and each of them comes last, as one piece of its own.  A
-    transferred block that is not finite raises the ValueError a game
-    made from it would.  Every piece is the whole array's values bit for
-    bit, and a game of up to _BLOCK_BITS players is one piece.
+    slices.  Every piece is the whole array's values bit for bit, holds
+    at most _PIECE_VALUES of them or one player's column, and a game of
+    up to _BLOCK_BITS players is one piece.
+
+    Without a contract there is no product to save, so the pieces are
+    whole player columns, as many players to a piece as fit (6, 3 and 1
+    at n = 14, 15 and 16): a column's runs are as long as the table
+    allows, where blocks would pay numpy's set-up once per (player,
+    block) (at n = 16, 535 against 839 us a pass).  With a contract the
+    product is formed 2**_BLOCK_BITS profiles at a time
+    (``_product_pieces``).
 
     The pieces share their buffers, made once per pass rather than once
-    per block (a 16-player pass over a contract took 5.9 ms with fresh
+    per piece (a 16-player pass over a contract took 5.9 ms with fresh
     buffers and 3.3 ms with these): a piece is valid until the next one
     is asked for."""
+    if entries is None:
+        return _column_pieces(table, target)
+    return _product_pieces(table, target, entries)
+
+
+def _column_pieces(table, target):
+    """``_gain_blocks`` without a contract: whole columns, players
+    ascending."""
+    n = target.n
+    width = 1 << (n - 1)
+    per_piece = max(1, _PIECE_VALUES // width)
+    gains = np.empty((min(n, per_piece), width))
+    for first in range(0, n, per_piece):
+        players = range(first, min(n, first + per_piece))
+        yield (slice(first, players.stop), slice(0, width),
+               _pair_gains(table, target, players, gains[:len(players)]))
+
+
+def _product_pieces(table, target, entries):
+    """``_gain_blocks`` over a contract.  The players of the low bits
+    pair rows within each block and give one piece per block, masks
+    ascending.  A top-bit player's pairs lie in two blocks; the blocks'
+    share of their columns is kept (the product is formed once), and
+    each of them comes last, as one piece of its own.  A transferred
+    reward that is not finite raises the ValueError a game made from
+    it would (``_check_finite``)."""
     n = target.n
     low = min(n, _BLOCK_BITS)
     size = 1 << low
     gains = np.empty((low, size >> 1))
-    if entries is not None:
-        product = np.empty((n, size))
-        if n > low:
-            top = np.empty((n - low, 1 << n))
+    product = np.empty((n, size))
+    if n > low:
+        top = np.empty((n - low, 1 << n))
     for start in range(0, 1 << n, size):
-        block = table[start:start + size]
-        if entries is not None:
-            block = transferred_payoffs(block, entries, out=product)
-            if not np.isfinite(block).all():
-                raise ValueError("payoffs must be finite")
-            if n > low:
-                top[:, start:start + size] = product[low:]
+        block = transferred_payoffs(table[start:start + size], entries,
+                                    out=product)
+        if n > low:
+            top[:, start:start + size] = product[low:]
         piece = _pair_gains(block, target, range(low), gains)
+        _check_finite(piece, block[:, :low])
         if start + size == 1 << n:
             # the last block's product goes before its gains are read
             block = product = None
@@ -297,9 +329,20 @@ def _gain_blocks(table, target: ActionProfile,
     if n > low:
         gains = np.empty((1, 1 << (n - 1)))
     for i in range(low, n):
-        column = table[:, i] if entries is None else top[i - low]
-        yield (slice(i, i + 1), slice(0, 1 << (n - 1)),
-               _pair_gains(column, target, (i,), gains))
+        piece = _pair_gains(top[i - low], target, (i,), gains)
+        _check_finite(piece, top[i - low])
+        yield slice(i, i + 1), slice(0, 1 << (n - 1)), piece
+
+
+def _check_finite(gains, rewards) -> None:
+    """Raise the ValueError a game would if ``rewards``, whose every
+    value lies in one of the pairs of ``gains``, holds one that is not
+    finite.  Such a value makes its gain NaN or infinite, which reaches
+    the gains' max or min, so the rewards are read only then (a finite
+    difference can also overflow)."""
+    if not (math.isfinite(gains.max()) and math.isfinite(gains.min())) \
+            and not np.isfinite(rewards).all():
+        raise ValueError("payoffs must be finite")
 
 
 def _scale(table) -> float:
@@ -324,19 +367,20 @@ def _scale(table) -> float:
 
 class _Scale:
     """Bounds [lo, hi] on ``_scale(table)`` that decide scaled tolerance
-    tests without its O(n**2 * 2**n) pass: lo = 1 <= _scale(table) <= 1 +
-    the widest column range holds bit for bit, as every one-bit
-    difference lies within its column's range and rounding is monotone.
+    tests without its O(n**2 * 2**n) pass: lo = 1 <= _scale(table) <= hi
+    = 1 + the widest column range (the game's, found with its finite
+    check) holds bit for bit, as every one-bit difference lies within
+    its column's range and rounding is monotone.
     ``decide(test)`` evaluates a test monotone in the scale (element by
     element for an array) at both bounds: where they agree, that is the
     exact scale's answer.  Otherwise it runs ``_scale`` once, collapses
     both bounds onto it and evaluates the test there.  It holds the
     table, not the game: no reference cycle."""
 
-    def __init__(self, table):
+    def __init__(self, table, hi):
         self._table = table
         self.lo = 1.0
-        self.hi = 1.0 + float(np.ptp(table, axis=0).max())
+        self.hi = hi
 
     def decide(self, test):
         at_lo, at_hi = test(self.lo), test(self.hi)
@@ -382,24 +426,38 @@ class NormalFormGame:
         if n_profiles != 1 << n:
             raise ValueError(
                 f"expected {1 << n} profiles for {n} players, got {n_profiles}")
-        if not np.isfinite(table).all():
+        # one pass for each extreme of every column: NaN and infinities
+        # reach one of them, and the widest gap between them (infinite
+        # when it overflows) is the upper bound of the reward scale
+        highest, lowest = table.max(axis=0), table.min(axis=0)
+        if not (np.isfinite(highest).all() and np.isfinite(lowest).all()):
             raise ValueError("payoffs must be finite")
         table.setflags(write=False)
         self._table = table
+        with np.errstate(over="ignore"):
+            self._widest_range = float((highest - lowest).max())
         self.n = n
         self._classified = {}
 
     @functools.cached_property
     def _welfare_column(self) -> np.ndarray:
-        """Group welfare at every profile (the row sums), read-only."""
-        sums = self._table.sum(axis=1)
+        """Group welfare at every profile (the row sums), read-only.
+        Raises ValueError when a sum overflows: every test on welfare
+        would then compare infinities and NaNs, which pass."""
+        with np.errstate(over="ignore"):
+            sums = self._table.sum(axis=1)
+        if not np.isfinite(sums).all():
+            bits = int(np.flatnonzero(~np.isfinite(sums))[0])
+            raise ValueError(
+                "group welfare overflows: the rewards at profile "
+                f"{ActionProfile(bits, self.n)} sum past the largest float")
         sums.setflags(write=False)
         return sums
 
     @functools.cached_property
     def _gain_scale(self) -> _Scale:
         """The ``_Scale`` of every tolerance test on a one-bit reward change."""
-        return _Scale(self._table)
+        return _Scale(self._table, 1.0 + self._widest_range)
 
     @property
     def payoffs(self) -> np.ndarray:
@@ -528,20 +586,19 @@ def _classify(game, tolerance) -> DilemmaClassification:
     welfare = np.broadcast_to(game._welfare_column[:, None], table.shape)
     fails = None
     for players, masks, gains in _gain_blocks(welfare, everyone_cooperates):
-        failed = gains >= -tolerance
-        if failed.any():
+        if gains.max() >= -tolerance:
             if fails is None:
                 fails = np.zeros((game.n, 1 << (game.n - 1)), dtype=bool)
-            fails[players, masks] = failed
+            fails[players, masks] = gains >= -tolerance
     # the welfare pass's buffer goes before the payoff pass forms its own
-    del gains, failed
-    # the players tempted somewhere, and whether all are, everywhere
+    del gains
+    # the players tempted somewhere, and whether all are, everywhere:
+    # each piece's extremes decide, with no mask of the gains
     tempted = np.zeros(game.n, dtype=bool)
     everywhere = True
     for players, _, gains in _gain_blocks(table, everyone_cooperates):
-        over = gains > tolerance
-        tempted[players] |= over.any(axis=1)
-        everywhere = everywhere and bool(over.all())
+        tempted[players] |= gains.max(axis=1) > tolerance
+        everywhere = everywhere and bool(gains.min() > tolerance)
     untempted = tuple(np.flatnonzero(~tempted).tolist())
     no_mutual_gain = tuple(
         np.flatnonzero(table[0] - table[-1] <= tolerance).tolist())

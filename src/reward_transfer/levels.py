@@ -43,8 +43,10 @@ contract off the solution, scan its every deviation for violations, add
 the worst offenders, repeat.  The scan reads the contract's gains a
 block of profiles at a time (``game._gain_blocks``) and keeps each
 player's worst violations as it goes, so no transferred table or gains
-array is whole; the LP takes the rows as (player, mask) indices.  The
-relaxation optimum only ever over-estimates, so a violation-free
+array is whole.  It picks them in linear time (``np.partition``) among
+the gains above the scale's lower bound, and only the kept ones are
+decided against the scale.  The LP takes the rows as (player, mask)
+indices.  The relaxation optimum only ever over-estimates, so a violation-free
 contract is exact; the search returns it with the binding set of that
 same scan.
 
@@ -338,26 +340,31 @@ def _scan(table, target, entries, working, scale, tolerance):
     ``working``, each player's worst ``_ROWS_PER_ROUND`` in
     ``np.nonzero`` order; or ``(None, binding)`` when there are none,
     with the binding mask of the same gains, which stops being filled
-    once a missing violation shows."""
+    once a missing violation shows.
+
+    The candidates are the missing gains above tolerance times the
+    scale's lower bound, a superset of the violations.  Each player
+    keeps their worst ``_ROWS_PER_ROUND`` candidates in the piece, ties
+    to the lower mask, by a linear pick (``_largest``), and only the
+    kept ones are decided through ``scale``.  A candidate that is no
+    violation ranks below every violation, so the kept violations are
+    each player's worst."""
     binding = np.empty(working.shape, dtype=bool)
     worst = None
     for players, masks, gains in _gain_blocks(table, target, entries):
-        # the violation mask is built only when the largest gain is one;
-        # both tests are monotone in the scale, so they decide alike
-        peak = gains.max()
-        if scale.decide(lambda s: peak > tolerance * s):
-            fresh = (scale.decide(lambda s: gains > tolerance * s)
-                     & ~working[players, masks])
-            # each player keeps their worst in the piece, ties to the
-            # lower mask, before any index is taken
+        bound = tolerance * scale.lo
+        if gains.max() > bound:
+            fresh = (gains > bound) & ~working[players, masks]
             for row in np.flatnonzero(fresh.sum(axis=1) > _ROWS_PER_ROUND):
                 picked = np.flatnonzero(fresh[row])
-                order = np.argsort(-gains[row, picked], kind="stable")
-                fresh[row, picked[order[_ROWS_PER_ROUND:]]] = False
+                fresh[row, picked] = _largest(gains[row, picked],
+                                              _ROWS_PER_ROUND)
             rows, cols = np.nonzero(fresh)
-            if rows.size:
-                found = (rows + players.start, cols + masks.start,
-                         gains[rows, cols])
+            values = gains[rows, cols]
+            kept = scale.decide(lambda s: values > tolerance * s)
+            if kept.any():
+                found = (rows[kept] + players.start, cols[kept] + masks.start,
+                         values[kept])
                 worst = found if worst is None else _worst_per_player(
                     *map(np.concatenate, zip(worst, found)))
         if worst is None:
@@ -367,6 +374,19 @@ def _scan(table, target, entries, working, scale, tolerance):
     players, masks, _ = worst
     order = np.lexsort((masks, players))
     return (players[order], masks[order]), None
+
+
+def _largest(values, count) -> np.ndarray:
+    """The mask of the ``count`` largest ``values``, ties to the lower
+    index: every value above the count-th largest, which
+    ``np.partition`` finds in linear time, then the first of those equal
+    to it."""
+    cut = values.size - count
+    nth = np.partition(values, cut)[cut]
+    keep = values > nth
+    tied = np.flatnonzero(values == nth)
+    keep[tied[:count - np.count_nonzero(keep)]] = True
+    return keep
 
 
 def _worst_per_player(players, masks, gains):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reward_transfer import game as game_module
+from reward_transfer import game as game_module, levels
 from reward_transfer.game import (MUTUAL_CONDITION, TEMPTATION_CONDITION,
                                   _is_social_optimum,
                                   WELFARE_CONDITION, ActionProfile,
@@ -19,7 +19,8 @@ from reward_transfer.game import (MUTUAL_CONDITION, TEMPTATION_CONDITION,
 from reward_transfer import (BaseGame, BaseGameParams, FunctionalParams,
                              GraphKind, TransferMatrix, apply_transfers,
                              build_functional, build_graphical, dumps_game,
-                             parse_game, scaled_prisoners_dilemma,
+                             NotResolvableError, parse_game,
+                             scaled_prisoners_dilemma, symmetrical_level,
                              too_many_cooks, verify_resolution)
 
 
@@ -149,9 +150,9 @@ def _contracts(rng, n):
 
 
 class TestGainBlocks:
-    """The gain passes read a table, or its product with a contract, a
-    block of 2**13 profiles at a time; put back together, the pieces
-    are the whole arrays bit for bit."""
+    """The gain passes read a table's whole player columns, or its
+    product with a contract a block of 2**13 profiles at a time; put
+    back together, the pieces are the whole arrays bit for bit."""
 
     @pytest.mark.parametrize("n", range(2, 17))
     def test_pieces_are_the_whole_gains_bit_for_bit(self, n):
@@ -162,11 +163,31 @@ class TestGainBlocks:
             target = ActionProfile(int(rng.integers(1 << n)), n)
             expected = deviation_gains(table, target)
             assert _reassembled(table, target).tobytes() == expected.tobytes()
+            # the welfare column broadcast over the players, as the
+            # classification and the even split read it
+            welfare = np.broadcast_to(table.sum(axis=1)[:, None], table.shape)
+            expected = deviation_gains(welfare, target)
+            assert _reassembled(welfare, target).tobytes() == expected.tobytes()
             for kind, entries in _contracts(rng, n).items():
                 expected = deviation_gains(transferred_payoffs(table, entries),
                                            target)
                 got = _reassembled(table, target, entries)
                 assert got.tobytes() == expected.tobytes(), kind
+
+    @pytest.mark.parametrize("n, sizes", [
+        (2, [2]), (13, [13]), (14, [6, 6, 2]), (15, [3] * 5), (16, [1] * 16)])
+    def test_without_a_contract_pieces_are_whole_columns(self, n, sizes):
+        # as many players to a piece as fit in one block's gains
+        table = np.zeros((1 << n, n), order="F")
+        target = ActionProfile.all_cooperate(n)
+        pieces = [(players, masks, gains.shape) for players, masks, gains in
+                  game_module._gain_blocks(table, target)]
+        assert [p.stop - p.start for p, _, _ in pieces] == sizes
+        assert [p.start for p, _, _ in pieces] == np.cumsum([0] + sizes[:-1]).tolist()
+        for players, masks, shape in pieces:
+            assert masks == slice(0, 1 << (n - 1))
+            assert shape == (players.stop - players.start, 1 << (n - 1))
+            assert shape[0] * shape[1] <= 13 << 12
 
     @pytest.mark.parametrize("n, pieces", [(2, 1), (13, 1), (14, 3), (16, 11)])
     def test_a_game_of_up_to_13_players_is_one_piece(self, n, pieces):
@@ -182,17 +203,21 @@ class TestGainBlocks:
         assert shapes[pieces - 1] == (
             (n, 1 << (n - 1)) if n <= 13 else (1, 1 << (n - 1)))
 
-    @pytest.mark.parametrize("n, profile", [(3, 5), (14, 5), (14, 12345)])
+    @pytest.mark.parametrize("n, profile, column", [
+        (3, 5, 0), (14, 5, 0), (14, 12345, 0), (14, 12345, 13)])
     def test_an_overflowing_product_raises_verify_resolutions_error(
-            self, n, profile):
-        # every share of the first column comes from every player, so the
-        # profile where each earns 1e308 sums past the largest double;
-        # profile 12345 lies in the second block of a 14-player table
+            self, n, profile, column):
+        # at one profile the players earn +-1e308 by turns, so its
+        # welfare stays finite, and ``column`` collects every positive
+        # one, which sums past the largest double; profile 12345 lies in
+        # the second block of a 14-player table, and player 14 is a
+        # top-bit player, whose gains come last
         table = np.zeros((1 << n, n))
-        table[profile] = 1e308
+        table[profile] = 1e308 * (-1.0) ** np.arange(n)
         game = NormalFormGame(table)
+        assert np.isfinite(game._welfare_column).all()
         shares = np.zeros((n, n))
-        shares[:, 0] = 1.0
+        shares[::2, column] = 1.0
         matrix = TransferMatrix(shares)
         target = ActionProfile.all_cooperate(n)
         with warnings.catch_warnings():
@@ -203,6 +228,83 @@ class TestGainBlocks:
                 apply_transfers(game, matrix)
 
 
+def _cut_and_reordered(order):
+    """A stand-in for ``_gain_blocks`` whose pieces without a contract
+    come cut to one player and half of their masks each, copied, in the
+    order ``order(count)`` gives them.  It depends only on the count, so
+    the two passes the even split zips arrive alike."""
+    whole = game_module._gain_blocks
+
+    def cut(table, target, entries=None):
+        if entries is not None:
+            return whole(table, target, entries)
+        pieces = []
+        for players, masks, gains in whole(table, target):
+            half = max(1, (masks.stop - masks.start) // 2)
+            for row, player in enumerate(range(players.start, players.stop)):
+                for first in range(0, masks.stop - masks.start, half):
+                    pieces.append((
+                        slice(player, player + 1),
+                        slice(masks.start + first, masks.start + first + half),
+                        gains[row:row + 1, first:first + half].copy()))
+        return iter([pieces[k] for k in order(len(pieces))])
+    return cut
+
+
+def _even_split_outcome(game):
+    try:
+        result = symmetrical_level(game, force=True)
+    except NotResolvableError as exc:
+        return str(exc)
+    return result.level, result.binding_mask.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore")
+class TestPieceOrder:
+    """Classification, the even split and the dominance check give the
+    same answers whichever order, and in whatever cuts, the pieces of a
+    pass without a contract arrive."""
+
+    ORDERS = {
+        "reversed": lambda count: range(count - 1, -1, -1),
+        "shuffled": lambda count: np.random.default_rng(count).permutation(count),
+    }
+
+    @pytest.mark.parametrize("order", sorted(ORDERS))
+    @pytest.mark.parametrize("n", [2, 5, 14])
+    def test_answers_do_not_depend_on_the_order(self, n, order, monkeypatch):
+        rng = np.random.default_rng(800 + n)
+        tables = [
+            build_graphical(GraphKind.CIRCULAR,
+                            BaseGameParams(BaseGame.PRISONERS_DILEMMA, 3.0, 1.0),
+                            n).payoffs,
+            build_graphical(GraphKind.SYMMETRICAL,
+                            BaseGameParams(BaseGame.CHICKEN, 3.05, 0.98),
+                            n).payoffs,
+            rng.integers(0, 3, size=(1 << n, n)).astype(float),
+        ]
+        targets = [ActionProfile.all_cooperate(n),
+                   ActionProfile(int(rng.integers(1 << n)), n)]
+
+        def answers():
+            found = []
+            for table in tables:
+                found.append(game_module._classify(NormalFormGame(table), 1e-9))
+                found.append(_even_split_outcome(NormalFormGame(table)))
+                found += [check_dominance(NormalFormGame(table), target)
+                          for target in targets]
+            return found
+
+        expected = answers()
+        cut = _cut_and_reordered(self.ORDERS[order])
+        monkeypatch.setattr(game_module, "_gain_blocks", cut)
+        monkeypatch.setattr(levels, "_gain_blocks", cut)
+        assert answers() == expected
+        # the verdicts are not all alike
+        kinds = {answer.kind for answer in expected[::4]}
+        assert DilemmaKind.NOT_DILEMMA in kinds and len(kinds) > 1
+
+
 class TestNormalFormGame:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -211,6 +313,17 @@ class TestNormalFormGame:
             NormalFormGame([[1.0], [2.0]])  # single player
         with pytest.raises(ValueError):
             NormalFormGame(np.full((4, 2), np.nan))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_one_value_that_is_not_finite_is_refused(self, value):
+        # the check reads each column's max and min, which NaN and the
+        # infinities reach wherever they sit
+        table = np.random.default_rng(1).normal(size=(32, 5))
+        for profile, player in [(0, 0), (17, 2), (31, 4)]:
+            spoiled = table.copy()
+            spoiled[profile, player] = value
+            with pytest.raises(ValueError, match="^payoffs must be finite$"):
+                NormalFormGame(spoiled)
 
     def test_players_have_no_labels(self, pd_game):
         with pytest.raises(TypeError):

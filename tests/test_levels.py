@@ -122,6 +122,11 @@ def _refuse_exact_scale(game):
     raise AssertionError("the exact scale was computed")
 
 
+def _fresh_bounds(game):
+    """A ``_Scale`` of the game's table that has decided nothing yet."""
+    return NormalFormGame(game.payoffs)._gain_scale
+
+
 class TestScaleBounds:
     """``_Scale`` decides scaled tests from [1, 1 + widest column range]
     and falls back to ``_scale`` only between them; every decision must
@@ -132,15 +137,17 @@ class TestScaleBounds:
         rng = np.random.default_rng(100 + n)
         for game in (_random_magnitude_game(rng, n),
                      build_graphical(GraphKind.CIRCULAR, PD, n)):
-            bounds = game_module._Scale(game.payoffs)
+            bounds = _fresh_bounds(game)
             assert bounds.lo <= game_module._scale(game.payoffs) <= bounds.hi
+            # the game's column extremes give the widest range bit for bit
+            assert bounds.hi == 1.0 + float(np.ptp(game.payoffs, axis=0).max())
 
     @pytest.mark.parametrize("name", sorted(SCALED_TESTS))
     def test_planted_values_decide_as_the_exact_scale(self, name, monkeypatch):
         threshold, test = SCALED_TESTS[name]
         game = build_graphical(GraphKind.CIRCULAR, PD, 6)
         exact = game_module._scale(game.payoffs)
-        bounds = game_module._Scale(game.payoffs)
+        bounds = _fresh_bounds(game)
         lo, hi = bounds.lo, bounds.hi
         assert lo < exact < hi
         # thresholds at scales in (lo, hi], and at scales outside it
@@ -153,13 +160,13 @@ class TestScaleBounds:
                                       for v in inside + outside
                                       for side in (-np.inf, np.inf)]
         for v in planted + [np.array(planted)]:
-            decided = game_module._Scale(game.payoffs).decide(
+            decided = _fresh_bounds(game).decide(
                 lambda s: test(v, s))
             assert np.array_equal(decided, test(v, exact))
 
         # the values outside the band never need the exact pass
         monkeypatch.setattr(game_module, "_scale", _refuse_exact_scale)
-        bounds = game_module._Scale(game.payoffs)
+        bounds = _fresh_bounds(game)
         for v in outside + [np.array(outside)]:
             assert np.array_equal(bounds.decide(lambda s: test(v, s)),
                                   test(v, exact))
@@ -170,7 +177,7 @@ class TestScaleBounds:
         calls = []
         monkeypatch.setattr(game_module, "_scale",
                             lambda g: calls.append(g) or exact)
-        bounds = game_module._Scale(game.payoffs)
+        bounds = _fresh_bounds(game)
         between = 1e-9 * (1.0 + exact) / 2
         assert bounds.decide(lambda s: between > 1e-9 * s) == \
             (between > 1e-9 * exact)
@@ -197,8 +204,8 @@ class TestScaleBounds:
 class _ExactScale(game_module._Scale):
     """The bounds collapsed onto the exact scale from the start."""
 
-    def __init__(self, table):
-        super().__init__(table)
+    def __init__(self, table, hi):
+        super().__init__(table, hi)
         self.lo = self.hi = game_module._scale(table)
 
 
@@ -266,11 +273,12 @@ class TestScaleFilterDifferential:
         self.fallbacks(monkeypatch, games, _EVERY_SEARCH)
 
     def test_random_strict_dilemmas(self, monkeypatch):
-        # pool dilemma n = 11, k = 1 leaves a gain between the bounds'
-        # thresholds after its first solve, so its searches fall back
+        # at 1e7 times its stakes, pool dilemma n = 4's binding tests
+        # fall between the bounds' thresholds, so its searches fall back
         rng = np.random.default_rng(11)
         games = [make_strict_dilemma(rng, n) for n in (2, 3, 4, 5, 6) * 2]
         games += [pool_dilemma(n) for n in range(3, 11)] + [pool_dilemma(11, 1)]
+        games.append(NormalFormGame(1e7 * pool_dilemma(4).payoffs))
         assert self.fallbacks(monkeypatch, games,
                               (_GENERAL, _EXCESS, _SYMMETRIC)) >= 1
 
@@ -1020,6 +1028,37 @@ class TestForcedSearchSkipsTheGate:
             assert info.value.classification == classification
 
 
+# a finite prisoner's dilemma whose welfare at CC overflows: read through
+# NaN comparisons it classified as strict, and the even split returned
+# share 1, whose contract verification rejects
+OVERFLOWING_PD = np.array([[3.0, 3.0], [5.0, 0.0], [0.0, 5.0], [1.0, 1.0]]) \
+    * (1.7e308 / 5)
+
+
+@pytest.mark.filterwarnings("ignore")
+class TestWelfareOverflow:
+    def test_the_welfare_fact_names_the_overflow(self):
+        game = NormalFormGame(OVERFLOWING_PD)
+        with pytest.raises(ValueError, match="group welfare overflows: the "
+                           "rewards at profile CC sum past the largest float"):
+            classify_dilemma(game)
+
+    @pytest.mark.parametrize("search", [
+        symmetrical_level, general_level, *_EVERY_SEARCH, _FASTPATH])
+    def test_every_search_raises_or_returns_a_contract_that_verifies(
+            self, search):
+        game = NormalFormGame(OVERFLOWING_PD)
+        try:
+            result = search(game)
+        except (ValueError, NotResolvableError) as exc:
+            # the welfare is read by the dilemma gate or, when forced,
+            # by the social-optimum warning, so every search raises here
+            assert "group welfare overflows" in str(exc)
+            return
+        assert verify_resolution(game, result.matrix,
+                                 result.target).weakly_dominant
+
+
 @pytest.mark.filterwarnings("ignore")
 class TestVerifyReadsTheSearchScale:
     """``verify_resolution`` decides gains against tolerance * s with the
@@ -1045,9 +1084,9 @@ class TestVerifyReadsTheSearchScale:
         made = []
 
         class Counted(game_module._Scale):
-            def __init__(self, table):
+            def __init__(self, table, hi):
                 made.append(table)
-                super().__init__(table)
+                super().__init__(table, hi)
 
         monkeypatch.setattr(game_module, "_Scale", Counted)
         game = pool_dilemma(11, 1)
@@ -1099,12 +1138,12 @@ class TestFactsOncePerGame:
         assert len(calls) == 2
 
     def test_every_search_shares_one_scale(self, monkeypatch):
-        # this dilemma's searches fall between the scale bounds
+        # this dilemma's binding tests fall between the scale bounds
         calls = []
         exact = game_module._scale
         monkeypatch.setattr(game_module, "_scale",
                             lambda table: calls.append(table) or exact(table))
-        game = pool_dilemma(11, 1)
+        game = NormalFormGame(1e7 * pool_dilemma(4).payoffs)
         bounds = game._gain_scale
         general_level(game)
         result = general_level(game, allow_excess=True)
@@ -1607,6 +1646,72 @@ class TestBlockedPassesEqualWholeArrays:
             expected = scale.decide(lambda s: np.abs(gains) <= 1e-9 * s)
             assert binding_constraints(game, result) == list(
                 zip(*map(np.ndarray.tolist, np.nonzero(expected))))
+
+
+def _table_of_gains(gains, target):
+    """A table whose deviation gains at ``target`` are ``gains``: each
+    player earns 0 where they keep their target action and the gain
+    where they leave it."""
+    n = target.n
+    table = np.zeros((1 << n, n), order="F")
+    for i in range(n):
+        _, leave = deviation_pairs(table[:, i], target, i)
+        leave[...] = gains[i].reshape(leave.shape)
+    return table
+
+
+class TestLinearPick:
+    """The scan keeps each player's worst candidates above the scale's
+    lower bound by a linear pick, and decides only those exactly: the
+    rows it adds are the old pick's, a stable sort of the exact
+    violations."""
+
+    @pytest.mark.parametrize("count", [1, 3, 8])
+    def test_largest_is_the_stable_sorts_head(self, count):
+        rng = np.random.default_rng(count)
+        for size in range(count, 60):
+            values = rng.integers(0, 4, size=size) * 0.25
+            head = np.argsort(-values, kind="stable")[:count]
+            picked = levels._largest(values, count)
+            assert np.flatnonzero(picked).tolist() == sorted(head.tolist())
+
+    @pytest.mark.parametrize("n", [6, 14])
+    def test_kept_rows_are_the_exact_picks(self, n, monkeypatch):
+        # gains on a grid of quarters, so many tie at each player's 8th
+        # place; player i's reach up to (i mod 5 + 2) / 4.  The exact
+        # scale s is 2.5, so at tolerance 0.25 the violations are the
+        # gains from 0.75 up, and the bounds [1, 2 s] leave every gain
+        # in (0.25, 1.25] between them: the first player's candidates
+        # are all 0.5, kept and then dropped
+        calls = []
+        exact = game_module._scale
+        monkeypatch.setattr(game_module, "_scale",
+                            lambda table: calls.append(table) or exact(table))
+        rng = np.random.default_rng(600 + n)
+        target = ActionProfile.all_cooperate(n)
+        for _ in range(4):
+            reach = np.arange(n) % 5 + 3
+            gains = (rng.integers(0, 1 << 20, size=(n, 1 << (n - 1)))
+                     % reach[:, None]) * 0.25
+            table = _table_of_gains(gains, target)
+            working = rng.uniform(size=gains.shape) < 0.3
+            scale = exact(table)
+            assert scale == 2.5
+            bounds = game_module._Scale(table, 2 * scale)
+            fresh, binding = levels._scan(table, target, np.eye(n),
+                                          working.copy(), bounds, 0.25)
+            collapsed = game_module._Scale(table, scale)
+            collapsed.lo = scale
+            expected, whole_binding = _whole_scan(
+                table, target, np.eye(n), working, collapsed, 0.25)
+            if expected is None:
+                assert fresh is None
+                assert np.array_equal(binding, whole_binding)
+                continue
+            assert binding is None
+            assert [a.tolist() for a in fresh] == [a.tolist() for a in expected]
+        # the kept rows between the bounds needed the exact scale
+        assert calls
 
 
 def _random_contract(rng, n):
