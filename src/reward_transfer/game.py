@@ -8,7 +8,7 @@ column = player.
 
 The table is stored column-major (Fortran order), so each player's 2**n
 rewards are one contiguous run.  Every pass that costs O(n * 2**n) reads
-one player at a time (deviation gains, the reward scale, the symmetry
+one player at a time (deviation gains, the column ranges, the symmetry
 check), and at n = 16 a row-major column walks all 8 MB with a stride of
 n floats.  Products with a transfer matrix go through
 ``transferred_payoffs``, which keeps that layout.
@@ -34,12 +34,14 @@ A game is a social dilemma when three things hold at once:
 ``classify_dilemma`` checks these conditions and reports witnesses for
 the ones that fail.
 
-A game is immutable, so its facts are computed on first use and kept:
-its welfare column, its classification at each tolerance and its
-reward scale s (``_Scale``), which every tolerance test on a deviation
-gain reads as value vs tolerance * s.  Construction only checks the
-table, through each column's max and min, and keeps their widest gap,
-the scale's upper bound.  None refers back to the game, so a game is
+A game is immutable.  Construction checks the table, through each
+column's max and min, and keeps from them the reward scale s that every
+tolerance test on a deviation gain reads as value vs tolerance * s:
+1 + the widest column range, capped at the largest finite float.  Every
+one-bit reward change lies within its column's range, and the largest
+one m bounds every range by n * m, so 1 + m <= s <= n * (1 + m).  The
+welfare column and the classification at each tolerance are computed
+on first use and kept.  None refers back to the game, so a game is
 freed as soon as its last reference goes.
 """
 
@@ -48,6 +50,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -345,53 +348,6 @@ def _check_finite(gains, rewards) -> None:
         raise ValueError("payoffs must be finite")
 
 
-def _scale(table) -> float:
-    """The reward scale s of every tolerance test on a deviation gain:
-    1 + the largest |difference| between two profiles one bit apart,
-    over every player's rewards.  It does not depend on the target, and
-    a max of exact differences is the same in any order, so it equals
-    1 + max_i |levels.deviation_deltas(game, target, i)| bit for bit.
-    One pass over the contiguous player rows of ``table.T``, bit by bit,
-    into one reused buffer of 2**(n-1) differences."""
-    n = table.shape[1]
-    diff = np.empty(1 << (n - 1))
-    peak = 0.0
-    for rewards in table.T:
-        for i in range(n):
-            pairs = rewards.reshape(-1, 2, 1 << i)
-            out = np.subtract(pairs[:, 1], pairs[:, 0],
-                              out=diff.reshape(-1, 1 << i))
-            peak = max(peak, np.abs(out, out=out).max())
-    return 1.0 + float(peak)
-
-
-class _Scale:
-    """Bounds [lo, hi] on ``_scale(table)`` that decide scaled tolerance
-    tests without its O(n**2 * 2**n) pass: lo = 1 <= _scale(table) <= hi
-    = 1 + the widest column range (the game's, found with its finite
-    check) holds bit for bit, as every one-bit difference lies within
-    its column's range and rounding is monotone.
-    ``decide(test)`` evaluates a test monotone in the scale (element by
-    element for an array) at both bounds: where they agree, that is the
-    exact scale's answer.  Otherwise it runs ``_scale`` once, collapses
-    both bounds onto it and evaluates the test there.  It holds the
-    table, not the game: no reference cycle."""
-
-    def __init__(self, table, hi):
-        self._table = table
-        self.lo = 1.0
-        self.hi = hi
-
-    def decide(self, test):
-        at_lo, at_hi = test(self.lo), test(self.hi)
-        # a scalar verdict is one of two bool singletons, which ``is``
-        # compares without np.array_equal's ~2.6 us
-        if at_lo is at_hi or np.array_equal(at_lo, at_hi):
-            return at_hi
-        self.lo = self.hi = _scale(self._table)
-        return test(self.hi)
-
-
 class NormalFormGame:
     """An n-player binary-action game held as a dense payoff table.
 
@@ -427,15 +383,18 @@ class NormalFormGame:
             raise ValueError(
                 f"expected {1 << n} profiles for {n} players, got {n_profiles}")
         # one pass for each extreme of every column: NaN and infinities
-        # reach one of them, and the widest gap between them (infinite
-        # when it overflows) is the upper bound of the reward scale
+        # reach one of them, and the widest gap between them gives the
+        # reward scale s = 1 + that gap (see the module notes), capped
+        # at the largest float so that tolerance * s stays finite when
+        # the gap overflows
         highest, lowest = table.max(axis=0), table.min(axis=0)
         if not (np.isfinite(highest).all() and np.isfinite(lowest).all()):
             raise ValueError("payoffs must be finite")
         table.setflags(write=False)
         self._table = table
         with np.errstate(over="ignore"):
-            self._widest_range = float((highest - lowest).max())
+            self._stakes = min(1.0 + float((highest - lowest).max()),
+                               sys.float_info.max)
         self.n = n
         self._classified = {}
 
@@ -454,11 +413,6 @@ class NormalFormGame:
         sums.setflags(write=False)
         return sums
 
-    @functools.cached_property
-    def _gain_scale(self) -> _Scale:
-        """The ``_Scale`` of every tolerance test on a one-bit reward change."""
-        return _Scale(self._table, 1.0 + self._widest_range)
-
     @property
     def payoffs(self) -> np.ndarray:
         return self._table
@@ -472,7 +426,11 @@ class NormalFormGame:
         return float(self.rewards(profile)[player])
 
     def welfare(self, profile: ActionProfile) -> float:
-        return float(self.rewards(profile).sum())
+        """The kept welfare column's entry, so a table whose welfare
+        overflows raises its ValueError here too."""
+        if profile.n != self.n:
+            raise ValueError("profile size does not match the game")
+        return float(self._welfare_column[profile.bits])
 
     def profiles(self) -> Iterator[ActionProfile]:
         for bits in range(1 << self.n):
@@ -593,7 +551,7 @@ def _classify(game, tolerance) -> DilemmaClassification:
     # the welfare pass's buffer goes before the payoff pass forms its own
     del gains
     # the players tempted somewhere, and whether all are, everywhere:
-    # each piece's extremes decide, with no mask of the gains
+    # each piece's extremes settle both, with no mask of the gains
     tempted = np.zeros(game.n, dtype=bool)
     everywhere = True
     for players, _, gains in _gain_blocks(table, everyone_cooperates):
@@ -619,7 +577,8 @@ class DominanceReport:
 
     ``violations`` lists (player, co-profile mask, gap) triples where the
     player gains more than tolerance * s by deviating from the target
-    action, s the game's reward scale; the gap is the gain.
+    action, s the game's reward scale (1 + its widest column range, see
+    the module notes); the gap is the gain.
     """
 
     target: ActionProfile
@@ -633,32 +592,30 @@ def check_dominance(game: NormalFormGame,
                     tolerance: float = 1e-9) -> DominanceReport:
     """Check whether each player's target action is a dominant choice.
 
-    With s the game's reward scale (``_Scale``): weak dominance holds
-    when no deviation from a target action gains more than tolerance * s,
-    whatever the others do; strict dominance when every deviation loses
-    more than tolerance * s.
+    With s the game's reward scale (1 + its widest column range): weak
+    dominance holds when no deviation from a target action gains more
+    than tolerance * s, whatever the others do; strict dominance when
+    every deviation loses more than tolerance * s.
     """
     _check_tolerance(tolerance)
     if target.n != game.n:
         raise ValueError("target profile size does not match the game")
-    return _dominance(game.payoffs, target, tolerance, game._gain_scale)
+    return _dominance(game.payoffs, target, tolerance * game._stakes)
 
 
-def _dominance(table, target, tolerance, scale,
-               entries=None) -> DominanceReport:
+def _dominance(table, target, limit, entries=None) -> DominanceReport:
     """``check_dominance`` on the reward ``table``, or on its product with
     the transfer matrix ``entries`` when given, read piece by piece
-    (``_gain_blocks``) and deciding its tests through ``scale``: both
-    verdicts read the largest gain alone, and a piece's violations are
-    gathered only when its largest gain is one."""
+    (``_gain_blocks``) against ``limit``, the tolerance times the
+    scale: both verdicts read the largest gain alone, and a piece's
+    violations are gathered only when its largest gain is one."""
     worst = -math.inf
     found = []
     for players, masks, gains in _gain_blocks(table, target, entries):
         peak = float(gains.max())
         worst = max(worst, peak)
-        if not scale.decide(lambda s: peak <= tolerance * s):
-            rows, cols = np.nonzero(
-                scale.decide(lambda s: gains > tolerance * s))
+        if peak > limit:
+            rows, cols = np.nonzero(gains > limit)
             found.append((rows + players.start, cols + masks.start,
                           gains[rows, cols]))
     violations = ()
@@ -667,7 +624,7 @@ def _dominance(table, target, tolerance, scale,
         order = np.lexsort((masks, players))
         violations = tuple(zip(players[order].tolist(),
                                masks[order].tolist(), gaps[order].tolist()))
-    strict = scale.decide(lambda s: worst < -tolerance * s)
+    strict = worst < -limit
     return DominanceReport(target, strict, not violations, violations)
 
 
@@ -678,6 +635,7 @@ def pure_nash_equilibria(game: NormalFormGame,
     _check_tolerance(tolerance)
     table = game.payoffs
     everyone_cooperates = ActionProfile.all_cooperate(game.n)
+    limit = tolerance * game._stakes
     stable = np.ones(1 << game.n, dtype=bool)
     for i in range(game.n):
         # the profiles where player i cooperates and where they defect,
@@ -685,8 +643,8 @@ def pure_nash_equilibria(game: NormalFormGame,
         cooperate, defect = deviation_pairs(table[:, i], everyone_cooperates, i)
         at_c, at_d = deviation_pairs(stable, everyone_cooperates, i)
         gain = defect - cooperate
-        at_c &= game._gain_scale.decide(lambda s: gain <= tolerance * s)
-        at_d &= game._gain_scale.decide(lambda s: -gain <= tolerance * s)
+        at_c &= gain <= limit
+        at_d &= -gain <= limit
     return frozenset(
         ActionProfile(int(bits), game.n) for bits in np.flatnonzero(stable))
 

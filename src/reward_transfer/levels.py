@@ -43,21 +43,18 @@ contract off the solution, scan its every deviation for violations, add
 the worst offenders, repeat.  The scan reads the contract's gains a
 block of profiles at a time (``game._gain_blocks``) and keeps each
 player's worst violations as it goes, so no transferred table or gains
-array is whole.  It picks them in linear time (``np.partition``) among
-the gains above the scale's lower bound, and only the kept ones are
-decided against the scale.  The LP takes the rows as (player, mask)
-indices.  The relaxation optimum only ever over-estimates, so a violation-free
-contract is exact; the search returns it with the binding set of that
-same scan.
+array is whole.  It picks them in linear time (``np.partition``).  The
+LP takes the rows as (player, mask) indices.  The relaxation optimum
+only ever over-estimates, so a violation-free contract is exact; the
+search returns it with the binding set of that same scan.
 
 Every test a search makes reads its one ``tolerance``: the simplex, the
 dilemma gate and the social-optimum warning as it is, and every test on
 reward changes (a violation, a binding constraint, the symmetry check)
-as value vs tolerance * s, where s is 1 + the largest reward change of
-any single deviation, decided through the game's one ``_Scale``
-(game.py), as ``verify_resolution`` decides it.  The even split's
-bounds and verdict are fixed guards of exact arithmetic, decided the
-same way against 1e-12 * s.
+as value vs tolerance * s, where s is the game's reward scale: 1 + its
+widest column range, fixed when the game is made (game.py), the scale
+``verify_resolution`` reads.  The even split's bounds and verdict are
+fixed guards of exact arithmetic, read against 1e-12 * s.
 """
 
 from __future__ import annotations
@@ -150,8 +147,9 @@ def deviation_deltas(game: NormalFormGame,
     change when ``player`` swaps their target action for its opposite
     while the co-players play m.
 
-    A reference for tests and tracing: no search calls it.  The largest
-    |delta| over every player is game.py's ``_scale(game.payoffs)`` - 1.
+    A reference for tests and tracing: no search calls it.  With m the
+    largest |delta| over every player, the game's reward scale s (1 +
+    its widest column range) lies in [1 + m, n * (1 + m)].
     """
     if target.n != game.n:
         raise ValueError("target profile size does not match the game")
@@ -201,7 +199,8 @@ def symmetrical_level(game: NormalFormGame,
     _check_tolerance(tolerance)
     target = _admit(game, target, force, tolerance)
     n = game.n
-    scale = game._gain_scale
+    limit = tolerance * game._stakes
+    guard = 1e-12 * game._stakes
     # a game of one piece keeps it for the second pass; larger ones form
     # their pieces again there, so that no gains array is ever whole
     pieces = _even_split_pieces(game, target)
@@ -213,7 +212,7 @@ def symmetrical_level(game: NormalFormGame,
     # roundoff can leave it a few ulps below 0
     bound = np.inf
     for _, _, coef, base in pieces:
-        above = scale.decide(lambda s: coef > 1e-12 * s)
+        above = coef > guard
         ratio = np.full_like(coef, np.inf)
         np.divide(base, coef, out=ratio, where=above)
         bound = min(bound, float(ratio.min()))
@@ -231,17 +230,16 @@ def symmetrical_level(game: NormalFormGame,
         gain = np.multiply(coef, level)
         gain -= base
         peak = float(gain.max())
-        if scale.decide(lambda s: peak > 1e-12 * s):
-            tempted = scale.decide(lambda s: gain > 1e-12 * s)
-            flat = np.abs(coef, out=coef)
-            immune = tempted & scale.decide(lambda s: flat <= 1e-12 * s)
+        if peak > guard:
+            tempted = gain > guard
+            immune = tempted & (np.abs(coef, out=coef) <= guard)
             first = players.start
             tempted_player = min(tempted_player,
                                  first + int(np.nonzero(tempted)[0][0]))
             if immune.any():
                 immune_player = min(immune_player,
                                     first + int(np.nonzero(immune)[0][0]))
-        binding[players, masks] = _binding(gain, tolerance, scale)
+        binding[players, masks] = _binding(gain, limit)
     if immune_player < n:
         raise NotResolvableError(
             "deviation gains are immune to symmetrical transfers (player "
@@ -298,7 +296,7 @@ def _deviation_block(table, target, players, masks, var,
                        minlength=players.size * width).reshape(-1, width)
 
 
-def _lazy_solve(lp, var, table, target, working, scale, tolerance,
+def _lazy_solve(lp, var, table, target, working, limit, tolerance,
                 conserving, start=None):
     """Solve ``lp``, whose deviation rows are those set in ``working`` (an
     (n, 2**(n-1)) boolean mask, grown in place), read the contract T off
@@ -306,10 +304,10 @@ def _lazy_solve(lp, var, table, target, working, scale, tolerance,
     deviation and append each player's worst missing violations as rows;
     repeat until none is left.  Every solve restarts from the one before
     it, the first from ``start`` when given (an optimal solution of a
-    program with ``lp``'s rows).  A violation is a gain above
-    ``tolerance`` times the game's scale, decided through ``scale`` (a
-    ``_Scale``).  Returns the last program, its solution, the last T and
-    that scan's binding mask, or None when a round is infeasible."""
+    program with ``lp``'s rows).  The simplex reads ``tolerance``, and
+    the scan ``limit``, the tolerance times the game's scale.  Returns
+    the last program, its solution, the last T and that scan's binding
+    mask, or None when a round is infeasible."""
     sol = start
     for _ in range(_MAX_ROUNDS):
         sol = solve_lp(lp, tolerance, start=sol)
@@ -319,8 +317,7 @@ def _lazy_solve(lp, var, table, target, working, scale, tolerance,
             raise RuntimeError("level search reported unbounded; the level "
                                "is capped by construction, so this is a bug")
         matrix = _matrix_from_solution(sol.x[var], conserving)
-        fresh, binding = _scan(table, target, matrix.entries, working, scale,
-                               tolerance)
+        fresh, binding = _scan(table, target, matrix.entries, working, limit)
         if fresh is None:
             return lp, sol, matrix, binding
         players, masks = fresh
@@ -333,42 +330,33 @@ def _lazy_solve(lp, var, table, target, working, scale, tolerance,
     raise RuntimeError("constraint generation did not converge")
 
 
-def _scan(table, target, entries, working, scale, tolerance):
+def _scan(table, target, entries, working, limit):
     """One scan of contract ``entries``' every deviation gain, piece by
-    piece (``_gain_blocks``), each test decided through ``scale``.
-    Returns ``((players, masks), None)``: the violations missing from
-    ``working``, each player's worst ``_ROWS_PER_ROUND`` in
-    ``np.nonzero`` order; or ``(None, binding)`` when there are none,
-    with the binding mask of the same gains, which stops being filled
-    once a missing violation shows.
-
-    The candidates are the missing gains above tolerance times the
-    scale's lower bound, a superset of the violations.  Each player
-    keeps their worst ``_ROWS_PER_ROUND`` candidates in the piece, ties
-    to the lower mask, by a linear pick (``_largest``), and only the
-    kept ones are decided through ``scale``.  A candidate that is no
-    violation ranks below every violation, so the kept violations are
-    each player's worst."""
+    piece (``_gain_blocks``), against ``limit``, the tolerance times the
+    game's scale.  Returns ``((players, masks), None)``: the violations
+    (gains above ``limit``) missing from ``working``, each player's
+    worst ``_ROWS_PER_ROUND`` in ``np.nonzero`` order; or ``(None,
+    binding)`` when there are none, with the binding mask of the same
+    gains, which stops being filled once a missing violation shows.
+    Each player keeps their worst ``_ROWS_PER_ROUND`` violations in the
+    piece, ties to the lower mask, by a linear pick (``_largest``)."""
     binding = np.empty(working.shape, dtype=bool)
     worst = None
     for players, masks, gains in _gain_blocks(table, target, entries):
-        bound = tolerance * scale.lo
-        if gains.max() > bound:
-            fresh = (gains > bound) & ~working[players, masks]
+        if gains.max() > limit:
+            fresh = (gains > limit) & ~working[players, masks]
             for row in np.flatnonzero(fresh.sum(axis=1) > _ROWS_PER_ROUND):
                 picked = np.flatnonzero(fresh[row])
                 fresh[row, picked] = _largest(gains[row, picked],
                                               _ROWS_PER_ROUND)
             rows, cols = np.nonzero(fresh)
-            values = gains[rows, cols]
-            kept = scale.decide(lambda s: values > tolerance * s)
-            if kept.any():
-                found = (rows[kept] + players.start, cols[kept] + masks.start,
-                         values[kept])
+            if rows.size:
+                found = (rows + players.start, cols + masks.start,
+                         gains[rows, cols])
                 worst = found if worst is None else _worst_per_player(
                     *map(np.concatenate, zip(worst, found)))
         if worst is None:
-            binding[players, masks] = _binding(gains, tolerance, scale)
+            binding[players, masks] = _binding(gains, limit)
     if worst is None:
         return None, binding
     players, masks, _ = worst
@@ -446,11 +434,12 @@ def _matrix_from_solution(t, conserving) -> TransferMatrix:
     return TransferMatrix(t)
 
 
-def _binding(gains, tolerance, scale) -> np.ndarray:
-    """The binding rule: |gain after transfer| <= tolerance * s, decided
-    through ``scale``.  ``gains`` is overwritten with its absolute values."""
+def _binding(gains, limit) -> np.ndarray:
+    """The binding rule: |gain after transfer| <= ``limit``, the
+    tolerance times the game's scale.  ``gains`` is overwritten with its
+    absolute values."""
     np.abs(gains, out=gains)
-    return scale.decide(lambda s: gains <= tolerance * s)
+    return gains <= limit
 
 
 def _search(game, target, var, *, force, tolerance,
@@ -462,7 +451,7 @@ def _search(game, target, var, *, force, tolerance,
     See ``general_level`` for the rest."""
     target = _admit(game, target, force, tolerance, stacklevel=4)
     table = game.payoffs
-    scale = game._gain_scale
+    limit = tolerance * game._stakes
     # every player's working set starts from the two extreme co-profiles:
     # all co-players cooperate, all defect
     n = game.n
@@ -474,7 +463,7 @@ def _search(game, target, var, *, force, tolerance,
 
     solved = _lazy_solve(
         _level_lp(table, target, var, players, masks, allow_excess),
-        var, table, target, working, scale, tolerance, not allow_excess)
+        var, table, target, working, limit, tolerance, not allow_excess)
     if solved is None:
         raise NotResolvableError(
             f"no transfer contract makes {target} weakly dominant")
@@ -495,7 +484,7 @@ def _search(game, target, var, *, force, tolerance,
         second = LinearProgram(c, a_ub=lp.a_ub,
                                b_ub=lp.b_ub - lp.a_ub[:, -1] * level,
                                a_eq=lp.a_eq, b_eq=lp.b_eq)
-        refined = _lazy_solve(second, var, table, target, working, scale,
+        refined = _lazy_solve(second, var, table, target, working, limit,
                               tolerance, not allow_excess, start=sol)
         if refined is not None:
             _, _, matrix, binding = refined
@@ -568,7 +557,7 @@ def _check_symmetry(game, perm, tolerance):
     for k in range(n):
         np.subtract(cubes[perm[k]].transpose(axes), cubes[k], out=diff)
         worst = max(worst, float(np.abs(diff, out=diff).max()))
-    if game._gain_scale.decide(lambda s: worst > tolerance * s):
+    if worst > tolerance * game._stakes:
         raise ValueError(
             "the game is not symmetric under the generator "
             f"(payoff mismatch {worst:.3g})")
@@ -625,8 +614,9 @@ def binding_constraints(game: NormalFormGame,
     _check_tolerance(tolerance)
     if result.matrix.n != game.n or result.target.n != game.n:
         raise ValueError("result size does not match the game")
+    limit = tolerance * game._stakes
     binding = np.empty((game.n, 1 << (game.n - 1)), dtype=bool)
     for players, masks, gains in _gain_blocks(
             game.payoffs, result.target, result.matrix.entries):
-        binding[players, masks] = _binding(gains, tolerance, game._gain_scale)
+        binding[players, masks] = _binding(gains, limit)
     return _mask_pairs(binding)

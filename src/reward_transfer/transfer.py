@@ -176,5 +176,5 @@ def verify_resolution(game: NormalFormGame,
             UserWarning, stacklevel=2)
     if matrix.n != game.n:
         raise ValueError("matrix size does not match the game")
-    return _dominance(game.payoffs, target, tolerance, game._gain_scale,
+    return _dominance(game.payoffs, target, tolerance * game._stakes,
                       matrix.entries)

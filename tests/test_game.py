@@ -1,4 +1,5 @@
 import itertools
+import sys
 import warnings
 
 import numpy as np
@@ -560,7 +561,8 @@ class TestFactsOncePerGame:
         game = NormalFormGame(pd_game.payoffs)
         assert game._classified == {}
         assert "_welfare_column" not in vars(game)
-        assert "_gain_scale" not in vars(game)
+        # the reward scale alone is kept, from the finite check's extremes
+        assert game._stakes == 1.0 + np.ptp(game.payoffs, axis=0).max()
 
     def test_repeated_classification_is_the_same_object(self, pd_game,
                                                         monkeypatch):
@@ -717,12 +719,27 @@ def _planted_gain_game(factor, tolerance=1e-9):
     every other gain is -1.  s is about 1e7, so the gain is far above
     the tolerance unscaled."""
     table = np.array([[1e7, 1e7], [1e7, 1.0], [1.0, 1e7 - 1.0], [0.0, 0.0]])
-    table[1, 0] += factor * tolerance * game_module._scale(table)
+    table[1, 0] += factor * tolerance * NormalFormGame(table)._stakes
     game = NormalFormGame(table)
     gain = game.payoffs[1, 0] - game.payoffs[0, 0]
-    assert gain == pytest.approx(
-        factor * tolerance * game_module._scale(game.payoffs), rel=1e-6)
+    assert gain == pytest.approx(factor * tolerance * game._stakes, rel=1e-6)
     return game
+
+
+def test_a_range_that_overflows_leaves_the_tests_finite():
+    # player 1's column spans -1e308 to 1e308, a range past the largest
+    # float, though no one-bit change is; the scale is capped there, so
+    # tolerance * s stays finite and both gains of 1e308 still violate
+    table = np.zeros((8, 3))
+    table[0, 0], table[7, 0] = -1e308, 1e308
+    game = NormalFormGame(table)
+    assert game._stakes == sys.float_info.max
+    target = ActionProfile.all_cooperate(3)
+    expected = ((0, 0, 1e308), (0, 3, 1e308))
+    assert check_dominance(game, target).violations == expected
+    with pytest.warns(UserWarning, match="not a social optimum"):
+        report = verify_resolution(game, TransferMatrix.identity(3))
+    assert report.violations == expected and not report.weakly_dominant
 
 
 def test_pure_nash_pd(pd_game):
@@ -753,7 +770,7 @@ def test_pure_nash_against_brute_force(n):
     # stakes a tie that player 1's defection breaks by 0.5 * tolerance * s
     # still counts as one
     rng = np.random.default_rng(n)
-    read_by_scale = 0
+    moved_by_s = 0
     for _ in range(4):
         table = rng.integers(0, 3, size=(1 << n, n)).astype(float)
         game = NormalFormGame(table)
@@ -761,13 +778,13 @@ def test_pure_nash_against_brute_force(n):
 
         table *= 1e7
         defects = np.arange(1 << n) & 1 == 1
-        table[defects, 0] += 0.5e-9 * game_module._scale(table)
+        table[defects, 0] += 0.5e-9 * NormalFormGame(table)._stakes
         game = NormalFormGame(table)
-        limit = 1e-9 * game_module._scale(game.payoffs)
+        limit = 1e-9 * game._stakes
         assert pure_nash_equilibria(game) == _brute_force_nash(game, limit)
-        read_by_scale += (_brute_force_nash(game, limit)
-                          != _brute_force_nash(game, 1e-9))
-    assert read_by_scale
+        moved_by_s += (_brute_force_nash(game, limit)
+                       != _brute_force_nash(game, 1e-9))
+    assert moved_by_s
 
 
 def test_social_optima_pd(pd_game):

@@ -16,7 +16,8 @@ from reward_transfer import (ActionProfile, DilemmaKind, NormalFormGame,
                              deviation_deltas, exchange_matrix, excess_report,
                              general_level,
                              general_level_symmetric_fastpath,
-                             symmetrical_level, verify_resolution)
+                             social_optima, symmetrical_level,
+                             verify_resolution)
 from reward_transfer import game as game_module, levels, lp as lp_module
 from reward_transfer.dilemmas import (BaseGame, BaseGameParams,
                                       FunctionalParams, GraphKind,
@@ -81,141 +82,23 @@ def _random_magnitude_game(rng, n):
                           * 10.0 ** rng.uniform(-3.0, 6.0, size=size))
 
 
-class TestScale:
-    """``_scale`` takes the largest reward change of any deviation in one
-    pass over the table; the per-player deltas are its reference."""
-
-    @staticmethod
-    def reference(game, target):
-        return 1.0 + max(float(np.abs(deviation_deltas(game, target, i)).max())
-                         for i in range(game.n))
+class TestRewardScale:
+    """The scale s of every tolerance test on a reward change is 1 + the
+    widest column range, fixed when the game is made; the per-player
+    deltas, whose largest |value| m is a one-bit change, bound it."""
 
     @pytest.mark.parametrize("n", range(2, 15))
-    def test_equals_per_player_deltas_bit_for_bit(self, n):
+    def test_is_the_widest_range_within_n_times_the_deltas(self, n):
         rng = np.random.default_rng(n)
         for _ in range(3):
             game = _random_magnitude_game(rng, n)
-            targets = {0, (1 << n) - 1, int(rng.integers(0, 1 << n))}
-            for bits in targets:
-                assert game_module._scale(game.payoffs) == \
-                    self.reference(game, ActionProfile(bits, n))
-
-
-# The searches' scaled tests, each as a (threshold, test) pair of
-# functions of the scale s: the test of a value v at scale s, and the
-# value on its threshold, written in the searches' own floating-point
-# form.  "below", "immune-base" and "empty" (lo > hi + tiny with hi =
-# 0.25) are forms the even split once decided and no search runs now;
-# they stay as cases of a negative and of a shifted threshold.
-SCALED_TESTS = {
-    "scan": (lambda s: 1e-9 * s, lambda v, s: v > 1e-9 * s),
-    "immune-flat": (lambda s: 1e-12 * s, lambda v, s: np.abs(v) <= 1e-12 * s),
-    "immune-base": (lambda s: -1e-12 * s, lambda v, s: v < -1e-12 * s),
-    "above": (lambda s: 1e-12 * s, lambda v, s: v > 1e-12 * s),
-    "below": (lambda s: -1e-12 * s, lambda v, s: v < -1e-12 * s),
-    "empty": (lambda s: 0.25 + 1e-12 * s, lambda v, s: v > 0.25 + 1e-12 * s),
-    "binding": (lambda s: 1e-9 * s, lambda v, s: np.abs(v) <= 1e-9 * s),
-}
-
-
-def _refuse_exact_scale(game):
-    raise AssertionError("the exact scale was computed")
-
-
-def _fresh_bounds(game):
-    """A ``_Scale`` of the game's table that has decided nothing yet."""
-    return NormalFormGame(game.payoffs)._gain_scale
-
-
-class TestScaleBounds:
-    """``_Scale`` decides scaled tests from [1, 1 + widest column range]
-    and falls back to ``_scale`` only between them; every decision must
-    be the one the exact scale gives."""
-
-    @pytest.mark.parametrize("n", range(2, 11))
-    def test_bounds_hold_bit_for_bit(self, n):
-        rng = np.random.default_rng(100 + n)
-        for game in (_random_magnitude_game(rng, n),
-                     build_graphical(GraphKind.CIRCULAR, PD, n)):
-            bounds = _fresh_bounds(game)
-            assert bounds.lo <= game_module._scale(game.payoffs) <= bounds.hi
-            # the game's column extremes give the widest range bit for bit
-            assert bounds.hi == 1.0 + float(np.ptp(game.payoffs, axis=0).max())
-
-    @pytest.mark.parametrize("name", sorted(SCALED_TESTS))
-    def test_planted_values_decide_as_the_exact_scale(self, name, monkeypatch):
-        threshold, test = SCALED_TESTS[name]
-        game = build_graphical(GraphKind.CIRCULAR, PD, 6)
-        exact = game_module._scale(game.payoffs)
-        bounds = _fresh_bounds(game)
-        lo, hi = bounds.lo, bounds.hi
-        assert lo < exact < hi
-        # thresholds at scales in (lo, hi], and at scales outside it
-        inside = [threshold(s) for s in
-                  (np.nextafter(lo, 2.0), (lo + exact) / 2, exact,
-                   np.nextafter(exact, 0.0), np.nextafter(exact, 2.0),
-                   (exact + hi) / 2, hi)]
-        outside = [threshold(s) for s in (0.25, 0.5, lo, 2 * hi, 10 * hi)]
-        planted = inside + outside + [np.nextafter(v, side)
-                                      for v in inside + outside
-                                      for side in (-np.inf, np.inf)]
-        for v in planted + [np.array(planted)]:
-            decided = _fresh_bounds(game).decide(
-                lambda s: test(v, s))
-            assert np.array_equal(decided, test(v, exact))
-
-        # the values outside the band never need the exact pass
-        monkeypatch.setattr(game_module, "_scale", _refuse_exact_scale)
-        bounds = _fresh_bounds(game)
-        for v in outside + [np.array(outside)]:
-            assert np.array_equal(bounds.decide(lambda s: test(v, s)),
-                                  test(v, exact))
-
-    def test_fallback_collapses_the_bounds_once(self, monkeypatch):
-        game = build_graphical(GraphKind.CIRCULAR, PD, 6)
-        exact = game_module._scale(game.payoffs)
-        calls = []
-        monkeypatch.setattr(game_module, "_scale",
-                            lambda g: calls.append(g) or exact)
-        bounds = _fresh_bounds(game)
-        between = 1e-9 * (1.0 + exact) / 2
-        assert bounds.decide(lambda s: between > 1e-9 * s) == \
-            (between > 1e-9 * exact)
-        assert bounds.lo == bounds.hi == exact
-        bounds.decide(lambda s: between > 1e-9 * s)
-        assert len(calls) == 1
-
-    @pytest.mark.filterwarnings("ignore")
-    @pytest.mark.parametrize("game, fastpath", [
-        (build_graphical(GraphKind.CIRCULAR, PD, 8), True),
-        (build_functional(FunctionalParams(6, 3.0)), False),
-    ], ids=["circular-8", "functional-6"])
-    def test_common_path_skips_the_exact_pass(self, game, fastpath,
-                                              monkeypatch):
-        monkeypatch.setattr(game_module, "_scale", _refuse_exact_scale)
-        general_level(game, force=True)
-        general_level(game, force=True, allow_excess=True)
-        general_level(game, force=True, refine_diagonal=True)
-        symmetrical_level(game, force=True)
-        if fastpath:
-            general_level_symmetric_fastpath(game, force=True)
-
-
-class _ExactScale(game_module._Scale):
-    """The bounds collapsed onto the exact scale from the start."""
-
-    def __init__(self, table, hi):
-        super().__init__(table, hi)
-        self.lo = self.hi = game_module._scale(table)
-
-
-def _outcome(search, game):
-    try:
-        result = search(game)
-    except (NotResolvableError, NotADilemmaError, ValueError) as exc:
-        return type(exc).__name__, str(exc)
-    return (result.level, result.matrix.entries.tobytes(),
-            result.binding_mask.tobytes())
+            s = game._stakes
+            assert s == 1 + np.ptp(game.payoffs, axis=0).max()
+            for bits in {0, (1 << n) - 1, int(rng.integers(0, 1 << n))}:
+                target = ActionProfile(bits, n)
+                m = max(float(np.abs(deviation_deltas(game, target, i)).max())
+                        for i in range(n))
+                assert 1 + m <= s <= n * (1 + m)
 
 
 _GENERAL = functools.partial(general_level, force=True)
@@ -224,63 +107,6 @@ _REFINE = functools.partial(general_level, force=True, refine_diagonal=True)
 _SYMMETRIC = functools.partial(symmetrical_level, force=True)
 _FASTPATH = functools.partial(general_level_symmetric_fastpath, force=True)
 _EVERY_SEARCH = (_GENERAL, _EXCESS, _REFINE, _SYMMETRIC)
-
-
-@pytest.mark.filterwarnings("ignore")
-class TestScaleFilterDifferential:
-    """Every search gives the same level, matrix bytes and binding mask
-    with the bounds as with the exact scale."""
-
-    @staticmethod
-    def fallbacks(monkeypatch, games, searches):
-        """Assert the two agree on every game and search; return how
-        many times the filtered runs computed the exact scale.  A game
-        keeps the scale of its first search, so the exact runs search
-        fresh copies of the games."""
-        calls = []
-        exact = game_module._scale
-
-        def counted(table):
-            calls.append(table)
-            return exact(table)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(game_module, "_scale", counted)
-            filtered = [_outcome(s, g) for g in games for s in searches]
-        copies = [NormalFormGame(g.payoffs) for g in games]
-        with monkeypatch.context() as patch:
-            patch.setattr(game_module, "_Scale", _ExactScale)
-            assert [_outcome(s, g) for g in copies for s in searches] == filtered
-        return len(calls)
-
-    @pytest.mark.parametrize("graph", list(GraphKind))
-    @pytest.mark.parametrize("base", list(BaseGame))
-    def test_graphical(self, graph, base, monkeypatch):
-        games = [build_graphical(graph, BaseGameParams(base, 3.0, 1.0), n)
-                 for n in range(3, 11)]
-        searches = (_GENERAL, _SYMMETRIC)
-        if graph is not GraphKind.TYCOON:
-            searches += (_FASTPATH,)
-        self.fallbacks(monkeypatch, games, searches)
-
-    def test_functional_and_too_many_cooks(self, monkeypatch):
-        games = [build_functional(FunctionalParams(n, 3.0)) for n in range(2, 8)]
-        self.fallbacks(monkeypatch, games + [too_many_cooks()], _EVERY_SEARCH)
-
-    def test_scaled_pd(self, monkeypatch):
-        games = [scaled_prisoners_dilemma(eps)
-                 for eps in (1e-7, 3e-7, 1e-6, 3e-6, 1e-5)]
-        self.fallbacks(monkeypatch, games, _EVERY_SEARCH)
-
-    def test_random_strict_dilemmas(self, monkeypatch):
-        # at 1e7 times its stakes, pool dilemma n = 4's binding tests
-        # fall between the bounds' thresholds, so its searches fall back
-        rng = np.random.default_rng(11)
-        games = [make_strict_dilemma(rng, n) for n in (2, 3, 4, 5, 6) * 2]
-        games += [pool_dilemma(n) for n in range(3, 11)] + [pool_dilemma(11, 1)]
-        games.append(NormalFormGame(1e7 * pool_dilemma(4).payoffs))
-        assert self.fallbacks(monkeypatch, games,
-                              (_GENERAL, _EXCESS, _SYMMETRIC)) >= 1
 
 
 def _old_mismatch(game, perm):
@@ -308,7 +134,7 @@ class TestCheckSymmetry:
         perm = np.roll(np.arange(5), -1)
         tolerance = 1e-9
         _check_symmetry(game, perm, tolerance)
-        scale = game_module._scale(game.payoffs)
+        scale = game._stakes
         table = game.payoffs.copy()
         table[11, 3] += 10 * tolerance * scale
         with pytest.raises(ValueError,
@@ -318,15 +144,17 @@ class TestCheckSymmetry:
         table[11, 3] = game.payoffs[11, 3] + 0.5 * tolerance * scale
         _check_symmetry(NormalFormGame(table), perm, tolerance)
 
-    def test_mismatch_is_read_against_the_deviation_scale(self):
-        # this game's deviation scale is 2.5 and 1 + max|table| is 7: a
-        # mismatch of twice tolerance * s lies between the two
+    def test_mismatch_is_read_against_the_widest_range(self):
+        # this game's widest column range is 6 and its largest one-bit
+        # change 1.5: a mismatch of twice tolerance * 2.5 lies within
+        # tolerance * s, s = 7, and one of twice tolerance * s does not
         game = self.cyclic_game()
         perm = np.roll(np.arange(5), -1)
-        scale = game_module._scale(game.payoffs)
-        assert scale == 2.5 and 1.0 + np.abs(game.payoffs).max() == 7.0
+        assert game._stakes == 7.0
         table = game.payoffs.copy()
-        table[11, 3] += 2 * 1e-9 * scale
+        table[11, 3] += 2 * 1e-9 * 2.5
+        _check_symmetry(NormalFormGame(table), perm)
+        table[11, 3] = game.payoffs[11, 3] + 2 * 1e-9 * 7.0
         with pytest.raises(ValueError, match="not symmetric"):
             _check_symmetry(NormalFormGame(table), perm)
 
@@ -817,7 +645,7 @@ class TestOneTolerance:
         gains = deviation_gains(
             transferred_payoffs(game.payoffs, result.matrix.entries),
             result.target)
-        assert gains.max() <= 1e-9 * game_module._scale(game.payoffs), label
+        assert gains.max() <= 1e-9 * game._stakes, label
 
     def test_binding_constraints_agree_with_every_mode(self):
         for eps in self.SCALED_PD:
@@ -867,8 +695,7 @@ class TestOneTolerance:
             gains = deviation_gains(
                 transferred_payoffs(game.payoffs, result.matrix.entries),
                 result.target)
-            scale = game_module._scale(game.payoffs)
-            expected = np.abs(gains) <= tolerance * scale
+            expected = np.abs(gains) <= tolerance * game._stakes
             assert np.array_equal(result.binding_mask, expected)
 
     @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1.0])
@@ -1043,6 +870,21 @@ class TestWelfareOverflow:
                            "rewards at profile CC sum past the largest float"):
             classify_dilemma(game)
 
+    def test_welfare_reads_the_welfare_fact(self):
+        # a profile's welfare is the kept column's entry: it raises the
+        # overflow too, and agrees with social_optima bit for bit
+        game = NormalFormGame(OVERFLOWING_PD)
+        with pytest.raises(ValueError, match="group welfare overflows"):
+            game.welfare(ActionProfile.all_cooperate(2))
+        game = NormalFormGame(np.random.default_rng(17).normal(size=(64, 6)))
+        welfare = {profile: game.welfare(profile)
+                   for profile in game.profiles()}
+        best = max(welfare.values())
+        for tolerance in (0.0, 0.5):
+            assert social_optima(game, tolerance) == frozenset(
+                profile for profile, value in welfare.items()
+                if value >= best - tolerance)
+
     @pytest.mark.parametrize("search", [
         symmetrical_level, general_level, *_EVERY_SEARCH, _FASTPATH])
     def test_every_search_raises_or_returns_a_contract_that_verifies(
@@ -1061,7 +903,7 @@ class TestWelfareOverflow:
 
 @pytest.mark.filterwarnings("ignore")
 class TestVerifyReadsTheSearchScale:
-    """``verify_resolution`` decides gains against tolerance * s with the
+    """``verify_resolution`` reads gains against tolerance * s with the
     scale the search read, so it accepts every contract a search returns,
     whatever the stakes."""
 
@@ -1080,20 +922,18 @@ class TestVerifyReadsTheSearchScale:
                         assert report.weakly_dominant, \
                             (graph, base, n, search, report.violations)
 
-    def test_verify_makes_no_scale_of_its_own(self, monkeypatch):
-        made = []
-
-        class Counted(game_module._Scale):
-            def __init__(self, table, hi):
-                made.append(table)
-                super().__init__(table, hi)
-
-        monkeypatch.setattr(game_module, "_Scale", Counted)
+    def test_verify_builds_no_game_of_its_own(self, monkeypatch):
+        # the transformed game would hold a scale of its own; verification
+        # reads the rewards after transfer against the original game's
         game = pool_dilemma(11, 1)
         result = general_level(game)
-        assert len(made) == 1
+        made = []
+        hold = NormalFormGame._hold
+        monkeypatch.setattr(NormalFormGame, "_hold",
+                            lambda game, table: made.append(table)
+                            or hold(game, table))
         assert verify_resolution(game, result.matrix).weakly_dominant
-        assert len(made) == 1
+        assert made == []
 
     def test_even_split_share_is_clamped_into_the_unit_interval(self):
         # the interval's upper end comes out -1.37e-16 here: zero up to
@@ -1109,8 +949,9 @@ class TestVerifyReadsTheSearchScale:
 
 class TestFactsOncePerGame:
     """Every search and check reads the game's facts, computed once per
-    game: its classification at the gate's tolerance, its welfare
-    column and its ``_Scale``, none of which refers back to the game."""
+    game: its classification at the gate's tolerance and its welfare
+    column, none of which refers back to the game, and the scale fixed
+    when the game is made."""
 
     @staticmethod
     def every_search(game):
@@ -1137,22 +978,6 @@ class TestFactsOncePerGame:
         self.every_search(game)
         assert len(calls) == 2
 
-    def test_every_search_shares_one_scale(self, monkeypatch):
-        # this dilemma's binding tests fall between the scale bounds
-        calls = []
-        exact = game_module._scale
-        monkeypatch.setattr(game_module, "_scale",
-                            lambda table: calls.append(table) or exact(table))
-        game = NormalFormGame(1e7 * pool_dilemma(4).payoffs)
-        bounds = game._gain_scale
-        general_level(game)
-        result = general_level(game, allow_excess=True)
-        symmetrical_level(game)
-        binding_constraints(game, result)
-        assert game._gain_scale is bounds
-        assert len(calls) == 1
-        assert bounds.lo == bounds.hi == exact(game.payoffs)
-
     @pytest.mark.filterwarnings("ignore")
     def test_games_leave_no_reference_cycle(self):
         game = build_graphical(GraphKind.CYCLICAL, PD, 4)
@@ -1162,7 +987,7 @@ class TestFactsOncePerGame:
             verify_resolution(game, result.matrix)
             binding_constraints(game, result)
         conservation_check(game, results[1].matrix)
-        assert "_gain_scale" in vars(game) and game._classified
+        assert "_welfare_column" in vars(game) and game._classified
         alive = weakref.ref(game)
         gc.disable()
         try:
@@ -1492,11 +1317,11 @@ class TestRelabelling:
 # the passes as they read whole arrays before they went by blocks of
 # profiles: the references the blocked passes must equal bit for bit
 
-def _whole_scan(table, target, entries, working, scale, tolerance=1e-9):
+def _whole_scan(table, target, entries, working, limit):
     gains = deviation_gains(transferred_payoffs(table, entries), target)
-    fresh = scale.decide(lambda s: gains > tolerance * s) & ~working
+    fresh = (gains > limit) & ~working
     if not fresh.any():
-        return None, scale.decide(lambda s: np.abs(gains) <= tolerance * s)
+        return None, np.abs(gains) <= limit
     for i in np.flatnonzero(fresh.sum(axis=1) > levels._ROWS_PER_ROUND):
         picked = np.flatnonzero(fresh[i])
         order = np.argsort(-gains[i, picked], kind="stable")
@@ -1509,28 +1334,27 @@ def _whole_even_split(game, target, tolerance=1e-9):
     message's words and the player it names."""
     n = game.n
     table = game.payoffs
-    scale = game._gain_scale
+    guard = 1e-12 * game._stakes
     coef = deviation_gains(table, target)
     base = deviation_gains(
         np.broadcast_to(game._welfare_column[:, None], table.shape), target)
     base -= coef
     base /= 1 - n
     coef += base
-    above = scale.decide(lambda s: coef > 1e-12 * s)
+    above = coef > guard
     gain = np.full_like(coef, np.inf)
     np.divide(base, coef, out=gain, where=above)
     level = min(max(float(gain.min()), 0.0), 1.0)
     np.multiply(coef, level, out=gain)
     gain -= base
-    tempted = scale.decide(lambda s: gain > 1e-12 * s)
+    tempted = gain > guard
     refusal = None
     if tempted.any():
-        immune = tempted & scale.decide(lambda s: np.abs(coef) <= 1e-12 * s)
+        immune = tempted & (np.abs(coef) <= guard)
         refusal = ((r"immune to symmetrical transfers \(player {}\)",
                     np.nonzero(immune)[0][0]) if immune.any() else
                    ("player {} still gains", np.nonzero(tempted)[0][0]))
-    return (level, scale.decide(lambda s: np.abs(gain) <= tolerance * s),
-            refusal)
+    return level, np.abs(gain) <= tolerance * game._stakes, refusal
 
 
 def _tied_game(rng, n):
@@ -1552,11 +1376,11 @@ class TestBlockedPassesEqualWholeArrays:
             target = ActionProfile(int(rng.integers(1 << n)), n)
             entries = _random_contract(rng, n)
             working = rng.uniform(size=(n, 1 << (n - 1))) < 0.3
-            scale = game._gain_scale
+            limit = 1e-9 * game._stakes
             (players, masks), binding = levels._scan(
-                game.payoffs, target, entries, working.copy(), scale, 1e-9)
+                game.payoffs, target, entries, working.copy(), limit)
             expected, _ = _whole_scan(game.payoffs, target, entries, working,
-                                      scale)
+                                      limit)
             assert binding is None
             assert players.tolist() == expected[0].tolist()
             assert masks.tolist() == expected[1].tolist()
@@ -1564,10 +1388,10 @@ class TestBlockedPassesEqualWholeArrays:
             # gives the binding mask instead
             working[:] = True
             fresh, binding = levels._scan(game.payoffs, target, entries,
-                                          working, scale, 1e-9)
+                                          working, limit)
             assert fresh is None
             _, expected = _whole_scan(game.payoffs, target, entries, working,
-                                      scale)
+                                      limit)
             assert binding.any() and np.array_equal(binding, expected)
 
     def test_scan_keeps_the_eight_lowest_of_ties_across_blocks(self):
@@ -1592,7 +1416,7 @@ class TestBlockedPassesEqualWholeArrays:
         game = NormalFormGame(table)
         working = np.zeros((n, 1 << (n - 1)), dtype=bool)
         (players, masks), binding = levels._scan(
-            game.payoffs, target, np.eye(n), working, game._gain_scale, 1e-9)
+            game.payoffs, target, np.eye(n), working, 1e-9 * game._stakes)
         assert binding is None
         picked = {int(i): masks[players == i].tolist() for i in set(players)}
         assert picked == {0: tied[:8], 1: list(range(100, 107)) + [5000],
@@ -1625,25 +1449,23 @@ class TestBlockedPassesEqualWholeArrays:
         rng = np.random.default_rng(500 + n)
         game = pool_dilemma(14, 0) if n == 14 else _tied_game(rng, n)
         target = ActionProfile(int(rng.integers(1 << n)), n)
-        scale = game._gain_scale
+        limit = 1e-9 * game._stakes
         for _ in range(2):
             entries = _random_contract(rng, n)
             matrix = TransferMatrix(entries)
             gains = deviation_gains(transferred_payoffs(game.payoffs, entries),
                                     target)
             report = verify_resolution(game, matrix, target)
-            players, masks = np.nonzero(
-                scale.decide(lambda s: gains > 1e-9 * s))
+            players, masks = np.nonzero(gains > limit)
             assert report.violations == tuple(zip(
                 players.tolist(), masks.tolist(),
                 gains[players, masks].tolist()))
-            assert report.strictly_dominant == scale.decide(
-                lambda s: float(gains.max()) < -1e-9 * s)
+            assert report.strictly_dominant == (gains.max() < -limit)
             result = levels.SelfInterestResult(
                 level=matrix.min_retained(), matrix=matrix, target=target,
                 binding_mask=np.zeros(gains.shape, dtype=bool),
                 excess=excess_report(matrix), mode=SolveMode.GENERAL)
-            expected = scale.decide(lambda s: np.abs(gains) <= 1e-9 * s)
+            expected = np.abs(gains) <= limit
             assert binding_constraints(game, result) == list(
                 zip(*map(np.ndarray.tolist, np.nonzero(expected))))
 
@@ -1661,9 +1483,8 @@ def _table_of_gains(gains, target):
 
 
 class TestLinearPick:
-    """The scan keeps each player's worst candidates above the scale's
-    lower bound by a linear pick, and decides only those exactly: the
-    rows it adds are the old pick's, a stable sort of the exact
+    """The scan keeps each player's worst violations by a linear pick:
+    the rows it adds are the old pick's, a stable sort of the
     violations."""
 
     @pytest.mark.parametrize("count", [1, 3, 8])
@@ -1676,17 +1497,11 @@ class TestLinearPick:
             assert np.flatnonzero(picked).tolist() == sorted(head.tolist())
 
     @pytest.mark.parametrize("n", [6, 14])
-    def test_kept_rows_are_the_exact_picks(self, n, monkeypatch):
+    def test_kept_rows_are_the_exact_picks(self, n):
         # gains on a grid of quarters, so many tie at each player's 8th
-        # place; player i's reach up to (i mod 5 + 2) / 4.  The exact
-        # scale s is 2.5, so at tolerance 0.25 the violations are the
-        # gains from 0.75 up, and the bounds [1, 2 s] leave every gain
-        # in (0.25, 1.25] between them: the first player's candidates
-        # are all 0.5, kept and then dropped
-        calls = []
-        exact = game_module._scale
-        monkeypatch.setattr(game_module, "_scale",
-                            lambda table: calls.append(table) or exact(table))
+        # place; player i's reach up to (i mod 5 + 2) / 4.  The widest
+        # column range is 1.5, so s is 2.5, and at tolerance 0.25 the
+        # violations are the gains from 0.75 up
         rng = np.random.default_rng(600 + n)
         target = ActionProfile.all_cooperate(n)
         for _ in range(4):
@@ -1695,23 +1510,18 @@ class TestLinearPick:
                      % reach[:, None]) * 0.25
             table = _table_of_gains(gains, target)
             working = rng.uniform(size=gains.shape) < 0.3
-            scale = exact(table)
+            scale = NormalFormGame(table)._stakes
             assert scale == 2.5
-            bounds = game_module._Scale(table, 2 * scale)
             fresh, binding = levels._scan(table, target, np.eye(n),
-                                          working.copy(), bounds, 0.25)
-            collapsed = game_module._Scale(table, scale)
-            collapsed.lo = scale
+                                          working.copy(), 0.25 * scale)
             expected, whole_binding = _whole_scan(
-                table, target, np.eye(n), working, collapsed, 0.25)
+                table, target, np.eye(n), working, 0.25 * scale)
             if expected is None:
                 assert fresh is None
                 assert np.array_equal(binding, whole_binding)
                 continue
             assert binding is None
             assert [a.tolist() for a in fresh] == [a.tolist() for a in expected]
-        # the kept rows between the bounds needed the exact scale
-        assert calls
 
 
 def _random_contract(rng, n):

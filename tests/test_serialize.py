@@ -12,7 +12,6 @@ from reward_transfer import (ActionProfile, BaseGame, BaseGameParams,
                              build_graphical, exchange_matrix, excess_report,
                              general_level, general_level_symmetric_fastpath,
                              symmetrical_level)
-from reward_transfer import game as game_module
 from reward_transfer.game import coplayer_string, insert_bit
 from reward_transfer.serialize import (FormatError, _table_by_item,
                                        dumps_game, dumps_matrix,
@@ -534,7 +533,7 @@ class TestBindingMask:
         for result in (general_level(game),
                        general_level_symmetric_fastpath(game)):
             expected = brute_force_binding(game, result,
-                                           1e-9 * game_module._scale(game.payoffs))
+                                           1e-9 * game._stakes)
             assert expected
             assert result.binding == expected
             assert all(type(p) is int and type(m) is int
@@ -542,7 +541,7 @@ class TestBindingMask:
 
     def test_general_with_target(self, arbitrary_game):
         result = general_level(arbitrary_game, ActionProfile.from_string("CCC"))
-        scale = game_module._scale(arbitrary_game.payoffs)
+        scale = arbitrary_game._stakes
         assert result.binding == brute_force_binding(
             arbitrary_game, result, 1e-9 * scale)
 
