@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 
 from reward_transfer import (ActionProfile, DilemmaKind, NormalFormGame,
                              NotADilemmaError, NotResolvableError, SolveMode,
-                             TransferMatrix, apply_transfers, classify_dilemma,
-                             deviation_deltas, exchange_matrix, excess_report,
-                             general_level,
+                             TransferMatrix, apply_transfers, check_dominance,
+                             classify_dilemma, deviation_deltas,
+                             exchange_matrix, excess_report, general_level,
                              general_level_symmetric_fastpath,
-                             social_optima, symmetrical_level,
-                             verify_resolution)
+                             pure_nash_equilibria, social_optima,
+                             symmetrical_level, verify_resolution)
 from reward_transfer import game as game_module, levels, lp as lp_module
 from reward_transfer.dilemmas import (BaseGame, BaseGameParams,
                                       FunctionalParams, GraphKind,
@@ -100,13 +100,153 @@ class TestRewardScale:
                         for i in range(n))
                 assert 1 + m <= s <= n * (1 + m)
 
+    @staticmethod
+    def library_games(n):
+        """Every built family at size n, and a game after transfer."""
+        games = [build_graphical(graph, BaseGameParams(base, 3.0, 1.0), n)
+                 for graph in GraphKind for base in BaseGame]
+        games.append(build_functional(FunctionalParams(n, 3.0)))
+        if n >= 3:
+            games.append(pool_dilemma(n))
+        games.append(apply_transfers(games[0], exchange_matrix(n, 0.4)))
+        return games
 
-_GENERAL = functools.partial(general_level, force=True)
+    @pytest.mark.filterwarnings("ignore:a two-player tycoon")
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_bounds_hold_bit_for_bit(self, n):
+        # builders and transfers adopt their table and the constructor
+        # copies it; either way the scale is the same fact of the table
+        for game in self.library_games(n):
+            s = game._stakes
+            assert s == 1 + np.ptp(game.payoffs, axis=0).max()
+            assert NormalFormGame(game.payoffs)._stakes == s
+            for target in (ActionProfile.all_cooperate(n),
+                           ActionProfile.all_defect(n)):
+                m = max(float(np.abs(deviation_deltas(game, target, i)).max())
+                        for i in range(n))
+                assert 1 + m <= s <= n * (1 + m)
+
+    @staticmethod
+    def planted_gain_game(gain):
+        """Three players, zeros but for player 2's 4 at CCC and player 0's
+        ``gain`` for defecting alone: s = 5 while gain <= 4, and CCC is
+        the welfare optimum that only player 0 may want to leave."""
+        table = np.zeros((8, 3))
+        table[0, 2] = 4.0
+        table[ActionProfile.from_string("DCC").bits, 0] = gain
+        return NormalFormGame(table)
+
+    @pytest.mark.parametrize("tolerance", [1e-9, 1e-6, 0.1])
+    @pytest.mark.parametrize("check", [
+        "check_dominance", "verify_resolution", "pure_nash_equilibria"])
+    def test_a_gain_of_tolerance_times_s_is_allowed(self, check, tolerance):
+        # the threshold is the float product tolerance * s itself: a gain
+        # on it passes, and one a single step above it does not
+        cooperate = ActionProfile.all_cooperate(3)
+        limit = tolerance * 5.0
+        for gain, allowed in ((limit, True),
+                              (np.nextafter(limit, np.inf), False)):
+            game = self.planted_gain_game(gain)
+            assert game._stakes == 5.0
+            if check == "pure_nash_equilibria":
+                stable = pure_nash_equilibria(game, tolerance)
+                assert (cooperate in stable) is allowed
+                continue
+            if check == "check_dominance":
+                report = check_dominance(game, cooperate, tolerance)
+            else:
+                report = verify_resolution(game, TransferMatrix.identity(3),
+                                           cooperate, tolerance)
+            assert report.weakly_dominant is allowed
+            assert report.violations == (() if allowed else ((0, 0, gain),))
+            assert not report.strictly_dominant
+
+
+_GENERAL =functools.partial(general_level, force=True)
 _EXCESS = functools.partial(general_level, force=True, allow_excess=True)
 _REFINE = functools.partial(general_level, force=True, refine_diagonal=True)
 _SYMMETRIC = functools.partial(symmetrical_level, force=True)
 _FASTPATH = functools.partial(general_level_symmetric_fastpath, force=True)
 _EVERY_SEARCH = (_GENERAL, _EXCESS, _REFINE, _SYMMETRIC)
+
+
+@pytest.mark.filterwarnings("ignore")
+class TestSearchesReadOneScale:
+    """Every search reads its tests against the one scale s, taken here
+    from the table alone: the contract it returns leaves no gain above
+    tolerance * s, and its binding mask and level are those of the
+    whole-array passes at that s."""
+
+    @staticmethod
+    def agree(game, searches):
+        s = 1 + np.ptp(game.payoffs, axis=0).max()
+        assert game._stakes == s
+        for search in searches:
+            target = ActionProfile.all_cooperate(game.n)
+            if search is _SYMMETRIC:
+                level, binding, refusal = _whole_even_split(game, target)
+                if refusal is not None:
+                    words, player = refusal
+                    with pytest.raises(NotResolvableError,
+                                       match=words.format(player + 1)):
+                        search(game)
+                    continue
+            result = search(game)
+            gains = deviation_gains(
+                transferred_payoffs(game.payoffs, result.matrix.entries),
+                result.target)
+            assert gains.max() <= 1e-9 * s, search
+            if search is _SYMMETRIC:
+                assert result.level == level
+                assert np.array_equal(result.binding_mask, binding)
+            else:
+                assert np.array_equal(result.binding_mask,
+                                      np.abs(gains) <= 1e-9 * s), search
+
+    @pytest.mark.parametrize("graph", list(GraphKind))
+    @pytest.mark.parametrize("base", list(BaseGame))
+    def test_graphical(self, graph, base):
+        searches = (_GENERAL, _SYMMETRIC)
+        if graph is not GraphKind.TYCOON:
+            searches += (_FASTPATH,)
+        for n in range(3, 11):
+            self.agree(build_graphical(graph, BaseGameParams(base, 3.0, 1.0),
+                                       n), searches)
+
+    def test_functional_and_too_many_cooks(self):
+        for n in range(2, 8):
+            self.agree(build_functional(FunctionalParams(n, 3.0)),
+                       _EVERY_SEARCH)
+        self.agree(too_many_cooks(), _EVERY_SEARCH)
+
+    def test_scaled_pd(self):
+        for eps in (1e-7, 3e-7, 1e-6, 3e-6, 1e-5):
+            self.agree(scaled_prisoners_dilemma(eps), _EVERY_SEARCH)
+
+    def test_random_strict_dilemmas(self):
+        rng = np.random.default_rng(11)
+        games = [make_strict_dilemma(rng, n) for n in (2, 3, 4, 5, 6) * 2]
+        games += [pool_dilemma(n) for n in range(3, 11)] + [pool_dilemma(11, 1)]
+        games.append(NormalFormGame(1e7 * pool_dilemma(4).payoffs))
+        for game in games:
+            self.agree(game, (_GENERAL, _EXCESS, _SYMMETRIC))
+
+    @pytest.mark.parametrize("game, fastpath", [
+        (build_graphical(GraphKind.CIRCULAR, PD, 8), True),
+        (build_functional(FunctionalParams(6, 3.0)), False),
+    ], ids=["circular-8", "functional-6"])
+    def test_searches_make_no_scale_of_their_own(self, game, fastpath,
+                                                monkeypatch):
+        # s is fixed when a game is made; a search that made a game of
+        # its own would read its tests against that game's scale instead
+        made = []
+        hold = NormalFormGame._hold
+        monkeypatch.setattr(NormalFormGame, "_hold",
+                            lambda game, table: made.append(table)
+                            or hold(game, table))
+        for search in _EVERY_SEARCH + ((_FASTPATH,) if fastpath else ()):
+            search(game)
+        assert made == []
 
 
 def _old_mismatch(game, perm):
