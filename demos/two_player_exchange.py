@@ -36,7 +36,7 @@ def show(game, name):
     broken = verify_resolution(game, slightly_greedy)
     print(f"at s = {result.level + 0.01:.6g} instead:",
           "still fine" if broken.weakly_dominant else
-          f"breaks ({len(broken.violations)} profitable deviations)")
+          f"breaks ({broken.violation_count} profitable deviations)")
 
 
 def main():

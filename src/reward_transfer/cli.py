@@ -169,7 +169,7 @@ def cmd_verify(args) -> int:
         player, mask, gap = violation
         return (f"player {player + 1} gains {gap:.6g} by deviating against "
                 f"co-players {coplayer_string(mask, game.n, player)}")
-    _print_capped(report.violations, len(report.violations), describe)
+    _print_capped(report.iter_violations(), report.violation_count, describe)
     return EXIT_UNRESOLVABLE
 
 

@@ -32,7 +32,8 @@ A game is a social dilemma when three things hold at once:
 * full cooperation strictly beats full defection for every player.
 
 ``classify_dilemma`` checks these conditions and reports witnesses for
-the ones that fail.
+the ones that fail, as ``check_dominance`` reports violations: held
+compactly, counted and iterated, and built whole only when read.
 
 A game is immutable.  Construction checks the table, through each
 column's max and min, and keeps from them the reward scale s that every
@@ -575,16 +576,33 @@ def _classify(game, tolerance) -> DilemmaClassification:
 class DominanceReport:
     """Whether a target profile is (weakly/strictly) dominant.
 
-    ``violations`` lists (player, co-profile mask, gap) triples where the
+    A violation is a (player, co-profile mask, gap) triple where the
     player gains more than tolerance * s by deviating from the target
     action, s the game's reward scale (1 + its widest column range, see
-    the module notes); the gap is the gain.
-    """
+    the module notes); the gap is the gain.  They are held by player,
+    masks ascending, as bytes: of int64 keys player << (n - 1) | mask and
+    of the gaps.  ``violations`` is built on each read; ``iter_violations``
+    and ``violation_count`` read a few and count all without the rest."""
 
     target: ActionProfile
     strictly_dominant: bool
     weakly_dominant: bool
-    violations: tuple[tuple[int, int, float], ...]
+    _keys: bytes
+    _gaps: bytes
+
+    def iter_violations(self) -> Iterator[tuple[int, int, float]]:
+        shift = self.target.n - 1
+        for key, gap in zip(map(int, np.frombuffer(self._keys, np.int64)),
+                            map(float, np.frombuffer(self._gaps))):
+            yield key >> shift, key & ((1 << shift) - 1), gap
+
+    @property
+    def violations(self) -> tuple[tuple[int, int, float], ...]:
+        return tuple(self.iter_violations())
+
+    @property
+    def violation_count(self) -> int:
+        return len(self._gaps) // 8
 
 
 def check_dominance(game: NormalFormGame,
@@ -606,9 +624,10 @@ def check_dominance(game: NormalFormGame,
 def _dominance(table, target, limit, entries=None) -> DominanceReport:
     """``check_dominance`` on the reward ``table``, or on its product with
     the transfer matrix ``entries`` when given, read piece by piece
-    (``_gain_blocks``) against ``limit``, the tolerance times the
-    scale: both verdicts read the largest gain alone, and a piece's
-    violations are gathered only when its largest gain is one."""
+    (``_gain_blocks``) against ``limit``, the tolerance times the scale:
+    both verdicts read the largest gain alone, and a piece's violations
+    are gathered, as keys and gaps, only when its largest gain is one."""
+    shift = target.n - 1
     worst = -math.inf
     found = []
     for players, masks, gains in _gain_blocks(table, target, entries):
@@ -616,16 +635,18 @@ def _dominance(table, target, limit, entries=None) -> DominanceReport:
         worst = max(worst, peak)
         if peak > limit:
             rows, cols = np.nonzero(gains > limit)
-            found.append((rows + players.start, cols + masks.start,
-                          gains[rows, cols]))
-    violations = ()
+            keys = (rows + players.start) << shift | cols + masks.start
+            found.append((keys, gains[rows, cols]))
+    keys = gaps = b""
     if found:
-        players, masks, gaps = map(np.concatenate, zip(*found))
-        order = np.lexsort((masks, players))
-        violations = tuple(zip(players[order].tolist(),
-                               masks[order].tolist(), gaps[order].tolist()))
-    strict = worst < -limit
-    return DominanceReport(target, strict, not violations, violations)
+        # the keys sort in place, so that at most four arrays of a value
+        # per violation are ever alive
+        keys, gaps = map(np.concatenate, zip(*found))
+        del found
+        gaps = gaps[np.argsort(keys)]
+        keys.sort()
+        keys, gaps = keys.tobytes(), gaps.tobytes()
+    return DominanceReport(target, worst < -limit, not keys, keys, gaps)
 
 
 def pure_nash_equilibria(game: NormalFormGame,

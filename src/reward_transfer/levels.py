@@ -11,16 +11,16 @@ entry T[j, i] of the transfer matrix, and the level z is the last
 variable.  Constraints say z is below every diagonal entry, rows are
 conserving (or may burn reward with ``allow_excess``), and no player
 profits by deviating from the target against any co-profile.
-``general_level`` gives every entry its own variable; the fastpath maps
-the entries of a circulant T, constant along the game's player cycle,
-onto the n shares of one row.  Restricting T to matrices that commute
-with a symmetry of the game keeps the optimum (Bödi, Herr & Joswig
-2013).  Any map works: every coefficient is added onto its variable,
-so a variable that holds several entries counts each of them.  Both
-maps number a row's diagonal entry last, so the solver's crash, which
-puts each row sum on its last variable, starts every cold search from
-the identity contract; the dual simplex then repairs the deviation rows
-that contract violates.
+``general_level`` gives every entry its own variable; the fastpath, for
+games that the cyclic shift of players i -> i + 1 leaves unchanged, maps
+the entries of a circulant T, T[j, i] = T[0, i - j], onto the n shares
+of row 0.  Restricting T to matrices that commute with a symmetry of
+the game keeps the optimum (Bödi, Herr & Joswig 2013).  Any map works:
+every coefficient is added onto its variable, so a variable that holds
+several entries counts each of them.  Both maps number a row's diagonal
+entry last, so the solver's crash, which puts each row sum on its last
+variable, starts every cold search from the identity contract; the dual
+simplex then repairs the deviation rows that contract violates.
 
 ``symmetrical_level`` restricts contracts to the one-parameter family
 where everyone keeps s and splits the rest evenly.  Each deviation's
@@ -63,7 +63,7 @@ import enum
 import functools
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -101,13 +101,6 @@ class NotResolvableError(RuntimeError):
     """No admissible contract makes the target weakly dominant."""
 
 
-def _mask_pairs(mask) -> list[tuple[int, int]]:
-    """(player, co-profile mask) for every set entry of an (n, 2**(n-1))
-    boolean array, player by player and masks ascending."""
-    players, masks = np.nonzero(mask)
-    return list(zip(players.tolist(), masks.tolist()))
-
-
 @dataclass(frozen=True)
 class SelfInterestResult:
     """Outcome of a level search.
@@ -135,7 +128,8 @@ class SelfInterestResult:
 
     @functools.cached_property
     def binding(self) -> tuple[tuple[int, int], ...]:
-        return tuple(_mask_pairs(self.binding_mask))
+        players, masks = np.nonzero(self.binding_mask)
+        return tuple(zip(players.tolist(), masks.tolist()))
 
 
 def deviation_deltas(game: NormalFormGame,
@@ -564,53 +558,35 @@ def _check_symmetry(game, perm, tolerance):
 
 
 def general_level_symmetric_fastpath(game: NormalFormGame,
-                                     generator: Optional[Sequence[int]] = None,
                                      *,
                                      force: bool = False,
                                      tolerance: float = 1e-9) -> SelfInterestResult:
-    """General-level search for games with a cyclic player symmetry.
-
-    ``generator`` is a permutation (one n-cycle) under which the game is
-    invariant: relabeling players by it leaves the payoff table
-    unchanged.  The optimal matrix can then be taken to share the
-    symmetry, which collapses the n*n shares to the n entries of one
-    row; rows of the matrix are that row pushed around the cycle.  The
-    target is all-cooperate (any symmetric target is all-same).  Results
-    agree with ``general_level`` but the LP has n + 1 variables.
+    """General-level search for games invariant under the cyclic shift
+    of players i -> i + 1 (mod n): relabeling players by it leaves the
+    payoff table unchanged.  The optimal matrix can then be taken to
+    share the symmetry, which collapses the n*n shares to the n entries
+    of row 0; row j is that row shifted j places, T[j, i] = T[0, i - j].
+    The target is all-cooperate (any symmetric target is all-same).
+    Results agree with ``general_level`` but the LP has n + 1 variables.
 
     ``tolerance`` is read as in ``general_level``, and a payoff mismatch
     above tolerance * s fails the symmetry check.
     """
     _check_tolerance(tolerance)
-    n = game.n
-    if generator is None:
-        generator = tuple((i + 1) % n for i in range(n))
-    perm = np.asarray(generator)
-    # compared before the cast, which would truncate 1.7 to 1
-    if perm.shape != (n,) or sorted(perm.tolist()) != list(range(n)):
-        raise ValueError("generator must be a permutation of the players")
-    perm = perm.astype(int)
-    cycle = [0]
-    for _ in range(n - 1):
-        cycle.append(int(perm[cycle[-1]]))
-    if len(set(cycle)) != n:
-        raise ValueError("generator must be a single cycle through all "
-                         "players; its orbit of player 1 is shorter")
-    _check_symmetry(game, perm, tolerance)
-
-    # row cycle[k] of T is row 0 pushed k steps round the cycle, so
-    # T[j, i] = T[0, cycle[pos[i] - pos[j]]], held by variable
-    # (pos[i] - pos[j] - 1) mod n: the diagonal's is the last
-    pos = np.argsort(cycle)
-    var = (pos[None, :] - pos[:, None] - 1) % n
+    players = np.arange(game.n)
+    _check_symmetry(game, np.roll(players, -1), tolerance)
+    # T[j, i] = T[0, (i - j) mod n] is held by variable (i - j - 1) mod n:
+    # the diagonal's is the last
+    var = (players - players[:, None] - 1) % game.n
     return _search(game, None, var, force=force, tolerance=tolerance)
 
 
 def binding_constraints(game: NormalFormGame,
                         result: SelfInterestResult,
-                        tolerance: float = 1e-9) -> list[tuple[int, int]]:
+                        tolerance: float = 1e-9) -> np.ndarray:
     """Recompute which deviation constraints are tight for a result, by
-    the searches' rule: a gain after transfer within tolerance * s of 0."""
+    the searches' rule: a gain after transfer within tolerance * s of 0.
+    Returns a read-only mask of the form of ``result.binding_mask``."""
     _check_tolerance(tolerance)
     if result.matrix.n != game.n or result.target.n != game.n:
         raise ValueError("result size does not match the game")
@@ -619,4 +595,5 @@ def binding_constraints(game: NormalFormGame,
     for players, masks, gains in _gain_blocks(
             game.payoffs, result.target, result.matrix.entries):
         binding[players, masks] = _binding(gains, limit)
-    return _mask_pairs(binding)
+    binding.setflags(write=False)
+    return binding

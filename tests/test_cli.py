@@ -13,10 +13,12 @@ import numpy as np
 import pytest
 
 from conftest import ARBITRARY_MATRIX_3DP, ARBITRARY_TABLE, package_env
-from reward_transfer import (BaseGame, BaseGameParams, FunctionalParams,
-                             GraphKind, NormalFormGame, TransferMatrix,
+from reward_transfer import (ActionProfile, BaseGame, BaseGameParams,
+                             DominanceReport, FunctionalParams, GraphKind,
+                             NormalFormGame, TransferMatrix,
                              apply_transfers, build_functional,
                              build_graphical)
+from reward_transfer.game import coplayer_string, deviation_gains
 from reward_transfer.cli import main
 from reward_transfer.serialize import dumps_game, parse_game
 
@@ -410,6 +412,28 @@ class TestVerify:
         matrix = write_json(tmp_path, "m.json",
                             [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         assert main(["verify", arbitrary_path, matrix, "--target", "CC"]) == 3
+
+    def test_violation_listing_is_capped_and_builds_no_triples(
+            self, tmp_path, capsys, monkeypatch):
+        # under the identity every one of the 12 * 2**11 deviations of a
+        # circular prisoner's dilemma gains; the listing reads the first
+        # ten and the count, never the tuple of every violation
+        def refuse(report):
+            raise AssertionError("verify read every violation")
+        monkeypatch.setattr(DominanceReport, "violations", property(refuse))
+        game = build_graphical(GraphKind.CIRCULAR, BaseGameParams(
+            BaseGame.PRISONERS_DILEMMA, 3.04, 0.97), 12)
+        path = tmp_path / "circular12.json"
+        path.write_text(dumps_game(game))
+        identity = write_json(tmp_path, "id.json", np.eye(12).tolist())
+        assert main(["verify", str(path), identity]) == 2
+        gains = deviation_gains(game.payoffs, ActionProfile.all_cooperate(12))
+        listed = [f"  player 1 gains {gains[0, mask]:.6g} by deviating "
+                  f"against co-players {coplayer_string(mask, 12, 0)}"
+                  for mask in range(10)]
+        assert capsys.readouterr().out.splitlines() == (
+            ["target CCCCCCCCCCCC is NOT weakly dominant after transfers"]
+            + listed + ["  ... and 24566 more"])
 
 
 class TestAnalytic:

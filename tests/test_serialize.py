@@ -39,11 +39,6 @@ EXCHANGE_JSON = (
 )
 
 
-@pytest.fixture
-def pd_json_game(pd_game):
-    return pd_game
-
-
 class TestGameFormat:
     def test_golden_bytes(self, pd_game):
         assert dumps_game(pd_game) == PD_JSON

@@ -28,7 +28,8 @@ import pytest
 
 from reward_transfer import (BaseGame, BaseGameParams,
                              FunctionalParams, GraphKind, NormalFormGame,
-                             NotResolvableError, apply_transfers,
+                             NotResolvableError, TransferMatrix,
+                             apply_transfers, binding_constraints,
                              build_functional, build_graphical,
                              exchange_matrix, general_level,
                              general_level_symmetric_fastpath,
@@ -118,6 +119,24 @@ class TestPeaksAtSixteenPlayers:
         game = NormalFormGame(game.payoffs)
         extra = extra_tables(lambda: call(game, matrix), BIG)
         assert extra <= bound, f"{name} holds {extra:.2f} tables (bound {bound})"
+
+    def test_binding_constraints_stays_under_0_6_tables(self, game):
+        # the even split binds all 524,288 constraints; the mask holds a
+        # byte for each
+        result = symmetrical_level(game)
+        assert result.binding_mask.all()
+        extra = extra_tables(lambda: binding_constraints(game, result), BIG)
+        assert extra <= 0.6, f"the binding set holds {extra:.2f} tables (bound 0.6)"
+
+    def test_verifying_the_identity_stays_under_3_tables(self, game):
+        # every deviation gains: the report holds a key and a gap for
+        # each of the 524,288, and builds no triple until one is read
+        identity = TransferMatrix.identity(BIG)
+        reports = [verify_resolution(game, identity)]
+        extra = extra_tables(
+            lambda: reports.append(verify_resolution(game, identity)), BIG)
+        assert extra <= 3.0, f"verification holds {extra:.2f} tables (bound 3.0)"
+        assert reports[1].violation_count == BIG << (BIG - 1)
 
     def test_excess_search_stays_under_0_75_tables(self):
         game = build_functional(FunctionalParams(BIG, 3.0))

@@ -93,10 +93,10 @@ def _outcome(game, target, search, force, written) -> dict:
              "matrix": result.matrix.entries.tobytes().hex(),
              "binding": [int(mask.sum()),
                          hashlib.sha256(np.packbits(mask)).hexdigest()],
-             "binding_agrees": (levels.binding_constraints(game, result)
-                                == list(result.binding)),
+             "binding_agrees": np.array_equal(
+                 levels.binding_constraints(game, result), mask),
              "verified": [report.weakly_dominant, report.strictly_dominant,
-                          len(report.violations)]}
+                          report.violation_count]}
     if search.allow_excess:
         entry["stage2"] = float(result.excess.total).hex()
     elif search.refine_diagonal:
