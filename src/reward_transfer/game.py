@@ -52,6 +52,7 @@ import enum
 import functools
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -676,6 +677,24 @@ def _is_social_optimum(game: NormalFormGame, target: ActionProfile,
     the set of every optimal profile."""
     sw = game._welfare_column
     return bool(sw[target.bits] >= sw.max() - tolerance)
+
+
+def _admit_target(game: NormalFormGame, target: Optional[ActionProfile],
+                  tolerance: float, stacklevel: int) -> ActionProfile:
+    """The target a search or a check works for: all-cooperate when
+    None.  Refuses a target of another size, and warns, at
+    ``stacklevel`` counted from here, when the target is not a social
+    optimum (``tolerance`` unscaled), since enforcing it pins the group
+    to suboptimal welfare."""
+    if target is None:
+        target = ActionProfile.all_cooperate(game.n)
+    if target.n != game.n:
+        raise ValueError("target profile size does not match the game")
+    if not _is_social_optimum(game, target, tolerance):
+        warnings.warn(
+            f"target {target} is not a social optimum of the game",
+            UserWarning, stacklevel=stacklevel)
+    return target
 
 
 def social_optima(game: NormalFormGame,

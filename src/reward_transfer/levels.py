@@ -61,7 +61,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -71,7 +70,7 @@ import numpy as np
 # perfbench/spans.py re-binds it by name when it traces a run
 from .game import (_BLOCK_BITS, ActionProfile,  # noqa: F401
                    DilemmaClassification, DilemmaKind, NormalFormGame,
-                   _check_tolerance, _gain_blocks, _is_social_optimum,
+                   _admit_target, _check_tolerance, _gain_blocks,
                    classify_dilemma, deviation_pairs, insert_bit,
                    social_optima)
 from .lp import LinearProgram, LpStatus, solve_lp
@@ -151,16 +150,12 @@ def deviation_deltas(game: NormalFormGame,
     return (leave - keep).reshape(-1, game.n)
 
 
-def _admit(game, target, force, tolerance, stacklevel=3) -> ActionProfile:
-    """The target a search works for (all-cooperate when None), after
-    the dilemma gate, which refuses a non-dilemma unless ``force`` is
-    given (and is skipped then), and a warning if the target is not a
-    social optimum.  Both read ``tolerance`` unscaled, as
-    ``classify_dilemma`` and ``social_optima`` define it."""
-    if target is None:
-        target = ActionProfile.all_cooperate(game.n)
-    if target.n != game.n:
-        raise ValueError("target profile size does not match the game")
+def _admit(game, target, force, tolerance, stacklevel=4) -> ActionProfile:
+    """The target a search works for, from ``_admit_target`` (which
+    warns at ``stacklevel``), after the dilemma gate, which refuses a
+    non-dilemma unless ``force`` is given (and is skipped then).  Both
+    read ``tolerance`` unscaled, as ``classify_dilemma`` and
+    ``social_optima`` define it."""
     if not force:
         classification = classify_dilemma(game, tolerance)
         if classification.kind is DilemmaKind.NOT_DILEMMA:
@@ -168,11 +163,7 @@ def _admit(game, target, force, tolerance, stacklevel=3) -> ActionProfile:
             raise NotADilemmaError(
                 f"not a social dilemma ({first}); pass force=True to search "
                 "anyway", classification)
-    if not _is_social_optimum(game, target, tolerance):
-        warnings.warn(
-            f"target {target} is not a social optimum of the game",
-            UserWarning, stacklevel=stacklevel)
-    return target
+    return _admit_target(game, target, tolerance, stacklevel)
 
 
 def symmetrical_level(game: NormalFormGame,
@@ -390,21 +381,18 @@ def _level_lp(table, target, var, players, masks,
     var[j, i]) and the level z (the last variable), with the deviation
     rows of ``players`` against ``masks`` (``_deviation_block``): z is
     below every diagonal variable, and each row of T sums to one (at
-    most one with ``allow_excess``)."""
+    most one with ``allow_excess``), counting every entry a variable
+    holds.  A repeated diagonal variable gets one level row; a repeated
+    row sum (the fastpath's n rows all sum the same n variables) is left
+    to the solver's crash, which drops it as dependent."""
     nv = int(var.max()) + 2
-    # a map that shares variables repeats diagonal variables and rows of
-    # T; each distinct one gets one row, in sorted order, and a row sum
-    # counts every entry a variable holds.  (np.unique would import
-    # numpy.ma, ~17 ms of every process's start-up.)
+    n = len(var)
     diagonal = np.flatnonzero(np.bincount(np.diag(var)))
-    rows = np.sort(var, axis=1)
-    rows = rows[np.lexsort(rows.T[::-1])]
-    sums = rows[np.append(True, (rows[1:] != rows[:-1]).any(axis=1))]
     level_rows = np.zeros((len(diagonal), nv))
     level_rows[:, -1] = 1.0
     level_rows[np.arange(len(diagonal)), diagonal] = -1.0
-    row_sums = np.zeros((len(sums), nv))
-    np.add.at(row_sums, (np.arange(len(sums))[:, None], sums), 1.0)
+    row_sums = np.zeros((n, nv))
+    np.add.at(row_sums, (np.arange(n)[:, None], var), 1.0)
     c = np.zeros(nv)
     c[-1] = 1.0
 
@@ -414,9 +402,9 @@ def _level_lp(table, target, var, players, masks,
     b_ub = np.zeros(len(rows))
     if allow_excess:
         return LinearProgram(c, a_ub=np.vstack([rows, row_sums]),
-                             b_ub=np.concatenate([b_ub, np.ones(len(sums))]))
+                             b_ub=np.concatenate([b_ub, np.ones(n)]))
     return LinearProgram(c, a_ub=rows, b_ub=b_ub, a_eq=row_sums,
-                         b_eq=np.ones(len(sums)))
+                         b_eq=np.ones(n))
 
 
 def _matrix_from_solution(t, conserving) -> TransferMatrix:
@@ -443,7 +431,7 @@ def _search(game, target, var, *, force, tolerance,
     and a map that shares variables searches the matrices it describes.
     The matrix and binding mask returned are those of the last lazy scan.
     See ``general_level`` for the rest."""
-    target = _admit(game, target, force, tolerance, stacklevel=4)
+    target = _admit(game, target, force, tolerance, stacklevel=5)
     table = game.payoffs
     limit = tolerance * game._stakes
     # every player's working set starts from the two extreme co-profiles:
@@ -451,12 +439,9 @@ def _search(game, target, var, *, force, tolerance,
     n = game.n
     working = np.zeros((n, 1 << (n - 1)), dtype=bool)
     working[:, [0, -1]] = True
-    # the same rows as indices, each player's against mask 0 and the last
-    players = np.arange(2 * n) >> 1
-    masks = (np.arange(2 * n) & 1) * ((1 << (n - 1)) - 1)
 
     solved = _lazy_solve(
-        _level_lp(table, target, var, players, masks, allow_excess),
+        _level_lp(table, target, var, *np.nonzero(working), allow_excess),
         var, table, target, working, limit, tolerance, not allow_excess)
     if solved is None:
         raise NotResolvableError(

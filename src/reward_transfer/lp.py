@@ -4,7 +4,9 @@ Dense tableau simplex.  This is deliberately not a high-performance LP
 code: problems in this package have at most a few hundred active rows,
 and what matters is that repeated solves of the same program give
 bit-identical answers (fixed pivoting order, no randomization, no
-degeneracy perturbation).
+degeneracy perturbation) at a fixed BLAS thread count: the dense solves
+of a warm start and of the final re-solve can move in their last bits
+with the number of threads.
 
 Conventions: ``maximize c @ x`` subject to ``a_ub @ x <= b_ub``,
 ``a_eq @ x == b_eq`` and x >= 0 (standard form).  Any other bound is
@@ -13,10 +15,11 @@ written as an inequality row, or as a shift of its variable.
 Feasibility.  A cold solve builds [A_ub | I ; A_eq | 0 | b] as it
 stands: each inequality starts on its slack, and each equality row is
 pivoted once onto its last column of largest |entry| (a crash basis,
-Bixby 1992).  An
-equality row left with no entry above ``_CRASH_TOL`` is dependent and
-dropped, or inconsistent when its rhs is off zero by more than the
-tolerance below.  Under the zero objective the crashed basis is dual
+Bixby 1992).  An equality row left with no entry above ``_CRASH_TOL``
+is dependent and dropped, or inconsistent when its rhs is off zero by
+more than the tolerance below.  Callers may so pass repeated rows: the
+fastpath's level LP has n equal row sums, of which the crash keeps the
+first.  Under the zero objective the crashed basis is dual
 feasible, so the dual simplex repairs its negative rows (Koberstein
 2005); then the objective goes in and the primal simplex optimizes.
 
@@ -292,7 +295,8 @@ def solve_lp(lp: LinearProgram,
              start: Optional[LpSolution] = None) -> LpSolution:
     """Solve the program.  Returns a status rather than raising:
     INFEASIBLE and UNBOUNDED are ordinary outcomes (``x`` is NaN for
-    both).  Identical inputs produce bit-identical solutions.
+    both).  Identical inputs produce bit-identical solutions at a fixed
+    BLAS thread count.
 
     A cold solve crashes the equality rows into the basis, repairs it
     with the dual simplex on the zero objective, then optimizes with the

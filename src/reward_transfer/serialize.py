@@ -79,16 +79,8 @@ def _rows(heads, values: np.ndarray, last: bool) -> str:
     return "".join(pieces)
 
 
-_KEY_DIGITS = str.maketrans("CD", "01")
-
 # game_blocks renders the payoff rows this many at a time
 _DUMP_ROWS = 1 << 10
-
-
-def _key_bits(key: str) -> int:
-    """Profile bits of a C/D key; the first character is player 0, the
-    lowest bit."""
-    return int(key[::-1].translate(_KEY_DIGITS), 2)
 
 
 def game_blocks(game: NormalFormGame) -> Iterator[str]:
@@ -166,8 +158,8 @@ def _check_number(value, where: str) -> float:
 
 def _table_at_once(payoffs: dict, n: int) -> Optional[np.ndarray]:
     """The payoff table, with every key and number checked by array
-    operations; None when any check fails, so that the per-item reading
-    can word the error."""
+    operations; None when any check fails, so that ``_refuse_payoffs``
+    can word the error.  The only reader that builds a table."""
     if len(payoffs) != 1 << n or set(map(len, payoffs)) != {n}:
         return None
     # "replace" keeps one byte per character; "?" then fails the C/D test
@@ -198,10 +190,11 @@ def _table_at_once(payoffs: dict, n: int) -> Optional[np.ndarray]:
     return table
 
 
-def _table_by_item(payoffs: dict, n: int) -> np.ndarray:
-    """The payoff table, one key and one number at a time, raising
-    FormatError at the first one that is wrong."""
-    table = np.zeros((1 << n, n), order="F")
+def _refuse_payoffs(payoffs: dict, n: int) -> None:
+    """Raise FormatError naming what ``_table_at_once`` refused: the
+    first wrong key, row or number in document order, and failing that,
+    the first missing profile.  Words the error only; builds no
+    table."""
     seen = set()
     for key, row in payoffs.items():
         if len(key) != n or any(ch not in "CD" for ch in key):
@@ -210,15 +203,12 @@ def _table_by_item(payoffs: dict, n: int) -> np.ndarray:
         if not isinstance(row, list) or len(row) != n:
             raise FormatError(
                 f"payoffs for {key!r} must be a list of {n} numbers")
-        bits = _key_bits(key)
-        table[bits] = [_check_number(v, f"payoff {key!r}[{k}]")
-                       for k, v in enumerate(row)]
-        seen.add(bits)
-    if len(seen) != 1 << n:
-        missing = next(
-            str(ActionProfile(b, n)) for b in range(1 << n) if b not in seen)
-        raise FormatError(f"missing profile {missing!r} in payoffs")
-    return table
+        for k, v in enumerate(row):
+            _check_number(v, f"payoff {key!r}[{k}]")
+        seen.add(ActionProfile.from_string(key).bits)
+    missing = next(
+        str(ActionProfile(b, n)) for b in range(1 << n) if b not in seen)
+    raise FormatError(f"missing profile {missing!r} in payoffs")
 
 
 def parse_game(text: str) -> NormalFormGame:
@@ -242,7 +232,7 @@ def parse_game(text: str) -> NormalFormGame:
         raise FormatError("'payoffs' must be an object keyed by profiles")
     table = _table_at_once(payoffs, players)
     if table is None:
-        table = _table_by_item(payoffs, players)
+        _refuse_payoffs(payoffs, players)
     return NormalFormGame._adopt(table)
 
 

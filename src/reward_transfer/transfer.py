@@ -14,7 +14,6 @@ profiles at a time (``game._gain_blocks``).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -23,7 +22,7 @@ import numpy as np
 # nothing here calls social_optima or check_dominance; the names stay
 # importable because perfbench/spans.py re-binds them when it traces a run
 from .game import (ActionProfile, DominanceReport, NormalFormGame,  # noqa: F401
-                   _check_tolerance, _dominance, _is_social_optimum,
+                   _admit_target, _check_tolerance, _dominance,
                    check_dominance, social_optima, transferred_payoffs)
 
 
@@ -143,10 +142,11 @@ def conservation_check(game: NormalFormGame,
     if not matrix.is_conserving(tolerance):
         raise ValueError(
             "matrix burns reward (rows sum below 1); conservation does not apply")
-    before = game._welfare_column
-    after = transferred_payoffs(game.payoffs, matrix.entries).sum(axis=1)
-    scale = max(1.0, float(np.abs(before).max()))
-    return bool(np.abs(after - before).max() <= tolerance * scale)
+    scale = max(1.0, float(np.abs(game._welfare_column).max()))
+    # welfare after less welfare before, r @ T @ 1 - r @ 1 at each
+    # profile's rewards r, without forming the transferred table
+    drift = game.payoffs @ (matrix.row_sums() - 1.0)
+    return bool(np.abs(drift, out=drift).max() <= tolerance * scale)
 
 
 def verify_resolution(game: NormalFormGame,
@@ -160,20 +160,13 @@ def verify_resolution(game: NormalFormGame,
     searches read: the original game's.  The transformed game is never
     built: its rewards are formed and checked a block of profiles at a
     time, and rewards that overflow raise the ValueError
-    ``apply_transfers`` would.  The target defaults to all-cooperate.
-    A target that is not a social optimum of the original game
-    (``tolerance`` unscaled) is warned about, since enforcing it pins
-    the group to suboptimal welfare.
+    ``apply_transfers`` would.  The target is admitted as the searches
+    admit it (``game._admit_target``): all-cooperate by default, and a
+    warning when it is not a social optimum of the original game
+    (``tolerance`` unscaled).
     """
     _check_tolerance(tolerance)
-    if target is None:
-        target = ActionProfile.all_cooperate(game.n)
-    if target.n != game.n:
-        raise ValueError("target profile size does not match the game")
-    if not _is_social_optimum(game, target, tolerance):
-        warnings.warn(
-            f"target {target} is not a social optimum of the game",
-            UserWarning, stacklevel=2)
+    target = _admit_target(game, target, tolerance, stacklevel=3)
     if matrix.n != game.n:
         raise ValueError("matrix size does not match the game")
     return _dominance(game.payoffs, target, tolerance * game._stakes,

@@ -459,6 +459,21 @@ class TestDilemmaGate:
             general_level(pd_game, ActionProfile.from_string("DD"),
                           force=True)
 
+    def test_social_optimum_warning_names_the_caller(self, pd_game):
+        # the searches and the check admit their target through one gate,
+        # whose warning points at the line that called them
+        target = ActionProfile.from_string("DD")
+        identity = TransferMatrix.identity(2)
+        for call in (lambda: symmetrical_level(pd_game, target, force=True),
+                     lambda: general_level(pd_game, target, force=True),
+                     lambda: verify_resolution(pd_game, identity, target)):
+            with pytest.warns(UserWarning, match="social optimum") as caught:
+                try:
+                    call()
+                except NotResolvableError:
+                    pass
+            assert [w.filename for w in caught] == [__file__]
+
     def test_tied_optimum_does_not_warn(self):
         # every profile of a constant table is a social optimum
         game = NormalFormGame(np.ones((1 << 6, 6)))
@@ -910,11 +925,13 @@ class TestRowBuilders:
         lp = levels._level_lp(game.payoffs, ActionProfile.all_cooperate(n),
                               _even_split_map(n), *np.nonzero(working),
                               allow_excess)
-        # v0 + (n - 1) v1 = 1 (at most 1 with excess); z is not in it
+        # v0 + (n - 1) v1 = 1 (at most 1 with excess); z is not in it.
+        # Each row of T writes its own, and the solver's crash keeps one
         row = lp.a_ub[-1] if allow_excess else lp.a_eq[0]
         assert row.tolist() == [1.0, n - 1.0, 0.0]
         if not allow_excess:
-            assert lp.a_eq.shape[0] == 1 and lp.b_eq.tolist() == [1.0]
+            assert lp.a_eq.tolist() == [[1.0, n - 1.0, 0.0]] * n
+            assert lp.b_eq.tolist() == [1.0] * n
 
     @staticmethod
     def _even_split_games():
@@ -1364,6 +1381,26 @@ class TestCrashedStart:
                 assert abs(fast.level - _GENERAL(game).level) <= 1e-12
                 assert verify_resolution(game, fast.matrix).weakly_dominant
         assert repaired > 0 and solved > 10
+
+    def test_fastpath_row_sums_reach_the_crash(self, monkeypatch):
+        # the fastpath's n rows of T each sum the same n shares; the first
+        # LP holds all n row sums, and its cold solve's crash keeps one
+        solves = []
+        solve = levels.solve_lp
+
+        def recorded(lp, *args, **kwargs):
+            sol = solve(lp, *args, **kwargs)
+            solves.append((lp, sol))
+            return sol
+
+        monkeypatch.setattr(levels, "solve_lp", recorded)
+        n = 5
+        general_level_symmetric_fastpath(
+            build_graphical(GraphKind.CIRCULAR, PD, n))
+        lp, sol = solves[0]
+        assert lp.a_eq.tolist() == [[1.0] * n + [0.0]] * n
+        assert lp.b_eq.tolist() == [1.0] * n
+        assert sol.basis.kept.tolist() == [True] + [False] * (n - 1)
 
 
 def _shift_invariant(rng, n):

@@ -13,10 +13,10 @@ from reward_transfer import (ActionProfile, BaseGame, BaseGameParams,
                              general_level, general_level_symmetric_fastpath,
                              symmetrical_level)
 from reward_transfer.game import coplayer_string, insert_bit
-from reward_transfer.serialize import (FormatError, _table_by_item,
-                                       dumps_game, dumps_matrix,
-                                       dumps_result, extract_matrix,
-                                       game_blocks, parse_game, parse_matrix,
+from reward_transfer.serialize import (FormatError, dumps_game,
+                                       dumps_matrix, dumps_result,
+                                       extract_matrix, game_blocks,
+                                       parse_game, parse_matrix,
                                        result_lines)
 
 PD_JSON = (
@@ -151,9 +151,9 @@ class TestGameFormat:
             doc = json.loads(dumps_game(NormalFormGame(table)))
             # integers both small and past 2**53 take the array path too
             doc["payoffs"]["C" * n][0] = 2**60 + 1
+            table[0, 0] = 2**60 + 1
             parsed = parse_game(json.dumps(doc))
-            assert np.array_equal(parsed.payoffs,
-                                  _table_by_item(doc["payoffs"], n))
+            assert np.array_equal(parsed.payoffs, table)
 
 
 def _rowwise_dumps_game(game):
@@ -268,10 +268,6 @@ class TestParsedLayout:
         assert payoffs.flags.f_contiguous
         assert not payoffs.flags.writeable
         assert np.array_equal(payoffs, game.payoffs)
-        # the per-item reader, which words the errors, builds the same
-        by_item = _table_by_item(json.loads(text)["payoffs"], n)
-        assert by_item.flags.f_contiguous
-        assert np.array_equal(by_item, game.payoffs)
 
 
 class TestMemoizedFloatParse:
@@ -322,8 +318,8 @@ def _set(key, row):
     return change
 
 
-# every reason the array reading gives way to the per-item one, with the
-# message the per-item reading has always given
+# every reason the array reading refuses a document, with the message
+# the refusal has always given
 MALFORMED_PAYOFFS = [
     (_set("CD", [True, 4]), "payoff 'CD'[0] must be a number, got True"),
     (_set("DC", [4, "0"]), "payoff 'DC'[1] must be a number, got '0'"),

@@ -31,7 +31,8 @@ from reward_transfer import (BaseGame, BaseGameParams,
                              NotResolvableError, TransferMatrix,
                              apply_transfers, binding_constraints,
                              build_functional, build_graphical,
-                             exchange_matrix, general_level,
+                             conservation_check, exchange_matrix,
+                             general_level,
                              general_level_symmetric_fastpath,
                              symmetrical_level, verify_resolution)
 from reward_transfer import dilemmas, game as game_module
@@ -137,6 +138,17 @@ class TestPeaksAtSixteenPlayers:
             lambda: reports.append(verify_resolution(game, identity)), BIG)
         assert extra <= 3.0, f"verification holds {extra:.2f} tables (bound 3.0)"
         assert reports[1].violation_count == BIG << (BIG - 1)
+
+    def test_conservation_check_stays_under_0_25_tables(self, game):
+        # the welfare drift is the table times each row's sum less one:
+        # a column, not a transferred table
+        game = NormalFormGame(game.payoffs)
+        matrix = exchange_matrix(BIG, 0.4)
+        checked = []
+        extra = extra_tables(
+            lambda: checked.append(conservation_check(game, matrix)), BIG)
+        assert checked == [True]
+        assert extra <= 0.25, f"the check holds {extra:.2f} tables (bound 0.25)"
 
     def test_excess_search_stays_under_0_75_tables(self):
         game = build_functional(FunctionalParams(BIG, 3.0))

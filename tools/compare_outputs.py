@@ -30,7 +30,9 @@ hold it on both sides.  It exits 1 on any difference, including an
 entry that only one recording holds.
 
 Run it from the root of a checkout: the package is imported from
-``src/`` there.
+``src/`` there.  It records with one BLAS thread whatever the
+environment says, so that two recordings of one tree are the same
+bytes.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import warnings
 from collections import Counter
@@ -45,6 +48,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+# BLAS reads these once, when numpy loads.  The bytes of a dense solve
+# (the simplex's reinversion and final re-solve) move with the thread
+# count, so every recording is made with one thread
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ[var] = "1"
 
 import numpy as np  # noqa: E402
 import workloads  # noqa: E402
